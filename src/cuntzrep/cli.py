@@ -15,7 +15,7 @@ import sys
 from typing import Optional
 
 from .basis import RepValidationError, enumerate_basis
-from .operators import apply as apply_operator
+from .operators import apply as apply_operator, kernel_cache_clear
 from .parsing import (
     ParseError,
     ket_text,
@@ -158,6 +158,7 @@ _DISPATCH = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    kernel_cache_clear()  # each invocation starts cold, like a fresh process
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

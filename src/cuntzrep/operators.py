@@ -15,20 +15,25 @@ linear combinations, and the named families built from them:
 * ``Rho(x)``, ``Zeta(x)``   the transformers
                     rho(x) = sum_m s_m x s_m*,  zeta(x) = t1 x t1* - t2 x t2*
 
-Series carry formally infinite sums, but on any vector of the reference
-subspace only finitely many adjoint isometries survive: s_m* v walks the
-label backwards and dies once the word is consumed and a full cycle passes
-without a 1-edge.  Every series evaluator therefore pulls the finite
-support map first and sums exactly; there is no truncation parameter and
-no approximation anywhere.
+How evaluation works.  Every node but ``LinComb`` sends a basis label to at
+most one label times an exact scalar.  The kernel ``_act(e, rep, label)``
+returns that image as ``(label, scalar)`` terms; ``apply`` is its linear
+extension.  Exactly one of t1*, t2* survives on a label, so each family is a
+loop over letters, with forward and adjoint entries in one table.  Named
+families, their adjoints and ``Rho``/``Zeta`` are memoised on ``(expr, rep,
+label)`` in an LRU cache of ``KERNEL_CACHE_SIZE`` entries, cleared by
+``cli.main`` on entry; ``Prod``/``LinComb`` compose cached images per label;
+``Gen``, ``Iso`` and ``Ident`` are recomputed.  The oracles use only the
+vector-level letter primitives, never the cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from functools import lru_cache
+from typing import Callable, Optional, Union
 
-from .basis import apply_gen, apply_gen_adjoint
+from .basis import BasisLabel, RepSpec, apply_gen, apply_gen_adjoint
 from .scalars import RadicalScalar, ONE, sqrt_int
 from .states import StateVector
 
@@ -69,16 +74,12 @@ __all__ = [
     "adjoint",
     "apply",
     "s_star_support",
-    "eval_series_W",
-    "eval_series_b1",
-    "eval_series_b1_adj",
     "eval_series_b1_raw",
-    "eval_series_Y",
-    "eval_series_Y_adj",
-    "eval_rho",
-    "eval_zeta",
     "range_proj_definition",
     "partial_shift_definition",
+    "KERNEL_CACHE_SIZE",
+    "kernel_cache_info",
+    "kernel_cache_clear",
 ]
 
 
@@ -280,7 +281,6 @@ def scaled(c: RadicalScalar | int, e: OperatorExpr) -> OperatorExpr:
 # ---------------------------------------------------------------------------
 
 _SELF_ADJOINT = (RangeProj, Ident)
-_ATOMIC_STARRED = (Gen, Iso, Fermion, Psi, Boson, PartialShift, ShiftSeries)
 
 
 def adjoint(e: OperatorExpr) -> OperatorExpr:
@@ -311,7 +311,7 @@ adj = adjoint
 
 
 # ---------------------------------------------------------------------------
-# Letter-level actions on vectors
+# Letter-level actions on vectors, for the oracles
 # ---------------------------------------------------------------------------
 
 
@@ -320,38 +320,14 @@ def _apply_letter(v: StateVector, i: int) -> StateVector:
 
 
 def _apply_letter_adj(v: StateVector, i: int) -> StateVector:
-    out = []
-    for label, c in v.terms():
-        image = apply_gen_adjoint(v.rep, i, label)
-        if image is not None:
-            out.append((image, c))
-    return StateVector(v.rep, out)
-
-
-def _iso_up(v: StateVector, n: int) -> StateVector:
-    """s_n v = t2^(n-1) t1 v."""
-    v = _apply_letter(v, 1)
-    for _ in range(n - 1):
-        v = _apply_letter(v, 2)
-    return v
-
-
-def _iso_down(v: StateVector, n: int) -> StateVector:
-    """s_n* v = t1* (t2*)^(n-1) v."""
-    for _ in range(n - 1):
-        v = _apply_letter_adj(v, 2)
-        if not v:
-            return v
-    return _apply_letter_adj(v, 1)
+    images = ((apply_gen_adjoint(v.rep, i, label), c) for label, c in v.terms())
+    return StateVector(v.rep, [(x, c) for x, c in images if x is not None])
 
 
 def _support_bound(v: StateVector) -> int:
     # After the word is consumed the label walks the cycle with period L,
     # so a 1-edge either appears within |word| + L steps or never does.
-    return max(
-        (len(label.word) + v.rep.cycle_len(label.component) + 1 for label in v.labels()),
-        default=0,
-    )
+    return max((len(x.word) + v.rep.cycle_len(x.component) + 1 for x in v.labels()), default=0)
 
 
 def s_star_support(v: StateVector) -> dict[int, StateVector]:
@@ -374,132 +350,20 @@ def s_star_support(v: StateVector) -> dict[int, StateVector]:
     return support
 
 
-# ---------------------------------------------------------------------------
-# Series evaluators (exact, pull-based)
-# ---------------------------------------------------------------------------
-
-
-def eval_series_W(n: int, v: StateVector) -> StateVector:
-    """W_n v = s_{n+1} (s_{n+1}* v)."""
-    return _iso_up(_iso_down(v, n + 1), n + 1)
-
-
-def eval_series_b1(v: StateVector) -> StateVector:
-    """b_1 v = sum_m sqrt(m) s_m (s_{m+1}* v); only support keys m+1 survive."""
-    out = StateVector.zero(v.rep)
-    for j, w in s_star_support(v).items():
-        if j >= 2:
-            out = out.combine(sqrt_int(j - 1), _iso_up(w, j - 1))
-    return out
-
-
-def eval_series_b1_adj(v: StateVector) -> StateVector:
-    """b_1* v = sum_m sqrt(m) s_{m+1} (s_m* v)."""
-    out = StateVector.zero(v.rep)
-    for j, w in s_star_support(v).items():
-        out = out.combine(sqrt_int(j), _iso_up(w, j + 1))
-    return out
-
-
 def eval_series_b1_raw(v: StateVector) -> StateVector:
-    """b_1 v summed straight from the defining monomials, term by term.
-
-    Independent of the support machinery: applies t2^(m-1) t1 t1* (t2*)^m
-    literally for every m up to the walk bound.  Kept as a cross-check
-    oracle for the rewritten evaluator.
-    """
+    """b_1 v summed straight from the defining monomials t2^(m-1) t1 t1* (t2*)^m
+    for every m up to the walk bound, off the kernel: a cross-check oracle."""
     out = StateVector.zero(v.rep)
     current = v
     for m in range(1, _support_bound(v) + 1):
         current = _apply_letter_adj(current, 2)
         if not current:
             break
-        out = out.combine(sqrt_int(m), _iso_up(_apply_letter_adj(current, 1), m))
+        word = _apply_letter(_apply_letter_adj(current, 1), 1)
+        for _ in range(m - 1):
+            word = _apply_letter(word, 2)
+        out = out.combine(sqrt_int(m), word)
     return out
-
-
-def eval_series_Y(v: StateVector) -> StateVector:
-    """Y v = sum_n s_{n+1} t2* (s_n* v)."""
-    out = StateVector.zero(v.rep)
-    for n, w in s_star_support(v).items():
-        out = out.combine(ONE, _iso_up(_apply_letter_adj(w, 2), n + 1))
-    return out
-
-
-def eval_series_Y_adj(v: StateVector) -> StateVector:
-    """Y* v = sum_n s_n t2 (s_{n+1}* v)."""
-    out = StateVector.zero(v.rep)
-    for j, w in s_star_support(v).items():
-        if j >= 2:
-            out = out.combine(ONE, _iso_up(_apply_letter(w, 2), j - 1))
-    return out
-
-
-def eval_rho(x: OperatorExpr, v: StateVector) -> StateVector:
-    """rho(x) v = sum_m s_m x (s_m* v), summed over the finite support."""
-    out = StateVector.zero(v.rep)
-    for m, w in s_star_support(v).items():
-        out = out.combine(ONE, _iso_up(apply(x, w), m))
-    return out
-
-
-def eval_zeta(x: OperatorExpr, v: StateVector) -> StateVector:
-    """zeta(x) v = t1 x t1* v - t2 x t2* v."""
-    left = _apply_letter(apply(x, _apply_letter_adj(v, 1)), 1)
-    right = _apply_letter(apply(x, _apply_letter_adj(v, 2)), 2)
-    return left - right
-
-
-def _zeta_branch(recurse, n: int, v: StateVector, i: int) -> StateVector:
-    # skip the recursion entirely on an annihilated branch
-    w = _apply_letter_adj(v, i)
-    if not w:
-        return w
-    return _apply_letter(recurse(n, w), i)
-
-
-# ---------------------------------------------------------------------------
-# Fermion recursion
-# ---------------------------------------------------------------------------
-
-
-def _fermion_vec(n: int, v: StateVector) -> StateVector:
-    if not v:
-        return v
-    if n == 1:
-        return _apply_letter(_apply_letter_adj(v, 2), 1)
-    return _zeta_branch(_fermion_vec, n - 1, v, 1) - _zeta_branch(_fermion_vec, n - 1, v, 2)
-
-
-def _fermion_adj_vec(n: int, v: StateVector) -> StateVector:
-    if not v:
-        return v
-    if n == 1:
-        return _apply_letter(_apply_letter_adj(v, 1), 2)
-    return _zeta_branch(_fermion_adj_vec, n - 1, v, 1) - _zeta_branch(
-        _fermion_adj_vec, n - 1, v, 2
-    )
-
-
-def _cluster_vec(n: int, v: StateVector) -> StateVector:
-    if not v:
-        return v
-    if n == 1:
-        out = StateVector.zero(v.rep)
-        for j, w in s_star_support(v).items():
-            if j >= 2:
-                out = out.combine(sqrt_int(j - 1), _iso_up(w, j))
-        return out
-    return eval_series_Y(eval_rho(Cluster(n - 1), v))
-
-
-def _cluster_adj_vec(n: int, v: StateVector) -> StateVector:
-    # F_n* = rho(F_{n-1}*) Y* for n >= 2; F_1 is self-adjoint.
-    if not v:
-        return v
-    if n == 1:
-        return _cluster_vec(1, v)
-    return eval_rho(adjoint(Cluster(n - 1)), eval_series_Y_adj(v))
 
 
 # ---------------------------------------------------------------------------
@@ -528,75 +392,209 @@ def partial_shift_definition(n: int) -> OperatorExpr:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation dispatch
+# Per-label kernel
 # ---------------------------------------------------------------------------
 
+KERNEL_CACHE_SIZE = 1 << 12  # ~2 MB; closedforms on rep 112 would hold 8k, and loses 1% of hits
+Terms = tuple[tuple[BasisLabel, RadicalScalar], ...]
 
-def _apply_adj(e: Adj, v: StateVector) -> StateVector:
-    inner = e.arg
-    if isinstance(inner, Gen):
-        return _apply_letter_adj(v, inner.letter)
-    if isinstance(inner, Iso):
-        return _iso_down(v, inner.n)
-    if isinstance(inner, Fermion):
-        return _fermion_adj_vec(inner.n, v)
-    if isinstance(inner, Psi):
-        return _fermion_adj_vec(psi_fermion_index(inner.numer), v)
-    if isinstance(inner, Boson):
-        if inner.n == 1:
-            return eval_series_b1_adj(v)
-        return eval_rho(Adj(Boson(inner.n - 1)), v)
-    if isinstance(inner, PartialShift):
-        return apply(adjoint(partial_shift_definition(inner.n)), v)
-    if isinstance(inner, ShiftSeries):
-        return eval_series_Y_adj(v)
-    if isinstance(inner, Cluster):
-        return _cluster_adj_vec(inner.n, v)
-    # Unnormalized star over a compound node: normalize once and retry.
-    return apply(adjoint(inner), v)
+
+def _one(label: Optional[BasisLabel]) -> Terms:
+    return () if label is None else ((label, ONE),)
+
+
+def _mul(c: RadicalScalar, d: RadicalScalar) -> RadicalScalar:
+    return c if d is ONE else d if c is ONE else c * d
+
+
+def _merge(pairs) -> Terms:
+    """Sum (label, scalar) pairs per label, dropping zeros."""
+    acc: dict[BasisLabel, RadicalScalar] = {}
+    for x, c in pairs:
+        total = acc.pop(x, None)
+        total = c if total is None else total + c
+        if total:
+            acc[x] = total
+    return tuple(acc.items())
+
+
+def _peel(rep: RepSpec, x: BasisLabel) -> tuple[int, BasisLabel]:
+    """The one letter i with t_i* x != 0, and t_i* x."""
+    image = apply_gen_adjoint(rep, 1, x)
+    return (1, image) if image is not None else (2, apply_gen_adjoint(rep, 2, x))
+
+
+def _up(rep: RepSpec, x: BasisLabel, n: int) -> BasisLabel:
+    """s_n x = t2^(n-1) t1 x."""
+    x = apply_gen(rep, 1, x)
+    for _ in range(n - 1):
+        x = apply_gen(rep, 2, x)
+    return x
+
+
+def _down(rep: RepSpec, x: BasisLabel) -> Optional[tuple[int, BasisLabel]]:
+    """The one m with s_m* x != 0, and s_m* x; None when there is none."""
+    for m in range(1, len(x.word) + rep.cycle_len(x.component) + 2):
+        letter, x = _peel(rep, x)
+        if letter == 1:
+            return m, x
+    return None
+
+
+def _iso_adj(e: Iso, rep: RepSpec, x: BasisLabel) -> Terms:
+    """s_n* x: nonzero only when n is the one m with s_m* x != 0."""
+    hit = _down(rep, x)
+    return ((hit[1], ONE),) if hit and hit[0] == e.n else ()
+
+
+def _y(rep: RepSpec, x: BasisLabel) -> Optional[BasisLabel]:
+    """Y = sum_n s_{n+1} t2* s_n*."""
+    hit = _down(rep, x)
+    y = apply_gen_adjoint(rep, 2, hit[1]) if hit else None
+    return None if y is None else _up(rep, y, hit[0] + 1)
+
+
+def _y_adj(rep: RepSpec, x: BasisLabel) -> Optional[BasisLabel]:
+    """Y* = sum_n s_n t2 s_{n+1}*."""
+    hit = _down(rep, x)
+    return _up(rep, apply_gen(rep, 2, hit[1]), hit[0] - 1) if hit and hit[0] >= 2 else None
+
+
+def _zeta_tower(n: int, rep: RepSpec, x: BasisLabel, e: OperatorExpr) -> Terms:
+    """zeta^n(e), unrolled: each level peels the one surviving letter (a t2
+    flips the sign), e acts, and the letters go back on in reverse."""
+    letters = []
+    for _ in range(n):
+        letter, x = _peel(rep, x)
+        letters.append(letter)
+    odd = letters.count(2) % 2
+    out = []
+    for z, c in _act(e, rep, x):
+        for letter in reversed(letters):
+            z = apply_gen(rep, letter, z)
+        out.append((z, -c if odd else c))
+    return tuple(out)
+
+
+def _rho_tower(n: int, rep: RepSpec, x: BasisLabel, k: int, d: int, before=None, after=None):
+    """x_n = after rho(x_{n-1}) before, down to the series
+    x_1 = sum_{j > k} sqrt(j - k) s_{j+d} s_j*, unrolled: each level and the
+    series take the one s_m* that survives, and the s_m go back on in reverse."""
+    ms = []
+    for level in range(n, 0, -1):
+        x = before(rep, x) if before and level > 1 else x
+        hit = _down(rep, x) if x is not None else None
+        if hit is None:
+            return ()
+        m, x = hit
+        ms.append(m)
+    j = ms.pop()
+    if j <= k:
+        return ()
+    x = _up(rep, x, j + d)
+    for m in reversed(ms):
+        x = _up(rep, x, m)
+        x = after(rep, x) if after else x
+        if x is None:
+            return ()
+    return ((x, sqrt_int(j - k)),)
+
+
+def _rho(e: OperatorExpr, rep: RepSpec, x: BasisLabel) -> Terms:
+    """rho(e) = sum_m s_m e s_m*."""
+    hit = _down(rep, x)
+    return tuple((_up(rep, z, hit[0]), c) for z, c in _act(e, rep, hit[1])) if hit else ()
+
+
+_A1 = (Prod((Gen(1), Adj(Gen(2)))), Prod((Gen(2), Adj(Gen(1)))))  # a_1 = t1 t2*, a_1*
+
+
+# Node type -> (forward entry, adjoint entry); an entry maps (node, rep,
+# label) to the image terms of the node, or of its adjoint.  The rho towers'
+# series are b_1 = sum_m sqrt(m) s_m s_{m+1}* (k, d = 1, -1), its adjoint
+# (0, 1), and F_1 = sum_m sqrt(m) s_{m+1} s_{m+1}* (1, 0), self-adjoint.
+_ENTRIES: dict[type, tuple[Callable[..., Terms], Callable[..., Terms]]] = {
+    Gen: (
+        lambda e, rep, x: ((apply_gen(rep, e.letter, x), ONE),),
+        lambda e, rep, x: _one(apply_gen_adjoint(rep, e.letter, x)),
+    ),
+    Ident: (lambda e, rep, x: ((x, ONE),),) * 2,
+    Iso: (lambda e, rep, x: ((_up(rep, x, e.n), ONE),), _iso_adj),
+    Fermion: (  # a_n = zeta(a_{n-1})
+        lambda e, rep, x: _zeta_tower(e.n - 1, rep, x, _A1[0]),
+        lambda e, rep, x: _zeta_tower(e.n - 1, rep, x, _A1[1]),
+    ),
+    Psi: (
+        lambda e, rep, x: _act(Fermion(psi_fermion_index(e.numer)), rep, x),
+        lambda e, rep, x: _act(Adj(Fermion(psi_fermion_index(e.numer))), rep, x),
+    ),
+    Boson: (
+        lambda e, rep, x: _rho_tower(e.n, rep, x, 1, -1),
+        lambda e, rep, x: _rho_tower(e.n, rep, x, 0, 1),
+    ),
+    RangeProj: (lambda e, rep, x: _act(Prod((Iso(e.n + 1), Adj(Iso(e.n + 1)))), rep, x),) * 2,
+    PartialShift: (
+        lambda e, rep, x: _act(partial_shift_definition(e.n), rep, x),
+        lambda e, rep, x: _act(adjoint(partial_shift_definition(e.n)), rep, x),
+    ),
+    ShiftSeries: (lambda e, rep, x: _one(_y(rep, x)), lambda e, rep, x: _one(_y_adj(rep, x))),
+    Cluster: (  # F_n = Y rho(F_{n-1}),  F_n* = rho(F_{n-1}*) Y*
+        lambda e, rep, x: _rho_tower(e.n, rep, x, 1, 0, after=_y),
+        lambda e, rep, x: _rho_tower(e.n, rep, x, 1, 0, before=_y_adj),
+    ),
+    Rho: (lambda e, rep, x: _rho(e.arg, rep, x), lambda e, rep, x: _rho(adjoint(e.arg), rep, x)),
+    Zeta: (
+        lambda e, rep, x: _zeta_tower(1, rep, x, e.arg),
+        lambda e, rep, x: _zeta_tower(1, rep, x, adjoint(e.arg)),
+    ),
+}
+_LETTER_WORDS = (Gen, Iso, Ident)  # cheaper to recompute than to look up
+
+
+def _act(e: OperatorExpr, rep: RepSpec, x: BasisLabel) -> Terms:
+    """Image of the basis label x under e, as (label, scalar) terms: empty
+    when x is annihilated, at most one term unless e contains a LinComb."""
+    kind = type(e)
+    if kind is Prod:
+        terms: Terms = ((x, ONE),)
+        for f in reversed(e.factors):
+            terms = _extend(f, rep, terms)
+            if not terms:
+                break
+        return terms
+    if kind is LinComb:
+        return _merge((z, _mul(c, d)) for c, f in e.parts for z, d in _act(f, rep, x))
+    node = e.arg if kind is Adj else e
+    entries = _ENTRIES.get(type(node))
+    if entries is None:
+        if kind is Adj and isinstance(node, (Adj, Prod, LinComb)):
+            return _act(adjoint(node), rep, x)  # unnormalized star: normalize once
+        raise TypeError(f"not an operator expression: {e!r}")
+    if type(node) in _LETTER_WORDS:
+        return entries[kind is Adj](node, rep, x)
+    return _act_cached(e, rep, x)
+
+
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _act_cached(e: OperatorExpr, rep: RepSpec, x: BasisLabel) -> Terms:
+    if type(e) is Adj:
+        return _ENTRIES[type(e.arg)][1](e.arg, rep, x)
+    return _ENTRIES[type(e)][0](e, rep, x)
+
+
+kernel_cache_info = _act_cached.cache_info
+kernel_cache_clear = _act_cached.cache_clear
+
+
+def _extend(e: OperatorExpr, rep: RepSpec, terms) -> Terms:
+    """Linear extension of _act(e, rep, .) over (label, scalar) terms."""
+    if len(terms) == 1 and terms[0][1] is ONE:
+        return _act(e, rep, terms[0][0])
+    return _merge((z, _mul(c, d)) for x, c in terms for z, d in _act(e, rep, x))
 
 
 def apply(e: OperatorExpr, v: StateVector) -> StateVector:
     """Evaluate an operator expression on a vector, exactly."""
     if not v:
         return v
-    if isinstance(e, Gen):
-        return _apply_letter(v, e.letter)
-    if isinstance(e, Adj):
-        return _apply_adj(e, v)
-    if isinstance(e, Prod):
-        for f in reversed(e.factors):
-            v = apply(f, v)
-            if not v:
-                return v
-        return v
-    if isinstance(e, LinComb):
-        out = StateVector.zero(v.rep)
-        for c, x in e.parts:
-            out = out.combine(c, apply(x, v))
-        return out
-    if isinstance(e, Ident):
-        return v
-    if isinstance(e, Iso):
-        return _iso_up(v, e.n)
-    if isinstance(e, Fermion):
-        return _fermion_vec(e.n, v)
-    if isinstance(e, Psi):
-        return _fermion_vec(psi_fermion_index(e.numer), v)
-    if isinstance(e, Boson):
-        if e.n == 1:
-            return eval_series_b1(v)
-        return eval_rho(Boson(e.n - 1), v)
-    if isinstance(e, RangeProj):
-        return eval_series_W(e.n, v)
-    if isinstance(e, PartialShift):
-        return apply(partial_shift_definition(e.n), v)
-    if isinstance(e, ShiftSeries):
-        return eval_series_Y(v)
-    if isinstance(e, Cluster):
-        return _cluster_vec(e.n, v)
-    if isinstance(e, Rho):
-        return eval_rho(e.arg, v)
-    if isinstance(e, Zeta):
-        return eval_zeta(e.arg, v)
-    raise TypeError(f"not an operator expression: {e!r}")
+    return StateVector(v.rep, _extend(e, v.rep, v.terms()))

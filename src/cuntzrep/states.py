@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Union
+from collections.abc import Iterable, Mapping
+from typing import Union
 
 from .basis import BasisLabel, RepSpec, label_sort_key
 from .scalars import RadicalScalar, ZERO, ONE
@@ -10,6 +11,7 @@ from .scalars import RadicalScalar, ZERO, ONE
 __all__ = ["RepMismatchError", "StateVector"]
 
 ScalarLike = Union[RadicalScalar, int]
+_MINUS_ONE = -ONE
 
 
 class RepMismatchError(ValueError):
@@ -41,10 +43,11 @@ class StateVector:
             c = _as_scalar(c)
             if not c:
                 continue
-            total = acc.get(label, ZERO) + c
+            prev = acc.get(label)
+            total = c if prev is None else prev + c
             if total:
                 acc[label] = total
-            elif label in acc:
+            elif prev is not None:
                 del acc[label]
         object.__setattr__(self, "rep", rep)
         object.__setattr__(self, "_terms", acc)
@@ -95,10 +98,11 @@ class StateVector:
         c = _as_scalar(c)
         merged = dict(self._terms)
         for label, coeff in other._terms.items():
-            total = merged.get(label, ZERO) + c * coeff
+            prev = merged.get(label)
+            total = c * coeff if prev is None else prev + c * coeff
             if total:
                 merged[label] = total
-            elif label in merged:
+            elif prev is not None:
                 del merged[label]
         out = StateVector.zero(self.rep)
         object.__setattr__(out, "_terms", merged)
@@ -108,7 +112,7 @@ class StateVector:
         return self.combine(ONE, other)
 
     def __sub__(self, other: "StateVector") -> "StateVector":
-        return self.combine(RadicalScalar.from_rational(-1), other)
+        return self.combine(_MINUS_ONE, other)
 
     def scale(self, c: ScalarLike) -> "StateVector":
         c = _as_scalar(c)

@@ -787,6 +787,10 @@ def run_suite(
         fn = _SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}, expected one of {', '.join(SUITE_NAMES)} or all") from None
+    # A negative bound samples nothing, and an empty run must not report a pass.
+    for param, value in (("n_max", n_max), ("m_max", m_max), ("depth", depth)):
+        if value < 0:
+            raise ValueError(f"{param} must be >= 0, got {value}")
     return fn(rep, n_max, m_max, depth)
 
 

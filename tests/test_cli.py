@@ -1,9 +1,14 @@
 """Command line behavior, exit codes, and output stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cuntzrep
 from cuntzrep.basis import RepSpec
 from cuntzrep.cli import main
 from cuntzrep.parsing import parse_state, vector_from_json
@@ -72,6 +77,27 @@ def test_bad_rep_exits_two(capsys):
     rc, _, err = run(capsys, ["apply", "--rep", "1212", "--expr", "I", "--state", "vac"])
     assert rc == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag", ["--n-max", "--m-max", "--depth"])
+def test_negative_bound_exits_two(capsys, flag):
+    rc, out, err = run(capsys, ["check", "--rep", "1", "--suite", "fock", flag, "-1"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "must be >= 0" in err
+
+
+@pytest.mark.parametrize("expr", ["a(3000)", "F(400)"])
+def test_deep_index_exits_zero_without_traceback(expr):
+    # a fresh process, so the exit code and stderr are what a shell user sees
+    env = dict(os.environ, PYTHONPATH=str(Path(cuntzrep.__file__).parents[1]))
+    cmd = [sys.executable, "-m", "cuntzrep", "apply", "--rep", "1", "--expr", expr]
+    done = subprocess.run(
+        cmd + ["--state", "vac"], capture_output=True, text=True, env=env, timeout=10
+    )
+    assert done.returncode == 0
+    assert done.stdout == "0\n"
+    assert "Traceback" not in done.stderr
 
 
 def test_passing_check_exits_zero(capsys):

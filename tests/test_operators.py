@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuntzrep.basis import BasisLabel, RepSpec, enumerate_basis
+from cuntzrep.cli import main
 from cuntzrep.operators import (
+    _act,
     adjoint,
     apply,
     boson,
@@ -16,6 +18,8 @@ from cuntzrep.operators import (
     gen,
     ident,
     iso,
+    kernel_cache_clear,
+    kernel_cache_info,
     lincomb,
     partial_shift,
     partial_shift_definition,
@@ -256,3 +260,107 @@ def test_main_identity_pointwise(v):
         lhs = apply(boson(n), v)
         rhs = apply(adjoint(gen(2)), apply(cluster(n), v))
         assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# The per-label kernel against the independent oracles
+# ---------------------------------------------------------------------------
+
+_KERNEL_REPS = [RepSpec.parse(text) for text in ("1", "12", "112", "1+12", "2", "1122")]
+_COEFFS = st.sampled_from([ONE, -ONE, sqrt_int(2), RadicalScalar.from_rational(Fraction(1, 2))])
+
+
+def _vectors_over(rep: RepSpec, depth: int = 3):
+    pairs = st.tuples(st.sampled_from(enumerate_basis(rep, depth)), _COEFFS)
+    return st.lists(pairs, min_size=1, max_size=4).map(lambda ps: StateVector(rep, ps))
+
+
+_kernel_vectors = st.sampled_from(_KERNEL_REPS).flatmap(_vectors_over)
+
+
+def _starred(e):
+    return st.sampled_from([e, adjoint(e)])
+
+
+_poly_atoms = st.one_of(
+    st.sampled_from([gen(1), gen(2)]).flatmap(_starred),
+    st.integers(1, 3).map(fermion).flatmap(_starred),
+    st.integers(0, 2).map(range_proj),
+    st.integers(1, 2).map(partial_shift).flatmap(_starred),
+)
+_polynomials = st.recursive(
+    _poly_atoms,
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=2, max_size=3).map(lambda fs: prod(*fs)),
+        st.lists(st.tuples(_COEFFS, inner), min_size=2, max_size=2).map(lambda ps: lincomb(*ps)),
+        inner.map(zeta),
+    ),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_polynomials, _kernel_vectors)
+def test_kernel_matches_normal_form_action(e, v):
+    assert apply(e, v) == apply_normal_form(poly_normal_form(e), v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_vectors)
+def test_kernel_b1_matches_raw_word_series(v):
+    assert apply(boson(1), v) == eval_series_b1_raw(v)
+
+
+def _family_nodes(n_max: int):
+    nodes = [shift_series(), range_proj(0), rho(fermion(2)), zeta(boson(1))]
+    nodes.append(rho(prod(gen(1), adjoint(gen(2)))))
+    for n in range(1, n_max + 1):
+        nodes += [iso(n), fermion(n), psi(2 * n - 1), psi(1 - 2 * n), boson(n), range_proj(n)]
+        nodes += [partial_shift(n), cluster(n), rho(boson(n)), zeta(fermion(n))]
+    return nodes + [adjoint(e) for e in nodes]
+
+
+def test_kernel_family_images_have_at_most_one_term():
+    nodes = _family_nodes(4)
+    for rep in _KERNEL_REPS:
+        for label in enumerate_basis(rep, 6):
+            for e in nodes:
+                assert len(_act(e, rep, label)) <= 1, (e, rep, label)
+
+
+def test_kernel_cache_key_includes_the_representation():
+    # vac is the same BasisLabel on reps 1 and 12 but a different vector
+    vac = BasisLabel(0, "", 0)
+    exprs = [adjoint(boson(1)), boson(1), adjoint(cluster(2)), fermion(2),
+             rho(adjoint(fermion(1)))]
+    cold = {}
+    for rep in (FOCK, WEDGE):
+        for e in exprs:
+            kernel_cache_clear()
+            cold[rep, e] = apply(e, StateVector.basis(rep, vac))
+    assert cold[FOCK, exprs[0]].labels() != cold[WEDGE, exprs[0]].labels()
+    kernel_cache_clear()
+    for _ in range(2):
+        for rep in (FOCK, WEDGE):
+            for e in exprs:
+                assert apply(e, StateVector.basis(rep, vac)) == cold[rep, e]
+
+
+def test_cli_main_starts_with_an_empty_cache(capsys):
+    apply(cluster(3), fock("22"))
+    assert kernel_cache_info().currsize > 0
+    assert main(["list-basis", "--rep", "1", "--depth", "0"]) == 0
+    capsys.readouterr()
+    assert kernel_cache_info().currsize == 0
+
+
+def test_oracles_never_touch_the_cache():
+    from cuntzrep.suites import _raw_boson
+
+    v = fock("2") + fock("212").scale(sqrt_int(2)) + fock("22")
+    kernel_cache_clear()
+    eval_series_b1_raw(v)
+    _raw_boson(3, v)
+    apply_normal_form(poly_normal_form(range_proj_definition(2)), v)
+    info = kernel_cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
