@@ -2,167 +2,25 @@
 Cuntz algebra: recursive boson and fermion systems, their shift and cluster
 operators, polynomial normal forms, and verification suites."""
 
-from .basis import (
-    BasisLabel,
-    RepSpec,
-    RepValidationError,
-    apply_gen,
-    apply_gen_adjoint,
-    edge_letter,
-    enumerate_basis,
-    is_primitive,
-    label_sort_key,
-    normalize_label,
-    validate_rep,
-)
-from .operators import (
-    OperatorExpr,
-    adj,
-    adjoint,
-    apply,
-    boson,
-    cluster,
-    fermion,
-    gen,
-    ident,
-    iso,
-    lincomb,
-    partial_shift,
-    prod,
-    psi,
-    psi_fermion_index,
-    range_proj,
-    range_proj_definition,
-    partial_shift_definition,
-    rho,
-    s_star_support,
-    scaled,
-    shift_series,
-    zeta,
-)
-from .parsing import (
-    ParseError,
-    ket_text,
-    parse_expr,
-    parse_label,
-    parse_rep,
-    parse_state,
-    scalar_text,
-    serialize_label,
-    serialize_vector,
-    vector_from_json,
-    vector_to_json,
-)
-from .polynorm import (
-    PolynomialError,
-    PolyNormalForm,
-    apply_normal_form,
-    collapse,
-    monomials,
-    poly_normal_form,
-    render_monomials,
-)
-from .scalars import ONE, ZERO, RadicalScalar, sqrt_int
-from .states import RepMismatchError, StateVector
-from .suites import (
-    DEFAULT_DEPTH,
-    DEFAULT_M_MAX,
-    DEFAULT_N_MAX,
-    SUITE_NAMES,
-    CheckReport,
-    check_all,
-    check_car,
-    check_ccr,
-    check_cuntz,
-    check_embedding_and_rho,
-    check_f_closed_forms,
-    check_fock_suite,
-    check_main_theorem,
-    check_shift_relations,
-    check_wedge_suite,
-    check_wfamily,
-    run_suite,
-    verify_identity,
-)
+from . import basis, operators, parsing, polynorm, scalars, states, suites
+from .basis import *
+from .operators import *
+from .parsing import *
+from .polynorm import *
+from .scalars import *
+from .states import *
+from .suites import *
 
 __version__ = "0.1.0"
 
+# The package namespace is the union of the submodules' own exports.
 __all__ = [
-    "BasisLabel",
-    "RepSpec",
-    "RepValidationError",
-    "apply_gen",
-    "apply_gen_adjoint",
-    "edge_letter",
-    "enumerate_basis",
-    "is_primitive",
-    "label_sort_key",
-    "normalize_label",
-    "validate_rep",
-    "OperatorExpr",
-    "adj",
-    "adjoint",
-    "apply",
-    "boson",
-    "cluster",
-    "fermion",
-    "gen",
-    "ident",
-    "iso",
-    "lincomb",
-    "partial_shift",
-    "prod",
-    "psi",
-    "psi_fermion_index",
-    "range_proj",
-    "range_proj_definition",
-    "partial_shift_definition",
-    "rho",
-    "s_star_support",
-    "scaled",
-    "shift_series",
-    "zeta",
-    "ParseError",
-    "ket_text",
-    "parse_expr",
-    "parse_label",
-    "parse_rep",
-    "parse_state",
-    "scalar_text",
-    "serialize_label",
-    "serialize_vector",
-    "vector_from_json",
-    "vector_to_json",
-    "PolynomialError",
-    "PolyNormalForm",
-    "apply_normal_form",
-    "collapse",
-    "monomials",
-    "poly_normal_form",
-    "render_monomials",
-    "ONE",
-    "ZERO",
-    "RadicalScalar",
-    "sqrt_int",
-    "RepMismatchError",
-    "StateVector",
-    "DEFAULT_DEPTH",
-    "DEFAULT_M_MAX",
-    "DEFAULT_N_MAX",
-    "SUITE_NAMES",
-    "CheckReport",
-    "check_all",
-    "check_car",
-    "check_ccr",
-    "check_cuntz",
-    "check_embedding_and_rho",
-    "check_f_closed_forms",
-    "check_fock_suite",
-    "check_main_theorem",
-    "check_shift_relations",
-    "check_wedge_suite",
-    "check_wfamily",
-    "run_suite",
-    "verify_identity",
+    *basis.__all__,
+    *operators.__all__,
+    *parsing.__all__,
+    *polynorm.__all__,
+    *scalars.__all__,
+    *states.__all__,
+    *suites.__all__,
     "__version__",
 ]

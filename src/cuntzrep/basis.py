@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 ALPHABET = "12"
+# enumerate_basis refuses more labels than this; 2^20 on rep 1 takes about 5 s.
+_MAX_BASIS_LABELS = 1 << 20
 
 
 class RepValidationError(ValueError):
@@ -162,9 +164,20 @@ def apply_gen_adjoint(rep: RepSpec, i: int, label: BasisLabel) -> Optional[Basis
 
 
 def enumerate_basis(rep: RepSpec, depth: int) -> list[BasisLabel]:
-    """All normal-form labels with word length <= depth, in canonical order."""
+    """All normal-form labels with word length <= depth, in canonical order.
+
+    Each cycle node heads 2^depth labels: the empty word, and 2^(k-1) words
+    of each length k that do not end in the node's edge letter.
+    """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
+    nodes = sum(len(word) for word in rep.components)
+    # the depth test comes first, so a huge depth never builds 2^depth
+    if depth > _MAX_BASIS_LABELS.bit_length() or nodes << depth > _MAX_BASIS_LABELS:
+        raise ValueError(
+            f"depth {depth} on {rep} gives {nodes} * 2^{depth} basis labels, "
+            f"more than the bound of {_MAX_BASIS_LABELS}"
+        )
     out: list[BasisLabel] = []
     for component in range(len(rep.components)):
         for node in range(rep.cycle_len(component)):

@@ -24,7 +24,7 @@ families, their adjoints and ``Rho``/``Zeta`` are memoised on ``(expr, rep,
 label)`` in an LRU cache of ``KERNEL_CACHE_SIZE`` entries, cleared by
 ``cli.main`` on entry; ``Prod``/``LinComb`` compose cached images per label;
 ``Gen``, ``Iso`` and ``Ident`` are recomputed.  The oracles use only the
-vector-level letter primitives, never the cache.
+vector-level letter steps ``states.apply_letter*``, never the cache.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Callable, Optional, Union
 
 from .basis import BasisLabel, RepSpec, apply_gen, apply_gen_adjoint
 from .scalars import RadicalScalar, ONE, sqrt_int
-from .states import StateVector
+from .states import StateVector, apply_letter, apply_letter_adjoint
 
 __all__ = [
     "OperatorExpr",
@@ -311,17 +311,8 @@ adj = adjoint
 
 
 # ---------------------------------------------------------------------------
-# Letter-level actions on vectors, for the oracles
+# Vector-level walks, for the suites and the oracles
 # ---------------------------------------------------------------------------
-
-
-def _apply_letter(v: StateVector, i: int) -> StateVector:
-    return StateVector(v.rep, ((apply_gen(v.rep, i, label), c) for label, c in v.terms()))
-
-
-def _apply_letter_adj(v: StateVector, i: int) -> StateVector:
-    images = ((apply_gen_adjoint(v.rep, i, label), c) for label, c in v.terms())
-    return StateVector(v.rep, [(x, c) for x, c in images if x is not None])
 
 
 def _support_bound(v: StateVector) -> int:
@@ -343,10 +334,10 @@ def s_star_support(v: StateVector) -> dict[int, StateVector]:
     for m in range(1, bound + 1):
         if not current:
             break
-        hit = _apply_letter_adj(current, 1)
+        hit = apply_letter_adjoint(current, 1)
         if hit:
             support[m] = hit
-        current = _apply_letter_adj(current, 2)
+        current = apply_letter_adjoint(current, 2)
     return support
 
 
@@ -356,12 +347,12 @@ def eval_series_b1_raw(v: StateVector) -> StateVector:
     out = StateVector.zero(v.rep)
     current = v
     for m in range(1, _support_bound(v) + 1):
-        current = _apply_letter_adj(current, 2)
+        current = apply_letter_adjoint(current, 2)
         if not current:
             break
-        word = _apply_letter(_apply_letter_adj(current, 1), 1)
+        word = apply_letter(apply_letter_adjoint(current, 1), 1)
         for _ in range(m - 1):
-            word = _apply_letter(word, 2)
+            word = apply_letter(word, 2)
         out = out.combine(sqrt_int(m), word)
     return out
 

@@ -42,8 +42,8 @@ from .operators import (
     psi_fermion_index,
     range_proj_definition,
 )
-from .scalars import RadicalScalar, ONE
-from .states import StateVector
+from .scalars import RadicalScalar, ONE, signed_sum_text
+from .states import StateVector, apply_letter, apply_letter_adjoint
 from .basis import ALPHABET
 
 __all__ = [
@@ -249,47 +249,24 @@ def collapse(terms: tuple[Monomial, ...] | list[Monomial]) -> list[Monomial]:
 
 def apply_normal_form(nf: PolyNormalForm, v: StateVector) -> StateVector:
     """Act with a monomial list on a vector; coherence oracle for apply()."""
-    from .operators import _apply_letter, _apply_letter_adj  # letter primitives
-
     out = StateVector.zero(v.rep)
     for c, u, right in nf.terms:
         w = v
         for ch in right:
-            w = _apply_letter_adj(w, int(ch))
+            w = apply_letter_adjoint(w, int(ch))
             if not w:
                 break
         if not w:
             continue
         for ch in reversed(u):
-            w = _apply_letter(w, int(ch))
+            w = apply_letter(w, int(ch))
         out = out.combine(c, w)
     return out
 
 
 def render_monomials(terms: list[Monomial] | tuple[Monomial, ...]) -> str:
     """ASCII rendering, e.g. ``t1t1t2*t1* - t2t1t2*t2*`` or ``I``."""
-    if not terms:
-        return "0"
-    pieces: list[str] = []
-    for c, u, v in terms:
-        body = "".join(f"t{ch}" for ch in u) + "".join(f"t{ch}*" for ch in reversed(v))
-        if not body:
-            body = "I"
-        neg = _is_negative(c)
-        mag = -c if neg else c
-        if mag == 1:
-            text = body
-        elif len(mag.terms) > 1:
-            text = f"({mag})*{body}"
-        else:
-            text = f"{mag}*{body}"
-        if not pieces:
-            pieces.append("-" + text if neg else text)
-        else:
-            pieces.append((" - " if neg else " + ") + text)
-    return "".join(pieces)
-
-
-def _is_negative(c: RadicalScalar) -> bool:
-    # Sign of the leading term; used only for display.
-    return bool(c.terms) and c.terms[0][1] < 0
+    return signed_sum_text(
+        (c, "".join(f"t{ch}" for ch in u) + "".join(f"t{ch}*" for ch in reversed(v)) or "I")
+        for c, u, v in terms
+    )

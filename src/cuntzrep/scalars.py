@@ -8,7 +8,9 @@ equality is plain map equality; no floating point is involved anywhere.
 
 Coefficients are :class:`fractions.Fraction` values, hence arbitrary
 precision.  Radicands stay small in practice (products of sqrt(m) for the
-series weights), so square-free splitting by trial division is enough.
+series weights), so square-free splitting by trial division is enough; the
+parser bounds a literal ``sqrt(m)`` at m <= 10**12, which splits in about
+0.07 s.
 """
 
 from __future__ import annotations
@@ -19,17 +21,14 @@ from typing import Iterable, Mapping, Union
 
 __all__ = [
     "RadicalScalar",
-    "Rational",
     "ZERO",
     "ONE",
     "sqrt_int",
-    "add",
-    "mul",
-    "to_float",
     "square_free_split",
+    "scalar_text",
+    "signed_sum_text",
 ]
 
-Rational = Fraction
 RationalLike = Union[int, Fraction]
 
 
@@ -236,16 +235,7 @@ class RadicalScalar:
         return sum(float(c) * math.sqrt(d) for d, c in self._terms)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces: list[str] = []
-        for d, c in self._terms:
-            body = _term_text(d, c)
-            if not pieces:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append((" + " if c > 0 else " - ") + body)
-        return "".join(pieces)
+        return scalar_text(self)
 
     def __repr__(self) -> str:
         return f"RadicalScalar({self})"
@@ -263,19 +253,6 @@ class RadicalScalar:
         return cls([(int(item["radicand"]), Fraction(str(item["coeff"]))) for item in data])
 
 
-def _frac_text(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def _term_text(d: int, c: Fraction) -> str:
-    c = abs(c)
-    if d == 1:
-        return _frac_text(c)
-    if c == 1:
-        return f"sqrt({d})"
-    return f"{_frac_text(c)}*sqrt({d})"
-
-
 ZERO = RadicalScalar()
 ONE = RadicalScalar.from_rational(1)
 
@@ -285,13 +262,44 @@ def sqrt_int(m: int) -> RadicalScalar:
     return RadicalScalar.sqrt_int(m)
 
 
-def add(a: RadicalScalar, b: RadicalScalar) -> RadicalScalar:
-    return a + b
+# ---------------------------------------------------------------------------
+# Text rendering, shared by scalars, vectors and monomial lists
+# ---------------------------------------------------------------------------
 
 
-def mul(a: RadicalScalar, b: RadicalScalar) -> RadicalScalar:
-    return a * b
+def _join_signed(pieces: Iterable[tuple[bool, str]]) -> str:
+    """``x1 + x2 - x3`` from (negative, magnitude text) pairs; "0" when empty."""
+    out: list[str] = []
+    for neg, body in pieces:
+        sign = (" - " if neg else " + ") if out else ("-" if neg else "")
+        out.append(sign + body)
+    return "".join(out) or "0"
 
 
-def to_float(a: RadicalScalar) -> float:
-    return a.to_float()
+def scalar_text(c: RadicalScalar, unicode: bool = False) -> str:
+    """Canonical scalar rendering, ``1/2 - 3*sqrt(2)``; optionally with the radical glyph."""
+    pieces = []
+    for d, q in c.terms:
+        mag = str(abs(q))  # Fraction prints "n" or "n/d"
+        if d > 1:
+            root = f"√{d}" if unicode else f"sqrt({d})"
+            mag = root if abs(q) == 1 else f"{mag}*{root}"
+        pieces.append((q < 0, mag))
+    return _join_signed(pieces)
+
+
+def signed_sum_text(terms: Iterable[tuple[RadicalScalar, str]], unicode: bool = False) -> str:
+    """``c1*x1 + c2*x2 - ...`` from (coefficient, body) pairs.
+
+    The sign of each term is the sign of its coefficient's leading term; a
+    unit magnitude is left out and a magnitude of several terms is bracketed.
+    """
+    pieces = []
+    for c, body in terms:
+        neg = bool(c) and c.terms[0][1] < 0
+        mag = -c if neg else c
+        if mag != ONE:
+            text = scalar_text(mag, unicode)
+            body = f"({text})*{body}" if len(mag.terms) > 1 else f"{text}*{body}"
+        pieces.append((neg, body))
+    return _join_signed(pieces)

@@ -5,10 +5,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from typing import Union
 
-from .basis import BasisLabel, RepSpec, label_sort_key
+from .basis import BasisLabel, RepSpec, apply_gen, apply_gen_adjoint, label_sort_key
 from .scalars import RadicalScalar, ZERO, ONE
 
-__all__ = ["RepMismatchError", "StateVector"]
+__all__ = ["RepMismatchError", "StateVector", "apply_letter", "apply_letter_adjoint"]
 
 ScalarLike = Union[RadicalScalar, int]
 _MINUS_ONE = -ONE
@@ -145,3 +145,19 @@ class StateVector:
     def __repr__(self) -> str:
         body = " + ".join(f"({coeff})|{label.component}:{label.word};{label.node}>" for label, coeff in self.terms())
         return f"StateVector({body or '0'})"
+
+
+# ---------------------------------------------------------------------------
+# Letter steps on vectors, off the kernel: the oracles act only through these
+# ---------------------------------------------------------------------------
+
+
+def apply_letter(v: StateVector, i: int) -> StateVector:
+    """t_i v, label by label."""
+    return StateVector(v.rep, ((apply_gen(v.rep, i, label), c) for label, c in v.terms()))
+
+
+def apply_letter_adjoint(v: StateVector, i: int) -> StateVector:
+    """t_i* v, label by label; annihilated labels drop out."""
+    images = ((apply_gen_adjoint(v.rep, i, label), c) for label, c in v.terms())
+    return StateVector(v.rep, [(x, c) for x, c in images if x is not None])

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .basis import BasisLabel, RepSpec, enumerate_basis, label_sort_key
 from .operators import (
@@ -66,19 +67,6 @@ __all__ = [
 DEFAULT_N_MAX = 4
 DEFAULT_M_MAX = 4
 DEFAULT_DEPTH = 5
-
-SUITE_NAMES = (
-    "cuntz",
-    "car",
-    "ccr",
-    "wfamily",
-    "lemma23",
-    "rho",
-    "main",
-    "closedforms",
-    "fock",
-    "wedge",
-)
 
 
 @dataclass
@@ -218,6 +206,40 @@ def check_cuntz(
 # ---------------------------------------------------------------------------
 
 
+def _pair_relations(
+    r: _Runner,
+    samples: list[StateVector],
+    name: str,
+    family: Callable[[int], OperatorExpr],
+    sign: int,
+    n_max: int,
+    m_max: int,
+) -> None:
+    """The CAR (sign +1) or CCR (sign -1) of one family on every sample:
+    x(n)x(m)* +- x(m)*x(n) = delta_nm I, and x(n)x(m) +- x(m)x(n) = 0 with
+    and without stars, for 1 <= n <= n_max, 1 <= m <= m_max."""
+    op, c = ("+", ONE) if sign > 0 else ("-", -ONE)
+    zero = StateVector.zero(r.rep)
+    for n in range(1, n_max + 1):
+        for m in range(1, m_max + 1):
+            xn, xm = family(n), family(m)
+            a, b = f"{name}({n})", f"{name}({m})"
+            for v in samples:
+                mixed = _apply_chain(v, xn, adj(xm)).combine(c, _apply_chain(v, adj(xm), xn))
+                r.check(
+                    f"{a}{b}* {op} {b}*{a} = {'I' if n == m else '0'}",
+                    v,
+                    mixed,
+                    v if n == m else zero,
+                )
+                plain = _apply_chain(v, xn, xm).combine(c, _apply_chain(v, xm, xn))
+                r.check(f"{a}{b} {op} {b}{a} = 0", v, plain, zero)
+                starred = _apply_chain(v, adj(xn), adj(xm)).combine(
+                    c, _apply_chain(v, adj(xm), adj(xn))
+                )
+                r.check(f"{a}*{b}* {op} {b}*{a}* = 0", v, starred, zero)
+
+
 def check_car(
     rep: RepSpec,
     n_max: int = DEFAULT_N_MAX,
@@ -225,25 +247,7 @@ def check_car(
     depth: int = DEFAULT_DEPTH,
 ) -> CheckReport:
     r = _Runner("car", rep, n_max, m_max, depth)
-    samples = _samples(rep, depth)
-    for n in range(1, n_max + 1):
-        for m in range(1, m_max + 1):
-            an, am = fermion(n), fermion(m)
-            for v in samples:
-                mixed = _apply_chain(v, an, adj(am)) + _apply_chain(v, adj(am), an)
-                want = v if n == m else StateVector.zero(rep)
-                r.check(
-                    f"a({n})a({m})* + a({m})*a({n}) = {'I' if n == m else '0'}",
-                    v,
-                    mixed,
-                    want,
-                )
-                plain = _apply_chain(v, an, am) + _apply_chain(v, am, an)
-                r.check(f"a({n})a({m}) + a({m})a({n}) = 0", v, plain, StateVector.zero(rep))
-                starred = _apply_chain(v, adj(an), adj(am)) + _apply_chain(v, adj(am), adj(an))
-                r.check(
-                    f"a({n})*a({m})* + a({m})*a({n})* = 0", v, starred, StateVector.zero(rep)
-                )
+    _pair_relations(r, _samples(rep, depth), "a", fermion, 1, n_max, m_max)
     # representation-free restatement through the normal form
     cap = min(4, n_max, m_max)
     for n in range(1, cap + 1):
@@ -315,24 +319,7 @@ def check_ccr(
                 apply(boson(n), v),
                 _raw_boson(n, v),
             )
-    for n in range(1, n_max + 1):
-        for m in range(1, m_max + 1):
-            bn, bm = boson(n), boson(m)
-            for v in samples:
-                comm = _apply_chain(v, bn, adj(bm)) - _apply_chain(v, adj(bm), bn)
-                want = v if n == m else StateVector.zero(rep)
-                r.check(
-                    f"b({n})b({m})* - b({m})*b({n}) = {'I' if n == m else '0'}",
-                    v,
-                    comm,
-                    want,
-                )
-                plain = _apply_chain(v, bn, bm) - _apply_chain(v, bm, bn)
-                r.check(f"b({n})b({m}) - b({m})b({n}) = 0", v, plain, StateVector.zero(rep))
-                starred = _apply_chain(v, adj(bn), adj(bm)) - _apply_chain(v, adj(bm), adj(bn))
-                r.check(
-                    f"b({n})*b({m})* - b({m})*b({n})* = 0", v, starred, StateVector.zero(rep)
-                )
+    _pair_relations(r, samples, "b", boson, -1, n_max, m_max)
     return r.report
 
 
@@ -774,6 +761,7 @@ _SUITES = {
     "fock": check_fock_suite,
     "wedge": check_wedge_suite,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(

@@ -87,17 +87,56 @@ def test_negative_bound_exits_two(capsys, flag):
     assert err.startswith("error:") and "must be >= 0" in err
 
 
-@pytest.mark.parametrize("expr", ["a(3000)", "F(400)"])
-def test_deep_index_exits_zero_without_traceback(expr):
+def fresh_cli(argv):
     # a fresh process, so the exit code and stderr are what a shell user sees
     env = dict(os.environ, PYTHONPATH=str(Path(cuntzrep.__file__).parents[1]))
-    cmd = [sys.executable, "-m", "cuntzrep", "apply", "--rep", "1", "--expr", expr]
-    done = subprocess.run(
-        cmd + ["--state", "vac"], capture_output=True, text=True, env=env, timeout=10
-    )
+    cmd = [sys.executable, "-m", "cuntzrep", *argv]
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=10)
+
+
+@pytest.mark.parametrize("expr", ["a(3000)", "F(400)"])
+def test_deep_index_exits_zero_without_traceback(expr):
+    done = fresh_cli(["apply", "--rep", "1", "--expr", expr, "--state", "vac"])
     assert done.returncode == 0
     assert done.stdout == "0\n"
     assert "Traceback" not in done.stderr
+
+
+_PRIME_ROOT = "sqrt(1000000000000000000000000000057)"  # a prime: trial division runs for hours
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply", "--rep", "1", "--expr", f"{_PRIME_ROOT}*t1", "--state", "vac"],
+        ["apply", "--rep", "1", "--expr", "t1", "--state", f"{_PRIME_ROOT}*vac"],
+        ["expand", "--expr", f"{_PRIME_ROOT}*t1"],
+    ],
+)
+def test_huge_radicand_exits_two_with_column(argv):
+    done = fresh_cli(argv)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: column 6: radicand must be at most 1000000000000\n"
+
+
+def test_radicand_at_the_bound_parses(capsys):
+    argv = ["apply", "--rep", "1", "--expr", "sqrt(1000000000000)", "--state", "vac"]
+    assert run(capsys, argv) == (0, "1000000*vac\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["list-basis", "--rep", "1", "--depth", "40"],
+        ["check", "--rep", "1", "--suite", "cuntz", "--depth", "40"],
+    ],
+)
+def test_basis_beyond_the_label_bound_exits_two(argv):
+    done = fresh_cli(argv)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: depth 40 on 1 gives 1 * 2^40 basis labels")
 
 
 def test_passing_check_exits_zero(capsys):
