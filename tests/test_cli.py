@@ -87,11 +87,34 @@ def test_negative_bound_exits_two(capsys, flag):
     assert err.startswith("error:") and "must be >= 0" in err
 
 
-def fresh_cli(argv):
+def fresh_cli(argv, timeout=10):
     # a fresh process, so the exit code and stderr are what a shell user sees
     env = dict(os.environ, PYTHONPATH=str(Path(cuntzrep.__file__).parents[1]))
     cmd = [sys.executable, "-m", "cuntzrep", *argv]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=10)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+    argvs = [
+        ["expand", "--expr", "a(2)"],
+        ["apply", "--rep", "12", "--expr", "b(1)*", "--state", "vac", "--format", "json"],
+        ["apply", "--rep", "1", "--expr", "t1"],
+        ["list-basis", "--rep", "12", "--depth", "1"],
+        ["check", "--rep", "1", "--suite", "cuntz", "--depth", "1", "--n-max", "1"],
+        ["expand", "--nope"],
+        ["expand", "--help"],
+        ["apply", "--rep", "1", "--expr", "q", "--state", "vac"],
+        ["expand", "--expr", "a(2)"],
+    ]
+    for argv in argvs:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse exits on usage errors and --help
+            rc = exc.code
+        captured = capsys.readouterr()
+        done = fresh_cli(argv)
+        assert (rc, captured.out, captured.err) == (done.returncode, done.stdout, done.stderr)
 
 
 @pytest.mark.parametrize("expr", ["a(3000)", "F(400)"])
@@ -118,6 +141,61 @@ def test_huge_radicand_exits_two_with_column(argv):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == "error: column 6: radicand must be at most 1000000000000\n"
+
+
+_LONG = "1" * 4301  # one digit more than int() converts from a string
+
+
+@pytest.mark.parametrize(
+    "argv, column",
+    [
+        (["apply", "--rep", "1", "--expr", f"{_LONG}*t1", "--state", "vac"], 1),
+        (["apply", "--rep", "1", "--expr", f"t1/{_LONG}", "--state", "vac"], 4),
+        (["apply", "--rep", "1", "--expr", "t1", "--state", f"2/{_LONG}*vac"], 3),
+        (["apply", "--rep", "1", "--expr", "t1", "--state", f"|1;{_LONG}>"], 4),
+        (["expand", "--expr", f"a({_LONG})"], 3),
+    ],
+)
+def test_long_integer_literal_exits_two_with_column(capsys, argv, column):
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert err == f"error: column {column}: integer literal has more than 4300 digits\n"
+
+
+def test_literal_at_the_digit_limit_parses(capsys):
+    digits = "1" * 4300
+    argv = ["apply", "--rep", "1", "--expr", f"{digits}*t1", "--state", "vac"]
+    assert run(capsys, argv) == (0, f"{digits}*vac\n", "")
+
+
+@pytest.mark.parametrize("expr", ["s(100000000)", "a(4097)", "psi(4097/2)"])
+def test_index_over_the_bound_exits_two_with_column(expr):
+    done = fresh_cli(["apply", "--rep", "1", "--expr", expr, "--state", "vac"])
+    assert done.returncode == 2
+    assert done.stdout == ""
+    column = expr.index("(") + 2
+    assert done.stderr == f"error: column {column}: index must be at most 4096\n"
+
+
+def test_largest_iso_index_runs_on_the_vacuum():
+    done = fresh_cli(["apply", "--rep", "1", "--expr", "s(4096)", "--state", "vac"])
+    assert done.returncode == 0
+    assert done.stdout == "|" + "2" * 4095 + ";0>\n"  # t1 fixes the vacuum
+
+
+def test_fock_depth_beyond_the_word_bound_exits_two():
+    done = fresh_cli(["check", "--rep", "1", "--suite", "fock", "--depth", "40"])
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: depth 40 gives more than 2048 boson words in the fock suite\n"
+
+
+@pytest.mark.parametrize("expr", ["W(12)", "a(14) a(14)*"])
+def test_wide_fermion_products_expand_in_bounded_time(expr):
+    done = fresh_cli(["expand", "--expr", expr], timeout=20)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert done.stdout.count("\n") == 1
 
 
 def test_radicand_at_the_bound_parses(capsys):

@@ -1,9 +1,23 @@
 """Polynomial normal forms over the generator words."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cuntzrep.basis import BasisLabel, RepSpec, enumerate_basis
 from cuntzrep.operators import (
+    Adj,
+    Fermion,
+    Gen,
+    Ident,
+    Iso,
+    LinComb,
+    PartialShift,
+    Prod,
+    RangeProj,
+    Zeta,
     adjoint,
     apply,
     boson,
@@ -14,7 +28,10 @@ from cuntzrep.operators import (
     iso,
     lincomb,
     partial_shift,
+    partial_shift_definition,
     prod,
+    range_proj,
+    range_proj_definition,
     rho,
     shift_series,
     zeta,
@@ -138,3 +155,80 @@ def test_to_json_round_trips_terms():
     assert [t["right"] for t in data["terms"]] == ["12", "22"]
     coeffs = [RadicalScalar.from_json(t["coeff"]) for t in data["terms"]]
     assert coeffs == [ONE, RadicalScalar.from_rational(-1)]
+
+
+# ---------------------------------------------------------------------------
+# The indexed product against a pairwise reference
+# ---------------------------------------------------------------------------
+
+
+def _pairwise_monomials(e):
+    """Unmerged monomials, composing every pair of every product."""
+    if isinstance(e, Gen):
+        return [(ONE, str(e.letter), "")]
+    if isinstance(e, Ident):
+        return [(ONE, "", "")]
+    if isinstance(e, Iso):
+        return [(ONE, "2" * (e.n - 1) + "1", "")]
+    if isinstance(e, Fermion):
+        out = []
+        for letters in itertools.product("12", repeat=e.n - 1):
+            w = "".join(letters)
+            sign = RadicalScalar.from_rational(-1 if w.count("2") % 2 else 1)
+            out.append((sign, w + "1", w + "2"))
+        return out
+    if isinstance(e, Adj):
+        return [(c, v, u) for c, u, v in _pairwise_monomials(e.arg)]
+    if isinstance(e, RangeProj):
+        return _pairwise_monomials(range_proj_definition(e.n))
+    if isinstance(e, PartialShift):
+        return _pairwise_monomials(partial_shift_definition(e.n))
+    if isinstance(e, Zeta):
+        inner = _pairwise_monomials(e.arg)
+        return [(c, "1" + u, "1" + v) for c, u, v in inner] + [
+            (-c, "2" + u, "2" + v) for c, u, v in inner
+        ]
+    if isinstance(e, LinComb):
+        return [(c * c2, u, v) for c, x in e.parts for c2, u, v in _pairwise_monomials(x)]
+    assert isinstance(e, Prod)
+    acc = [(ONE, "", "")]
+    for f in e.factors:
+        nxt = []
+        for c1, u1, v1 in acc:
+            for c2, u2, v2 in _pairwise_monomials(f):
+                if u2.startswith(v1):
+                    nxt.append((c1 * c2, u1 + u2[len(v1):], v2))
+                elif v1.startswith(u2):
+                    nxt.append((c1 * c2, u1, v2 + v1[len(u2):]))
+        acc = nxt
+    return acc
+
+
+def _starred(e):
+    return st.sampled_from([e, adjoint(e)])
+
+
+_COEFFS = st.sampled_from([ONE, -ONE, sqrt_int(2), RadicalScalar.from_rational(Fraction(1, 2))])
+_atoms = st.one_of(
+    st.sampled_from([gen(1), gen(2), ident()]).flatmap(_starred),
+    st.integers(1, 4).map(fermion).flatmap(_starred),
+    st.integers(0, 3).map(range_proj),
+    st.integers(1, 3).map(partial_shift).flatmap(_starred),
+)
+_trees = st.recursive(
+    _atoms,
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=2, max_size=4).map(lambda fs: prod(*fs)),
+        st.lists(st.tuples(_COEFFS, inner), min_size=1, max_size=3).map(lambda ps: lincomb(*ps)),
+        inner.map(zeta),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees)
+# t1* meets the sum's I by its exact word and t1t1 by its prefix: out of order
+@example(prod(adjoint(gen(1)), lincomb((ONE, ident()), (-ONE, prod(gen(1), gen(1))))))
+def test_indexed_product_matches_pairwise_reference(e):
+    assert monomials(e) == _pairwise_monomials(e)

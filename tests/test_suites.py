@@ -8,8 +8,10 @@ from cuntzrep.basis import RepSpec
 from cuntzrep.operators import gen
 from cuntzrep.scalars import RadicalScalar
 from cuntzrep.suites import (
+    _MAX_FOCK_WORDS,
     SUITE_NAMES,
     CheckReport,
+    _boson_word_count,
     check_all,
     run_suite,
     verify_identity,
@@ -69,24 +71,37 @@ def test_true_identity_passes():
     assert report.passed
 
 
+def partitions_up_to(limit):
+    # p(0..limit) by bounded-part dynamic programming
+    table = [1] + [0] * limit
+    for part in range(1, limit + 1):
+        for total in range(part, limit + 1):
+            table[total] += table[total - part]
+    return table
+
+
 def test_fock_span_dimensions_match_partition_counts():
     report = run_suite("fock", FOCK, n_max=4, m_max=4, depth=5)
     assert report.passed, report.failures[:3]
     measured = report.measured["span_dimension_by_total_degree"]
-
-    def partitions_up_to(limit):
-        # p(0..limit) by bounded-part dynamic programming
-        table = [1] + [0] * limit
-        for part in range(1, limit + 1):
-            for total in range(part, limit + 1):
-                table[total] += table[total - part]
-        return table
-
     counts = partitions_up_to(5)
     cumulative = 0
     for degree in range(6):
         cumulative += counts[degree]
         assert measured[str(degree)] == cumulative
+
+
+def test_fock_word_bound_counts_partitions():
+    counts = partitions_up_to(30)
+    for depth in range(31):
+        words = sum(counts[: depth + 1])
+        if words <= _MAX_FOCK_WORDS:
+            assert _boson_word_count(depth) == words
+        else:
+            assert _boson_word_count(depth) > _MAX_FOCK_WORDS
+    assert sum(counts[:19]) <= _MAX_FOCK_WORDS < sum(counts[:20])
+    with pytest.raises(ValueError, match="depth 19 gives more than 2048 boson words"):
+        run_suite("fock", FOCK, depth=19)
 
 
 def test_wedge_measured_values_are_frozen():
