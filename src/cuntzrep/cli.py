@@ -163,7 +163,11 @@ _DISPATCH = {
 
 def main(argv: Optional[list[str]] = None) -> int:
     kernel_cache_clear()  # each invocation starts cold, like a fresh process
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, list):  # argparse drops a lone "--" value, leaving []
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         return _DISPATCH[args.subcommand](args)
     except (ParseError, RepValidationError, PolynomialError, ValueError) as exc:

@@ -10,13 +10,24 @@ ordinary multiplication.
 State vectors are sums of ``coeff*|u;k>`` terms; ``vac`` and ``vac(k)``
 alias the cycle vectors of component 0, and ``|c:u;k>`` names component c.
 Parsed labels are normalized, so any spelling of a vector is accepted.
+
+Every grammar shares one tokenizer, a single regular expression that
+matches a ket, a number, a name or a punctuation mark at each position, and
+two routines: ``_signed_terms`` parses ``[-] term (('+' | '-') term)*`` for
+operator sums, scalar sums and states alike, and ``_product`` parses the
+juxtaposed factors of a term.  Parentheses and ``rho(``/``zeta(`` nest at
+most 64 deep (``_MAX_NESTING``); deeper input is a ParseError at the opening,
+because parsing, evaluating or hashing a deeper tree would exhaust Python's
+recursion limit.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional, Union
 
 from .basis import BasisLabel, RepSpec, normalize_label
 from .operators import (
@@ -68,10 +79,21 @@ _MAX_RADICAND = 10**12
 _MAX_DIGITS = 4300
 # Family indices: s(n) builds a word of n letters, about 0.2 s at this bound.
 _MAX_INDEX = 4096
-_KET_RE = re.compile(r"\|(?:(\d+):)?([12]*);(\d+)>")
-_NUM_RE = re.compile(r"\d+")
-_NAMES = ("sqrt", "zeta", "psi", "rho", "vac", "t1", "t2", "W", "X", "Y", "F", "I", "s", "a", "b")
-_PUNCT = {"(": "LP", ")": "RP", "*": "STAR", ".": "DOT", "+": "PLUS", "-": "MINUS", "/": "SLASH"}
+# Parentheses and rho(/zeta( openings.  The parser recurses six frames per
+# level and exhausts Python's default recursion limit at about 160 levels;
+# at this bound apply on rep 112 and expand run well inside it.
+_MAX_NESTING = 64
+# One alternation, tried in order at each position: names longest first where
+# they share a prefix ("sqrt" before "s"); a group's name is its token kind.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<KET>\|(?:(\d+):)?([12]*);(\d+)>)|(?P<NUM>\d+)"
+    r"|(?P<NAME>sqrt|zeta|psi|rho|vac|t1|t2|W|X|Y|F|I|s|a|b)"
+    r"|(?P<LP>\()|(?P<RP>\))|(?P<STAR>\*)|(?P<DOT>\.)|(?P<PLUS>\+)|(?P<MINUS>-)|(?P<SLASH>/)"
+    r"|(?P<EOF>\Z))"
+)
+_MINUS_ONE = -ONE
+
+Token = tuple[str, object, int]
 
 
 def _check_digits(digits: str, pos: int) -> None:
@@ -79,66 +101,68 @@ def _check_digits(digits: str, pos: int) -> None:
         raise ParseError(f"integer literal has more than {_MAX_DIGITS} digits", pos)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []
+def _tokenize(text: str) -> list[Token]:
+    """Tokens as (kind, value, position); a ket's value is (component, word, node)."""
+    tokens: list[Token] = []
     i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "|":
-            m = _KET_RE.match(text, i)
-            if not m:
+    while True:
+        m = _TOKEN_RE.match(text, i)
+        if m is None:
+            i = len(text) - len(text[i:].lstrip())
+            if text[i] == "|":
                 raise ParseError("malformed label, expected |u;k> or |c:u;k>", i)
-            for group in (1, 3):
-                _check_digits(m.group(group) or "", m.start(group))
-            tokens.append(("KET", m.group(0), i))
-            i = m.end()
-            continue
-        m = _NUM_RE.match(text, i)
-        if m:
-            _check_digits(m.group(0), i)
-            tokens.append(("NUM", m.group(0), i))
-            i = m.end()
-            continue
-        for name in _NAMES:
-            if text.startswith(name, i):
-                tokens.append(("NAME", name, i))
-                i += len(name)
-                break
-        else:
-            kind = _PUNCT.get(ch)
-            if kind is None:
-                raise ParseError(f"unexpected character {ch!r}", i)
-            tokens.append((kind, ch, i))
-            i += 1
-    tokens.append(("EOF", "", len(text)))
-    return tokens
+            raise ParseError(f"unexpected character {text[i]!r}", i)
+        kind = m.lastgroup or ""
+        pos = m.start(kind)
+        value: object = m.group(kind)
+        if kind == "KET":
+            component, word, node = m.group(2, 3, 4)
+            _check_digits(component or "", m.start(2))
+            _check_digits(node, m.start(4))
+            value = (int(component or 0), word, int(node))
+        elif kind == "NUM":
+            _check_digits(m.group(kind), pos)
+        tokens.append((kind, value, pos))
+        if kind == "EOF":
+            return tokens
+        i = m.end()
 
 
 class _Parser:
-    def __init__(self, text: str) -> None:
-        self.text = text
+    def __init__(self, text: str, rep: Optional[RepSpec] = None) -> None:
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
+        self.rep = rep
 
-    def peek(self) -> tuple[str, str, int]:
+    def peek(self) -> Token:
         return self.tokens[self.pos]
 
-    def next(self) -> tuple[str, str, int]:
+    def next(self) -> Token:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
+    def expect(self, kind: str, what: str) -> Token:
         tok = self.next()
         if tok[0] != kind:
             raise ParseError(f"expected {what}", tok[2])
         return tok
 
-    def at_end(self) -> bool:
-        return self.peek()[0] == "EOF"
+    def finish(self, message: str) -> None:
+        kind, _, pos = self.peek()
+        if kind != "EOF":
+            raise ParseError(message, pos)
+
+    def group(self, opening: int, inner: Callable[["_Parser"], object]) -> object:
+        """``inner`` then ')', one level deeper than the opening at ``opening``."""
+        if self.depth == _MAX_NESTING:
+            raise ParseError(f"nesting is deeper than {_MAX_NESTING} levels", opening)
+        self.depth += 1
+        value = inner(self)
+        self.depth -= 1
+        self.expect("RP", "')'")
+        return value
 
     # -- shared scalar pieces -------------------------------------------
 
@@ -153,11 +177,12 @@ class _Parser:
             value /= int(den[1])
         return value
 
-    def parse_scalar_atom(self) -> RadicalScalar:
+    def parse_scalar(self) -> RadicalScalar:
+        """A literal p/q or sqrt(m), then any stars (a real scalar is self-adjoint)."""
         kind, text, pos = self.peek()
         if kind == "NUM":
-            return RadicalScalar.from_rational(self.parse_rational())
-        if kind == "NAME" and text == "sqrt":
+            value = RadicalScalar.from_rational(self.parse_rational())
+        elif text == "sqrt":
             self.next()
             self.expect("LP", "'('")
             num = self.expect("NUM", "a positive integer radicand")
@@ -166,10 +191,13 @@ class _Parser:
                 m = int(num[1])
                 if m > _MAX_RADICAND:
                     raise ValueError(f"radicand must be at most {_MAX_RADICAND}")
-                return sqrt_int(m)
+                value = sqrt_int(m)
             except ValueError as exc:
                 raise ParseError(str(exc), num[2]) from None
-        raise ParseError("expected a scalar", pos)
+        else:
+            raise ParseError("expected a scalar", pos)
+        self.skip_stars()
+        return value
 
     def skip_stars(self) -> None:
         while self.peek()[0] == "STAR":
@@ -177,20 +205,79 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
+# Sums and products, shared by every grammar
+# ---------------------------------------------------------------------------
+
+Factor = Union[RadicalScalar, OperatorExpr, BasisLabel]
+
+
+def _starts_scalar(p: _Parser) -> bool:
+    kind, text, _ = p.peek()
+    return kind == "NUM" or kind == "LP" or text == "sqrt"
+
+
+def _signed_terms(p: _Parser, term: Callable[[_Parser], object]) -> list[tuple[bool, object]]:
+    """``[-] term (('+' | '-') term)*`` as (negated, term) pairs."""
+    negated = p.peek()[0] == "MINUS"
+    if negated:
+        p.next()
+    out = []
+    while True:
+        out.append((negated, term(p)))
+        kind = p.peek()[0]
+        if kind != "PLUS" and kind != "MINUS":
+            return out
+        p.next()
+        negated = kind == "MINUS"
+
+
+def _product(
+    p: _Parser, factor: Callable[[_Parser], Factor], juxtaposed: Callable[[_Parser], bool]
+) -> tuple[Optional[RadicalScalar], list[Factor]]:
+    """``factor (['.'] factor)*``; a factor without '.' must satisfy ``juxtaposed``.
+
+    Returns the product of the scalar factors (None when there is none; a
+    lone scalar is not multiplied) and the other factors in order.  A basis
+    label is the last factor of a state term, so it ends the product.
+    """
+    coeff: Optional[RadicalScalar] = None
+    rest: list[Factor] = []
+    while True:
+        item = factor(p)
+        if isinstance(item, RadicalScalar):
+            coeff = item if coeff is None else coeff * item
+        else:
+            rest.append(item)
+            if isinstance(item, BasisLabel):
+                return coeff, rest
+        if p.peek()[0] == "DOT":
+            p.next()
+        elif not juxtaposed(p):
+            return coeff, rest
+
+
+def _signed(negated: bool, coeff: Optional[RadicalScalar]) -> RadicalScalar:
+    if coeff is None:
+        return _MINUS_ONE if negated else ONE
+    return -coeff if negated else coeff
+
+
+# ---------------------------------------------------------------------------
 # Operator expressions
 # ---------------------------------------------------------------------------
 
+_ATOMS = {"t1": gen(1), "t2": gen(2), "Y": shift_series(), "I": ident()}
 _INDEXED = {"s": iso, "a": fermion, "b": boson, "W": range_proj, "X": partial_shift, "F": cluster}
 
 
-def _index(num: tuple[str, str, int]) -> int:
+def _index(num: Token) -> int:
     n = int(num[1])
     if n > _MAX_INDEX:
         raise ParseError(f"index must be at most {_MAX_INDEX}", num[2])
     return n
 
 
-def _parse_indexed(p: _Parser, name: str, pos: int) -> OperatorExpr:
+def _parse_indexed(p: _Parser, name: str) -> OperatorExpr:
     p.expect("LP", "'('")
     num = p.expect("NUM", "an index")
     p.expect("RP", "')'")
@@ -201,7 +288,7 @@ def _parse_indexed(p: _Parser, name: str, pos: int) -> OperatorExpr:
         raise ParseError(str(exc), num[2]) from None
 
 
-def _parse_psi(p: _Parser, pos: int) -> OperatorExpr:
+def _parse_psi(p: _Parser) -> OperatorExpr:
     p.expect("LP", "'('")
     sign = 1
     if p.peek()[0] == "MINUS":
@@ -220,91 +307,48 @@ def _parse_psi(p: _Parser, pos: int) -> OperatorExpr:
         raise ParseError(str(exc), num[2]) from None
 
 
-def _parse_primary(p: _Parser) -> tuple[Optional[RadicalScalar], Optional[OperatorExpr]]:
-    """One primary: either a scalar literal or an operator atom."""
+def _parse_primary(p: _Parser) -> Factor:
+    """One factor of an operator term: a scalar literal or a starred operator."""
     kind, text, pos = p.peek()
-    if kind == "NUM" or (kind == "NAME" and text == "sqrt"):
-        return p.parse_scalar_atom(), None
     if kind == "LP":
         p.next()
-        e = _parse_sum(p)
-        p.expect("RP", "')'")
-        return None, e
-    if kind == "KET" or (kind == "NAME" and text == "vac"):
+        e = p.group(pos, _parse_sum)
+    elif _starts_scalar(p):
+        return p.parse_scalar()
+    elif kind == "KET" or text == "vac":
         raise ParseError("state labels are not allowed inside an operator expression", pos)
-    if kind != "NAME":
+    elif kind != "NAME":
         raise ParseError("expected an operator or scalar", pos)
-    p.next()
-    if text == "t1":
-        return None, gen(1)
-    if text == "t2":
-        return None, gen(2)
-    if text == "Y":
-        return None, shift_series()
-    if text == "I":
-        return None, ident()
-    if text in _INDEXED:
-        return None, _parse_indexed(p, text, pos)
-    if text == "psi":
-        return None, _parse_psi(p, pos)
-    if text in ("rho", "zeta"):
-        p.expect("LP", "'('")
-        arg = _parse_sum(p)
-        p.expect("RP", "')'")
-        return None, rho(arg) if text == "rho" else zeta(arg)
-    raise ParseError(f"unexpected name {text!r}", pos)
-
-
-_FACTOR_START = {"NUM", "LP"}
+    else:
+        p.next()
+        if text in _ATOMS:
+            e = _ATOMS[text]
+        elif text in _INDEXED:
+            e = _parse_indexed(p, text)
+        elif text == "psi":
+            e = _parse_psi(p)
+        else:
+            p.expect("LP", "'('")
+            arg = p.group(pos, _parse_sum)
+            e = rho(arg) if text == "rho" else zeta(arg)
+    while p.peek()[0] == "STAR":
+        p.next()
+        e = adj(e)
+    return e
 
 
 def _starts_factor(p: _Parser) -> bool:
     kind, text, _ = p.peek()
-    if kind in _FACTOR_START:
-        return True
-    return kind == "NAME" and text != "vac"
-
-
-def _parse_term(p: _Parser) -> tuple[RadicalScalar, OperatorExpr]:
-    coeff: RadicalScalar = ONE
-    factors: list[OperatorExpr] = []
-    while True:
-        scalar, op = _parse_primary(p)
-        if scalar is not None:
-            p.skip_stars()  # adjoint of a real scalar is itself
-            coeff = coeff * scalar
-        else:
-            starred = op
-            while p.peek()[0] == "STAR":
-                p.next()
-                starred = adj(starred)
-            factors.append(starred)
-        if p.peek()[0] == "DOT":
-            p.next()
-            continue
-        if not _starts_factor(p):
-            break
-    return coeff, prod(*factors)
+    return _starts_scalar(p) or (kind == "NAME" and text != "vac")
 
 
 def _parse_sum(p: _Parser) -> OperatorExpr:
-    parts: list[tuple[RadicalScalar, OperatorExpr]] = []
-    sign = ONE
-    if p.peek()[0] == "MINUS":
-        p.next()
-        sign = -ONE
-    while True:
-        coeff, term = _parse_term(p)
-        parts.append((sign * coeff, term))
-        kind = p.peek()[0]
-        if kind == "PLUS":
-            p.next()
-            sign = ONE
-        elif kind == "MINUS":
-            p.next()
-            sign = -ONE
-        else:
-            break
+    parts = [
+        (_signed(negated, coeff), prod(*factors))
+        for negated, (coeff, factors) in _signed_terms(
+            p, lambda p: _product(p, _parse_primary, _starts_factor)
+        )
+    ]
     if len(parts) == 1 and parts[0][0] == ONE:
         return parts[0][1]
     return lincomb(*parts)
@@ -313,8 +357,7 @@ def _parse_sum(p: _Parser) -> OperatorExpr:
 def parse_expr(text: str) -> OperatorExpr:
     p = _Parser(text)
     e = _parse_sum(p)
-    if not p.at_end():
-        raise ParseError("trailing input", p.peek()[2])
+    p.finish("trailing input")
     return e
 
 
@@ -327,44 +370,30 @@ def parse_rep(text: str) -> RepSpec:
     return RepSpec.parse(text)
 
 
-def _label_from_ket(rep: RepSpec, ket: str, pos: int) -> BasisLabel:
-    m = _KET_RE.fullmatch(ket)
-    assert m is not None
-    component = int(m.group(1)) if m.group(1) else 0
-    word, node = m.group(2), int(m.group(3))
-    if component >= len(rep.components):
-        raise ParseError(f"component {component} out of range for {rep}", pos)
-    if node >= rep.cycle_len(component):
-        raise ParseError(
-            f"node {node} out of range for cycle {rep.cycle(component)!r}", pos
-        )
-    return normalize_label(rep, component, word, node)
-
-
 def parse_label(rep: RepSpec, text: str) -> BasisLabel:
     """One label in ket or vac form; the result is normalized."""
-    p = _Parser(text)
-    label = _parse_ket(p, rep)
-    if not p.at_end():
-        raise ParseError("trailing input", p.peek()[2])
+    p = _Parser(text, rep)
+    label = _parse_label(p)
+    p.finish("trailing input")
     return label
 
 
-def _parse_ket(p: _Parser, rep: RepSpec) -> BasisLabel:
-    kind, text, pos = p.next()
+def _parse_label(p: _Parser) -> BasisLabel:
+    kind, value, pos = p.next()
     if kind == "KET":
-        return _label_from_ket(rep, text, pos)
-    if kind == "NAME" and text == "vac":
-        node = 0
+        component, word, node = value
+    elif value == "vac":
+        component, word, node = 0, "", 0
         if p.peek()[0] == "LP":
             p.next()
-            num = p.expect("NUM", "a node index")
+            node = int(p.expect("NUM", "a node index")[1])
             p.expect("RP", "')'")
-            node = int(num[1])
-        if node >= rep.cycle_len(0):
-            raise ParseError(f"node {node} out of range for cycle {rep.cycle(0)!r}", pos)
-        return BasisLabel(0, "", node)
-    raise ParseError("expected a label (|u;k> or vac)", pos)
+    else:
+        raise ParseError("expected a label (|u;k> or vac)", pos)
+    try:
+        return normalize_label(p.rep, component, word, node)
+    except ValueError as exc:  # component or node out of range
+        raise ParseError(str(exc), pos) from None
 
 
 # ---------------------------------------------------------------------------
@@ -373,80 +402,31 @@ def _parse_ket(p: _Parser, rep: RepSpec) -> BasisLabel:
 
 
 def _parse_scalar_sum(p: _Parser) -> RadicalScalar:
-    total: Optional[RadicalScalar] = None
-    sign = ONE
-    if p.peek()[0] == "MINUS":
-        p.next()
-        sign = -ONE
-    while True:
-        term = ONE
-        while True:
-            term = term * p.parse_scalar_atom()
-            p.skip_stars()
-            if p.peek()[0] == "DOT":
-                p.next()
-                continue
-            kind, text, _ = p.peek()
-            if kind in _FACTOR_START or (kind == "NAME" and text == "sqrt"):
-                continue
-            break
-        total = sign * term if total is None else total + sign * term
-        kind = p.peek()[0]
-        if kind == "PLUS":
-            p.next()
-            sign = ONE
-        elif kind == "MINUS":
-            p.next()
-            sign = -ONE
-        else:
-            break
-    assert total is not None
-    return total
+    terms = _signed_terms(p, lambda p: _product(p, _Parser.parse_scalar, _starts_scalar)[0])
+    return functools.reduce(operator.add, [-c if negated else c for negated, c in terms])
 
 
-def _starts_state_scalar(p: _Parser) -> bool:
-    kind, text, _ = p.peek()
-    return kind in ("NUM", "LP") or (kind == "NAME" and text == "sqrt")
+def _parse_state_factor(p: _Parser) -> Factor:
+    """A coefficient factor, or the label that ends a state term."""
+    if not _starts_scalar(p):
+        return _parse_label(p)
+    kind, _, pos = p.peek()
+    if kind != "LP":
+        return p.parse_scalar()
+    p.next()
+    value = p.group(pos, _parse_scalar_sum)
+    p.skip_stars()
+    return value
 
 
 def parse_state(rep: RepSpec, text: str) -> StateVector:
     """Parse a vector literal; "0" alone is the zero vector."""
     if text.strip() == "0":
         return StateVector.zero(rep)
-    p = _Parser(text)
-    out = StateVector.zero(rep)
-    sign = ONE
-    if p.peek()[0] == "MINUS":
-        p.next()
-        sign = -ONE
-    while True:
-        coeff = ONE
-        while _starts_state_scalar(p):
-            kind, _, _ = p.peek()
-            if kind == "LP":
-                p.next()
-                coeff = coeff * _parse_scalar_sum(p)
-                p.expect("RP", "')'")
-                p.skip_stars()
-            else:
-                coeff = coeff * p.parse_scalar_atom()
-                p.skip_stars()
-            if p.peek()[0] == "DOT":
-                p.next()
-        label = _parse_ket(p, rep)
-        out = out.combine(sign * coeff, StateVector.basis(rep, label))
-        kind, _, pos = p.peek()
-        if kind == "PLUS":
-            p.next()
-            sign = ONE
-        elif kind == "MINUS":
-            p.next()
-            sign = -ONE
-        elif kind == "EOF":
-            break
-        else:
-            raise ParseError("expected '+', '-', or end of input", pos)
-    return out
+    p = _Parser(text, rep)
+    terms = _signed_terms(p, lambda p: _product(p, _parse_state_factor, lambda p: True))
+    p.finish("expected '+', '-', or end of input")
+    return StateVector(rep, [(label, _signed(negated, coeff)) for negated, (coeff, [label]) in terms])
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +464,11 @@ def vector_to_json(v: StateVector) -> dict[str, object]:
 
 
 def vector_from_json(rep: RepSpec, data: dict[str, object]) -> StateVector:
-    out = StateVector.zero(rep)
-    for item in data["terms"]:  # type: ignore[index]
-        label = parse_label(rep, str(item["label"]))
-        coeff = RadicalScalar.from_json(item["coeff"])  # type: ignore[arg-type]
-        out = out.combine(coeff, StateVector.basis(rep, label))
-    return out
+    terms = data["terms"]  # type: ignore[index]
+    return StateVector(
+        rep,
+        [
+            (parse_label(rep, str(item["label"])), RadicalScalar.from_json(item["coeff"]))
+            for item in terms  # type: ignore[union-attr]
+        ],
+    )

@@ -16,7 +16,9 @@ factor's monomials are indexed by their left words (every prefix, and the
 exact word) and an accumulated monomial looks up its partners instead of
 trying every pair.  Coefficients are multiplied only for pairs that
 survive, and the product lists its monomials in the same order a pairwise
-double loop would.
+double loop would.  No monomial list, unmerged or refined, grows past
+``_MAX_MONOMIALS`` terms: each is sized before it is built, and a longer one
+is a PolynomialError.
 
 For display the inverse rewrite is applied to exhaustion (merging sibling
 pairs with equal coefficients back into their parent), which yields the
@@ -67,6 +69,10 @@ __all__ = [
 
 # Materialization guard: a(n) expands to 2^(n-1) monomials.
 FERMION_CAP = 16
+# No monomial list grows past this length: a(16) and every expansion the
+# tests and the benchmark run stay within 2^15, and a list of 2^16 takes
+# about 2 s to build and render.
+_MAX_MONOMIALS = 2**16
 _MINUS_ONE = -ONE
 
 Monomial = tuple[RadicalScalar, str, str]
@@ -74,6 +80,12 @@ Monomial = tuple[RadicalScalar, str, str]
 
 class PolynomialError(ValueError):
     """Series node present, depth too small, or materialization too large."""
+
+
+def _check_size(n: int) -> None:
+    """Refuse, before it is built, a monomial list longer than the bound."""
+    if n > _MAX_MONOMIALS:
+        raise PolynomialError(f"the expansion has more than {_MAX_MONOMIALS} monomials")
 
 
 def _compose(acc: list[Monomial], factor: list[Monomial]) -> list[Monomial]:
@@ -96,6 +108,7 @@ def _compose(acc: list[Monomial], factor: list[Monomial]) -> list[Monomial]:
         for k in range(len(v1)):
             hits.extend(by_word.get(v1[:k], ()))
         hits.sort()
+        _check_size(len(out) + len(hits))
         for i in hits:
             c2, u2, v2 = factor[i]
             if len(u2) >= len(v1):
@@ -136,16 +149,18 @@ def monomials(e: OperatorExpr) -> list[Monomial]:
     if isinstance(e, Ident):
         return [(ONE, "", "")]
     if isinstance(e, Prod):
-        acc: list[Monomial] = [(ONE, "", "")]
-        for f in e.factors:
-            acc = _compose(acc, monomials(f))
+        acc = monomials(e.factors[0])
+        for f in e.factors[1:]:
             if not acc:
                 break
+            acc = _compose(acc, monomials(f))
         return acc
     if isinstance(e, LinComb):
         out: list[Monomial] = []
         for c, x in e.parts:
-            out.extend((c * c2, u, v) for c2, u, v in monomials(x))
+            part = monomials(x)
+            _check_size(len(out) + len(part))
+            out.extend((c * c2, u, v) for c2, u, v in part)
         return out
     if isinstance(e, Iso):
         return [(ONE, "2" * (e.n - 1) + "1", "")]
@@ -159,6 +174,7 @@ def monomials(e: OperatorExpr) -> list[Monomial]:
         return monomials(partial_shift_definition(e.n))
     if isinstance(e, Zeta):
         inner = monomials(e.arg)
+        _check_size(2 * len(inner))
         out = [(c, "1" + u, "1" + v) for c, u, v in inner]
         out.extend((-c, "2" + u, "2" + v) for c, u, v in inner)
         return out
@@ -207,13 +223,19 @@ class PolyNormalForm:
 
 
 def _refine(terms: list[Monomial], depth: int) -> PolyNormalForm:
-    refined: list[Monomial] = []
-    for c, u, v in terms:
+    size = 0
+    for _, u, _ in terms:
         pad = depth - len(u)
         if pad < 0:
             raise PolynomialError(
                 f"depth {depth} is smaller than the left word {u!r}"
             )
+        # capped, so a huge depth never builds a huge power of two
+        size += 1 << min(pad, _MAX_MONOMIALS.bit_length())
+    _check_size(size)
+    refined: list[Monomial] = []
+    for c, u, v in terms:
+        pad = depth - len(u)
         if pad == 0:
             refined.append((c, u, v))
         else:

@@ -87,6 +87,25 @@ def test_negative_bound_exits_two(capsys, flag):
     assert err.startswith("error:") and "must be >= 0" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply", "--rep", "1", "--expr=--", "--state", "vac"],
+        ["apply", "--rep", "1", "--expr", "t1", "--state=--"],
+        ["apply", "--rep", "1", "--expr", "t1", "--state", "vac", "--format=--"],
+        ["expand", "--expr", "t1", "--depth=--"],
+    ],
+)
+def test_lone_double_dash_value_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    option = next(a for a in argv if a.endswith("=--"))[:-3]
+    assert captured.err.endswith(f"error: argument {option}: expected one argument\n")
+
+
 def fresh_cli(argv, timeout=10):
     # a fresh process, so the exit code and stderr are what a shell user sees
     env = dict(os.environ, PYTHONPATH=str(Path(cuntzrep.__file__).parents[1]))
@@ -196,6 +215,59 @@ def test_wide_fermion_products_expand_in_bounded_time(expr):
     assert done.returncode == 0
     assert done.stderr == ""
     assert done.stdout.count("\n") == 1
+
+
+def _nested(opening, inner, depth):
+    return opening * depth + inner + ")" * depth
+
+
+_LONG_WORD_STATE = "|2121211212121;1> + 2*|21;1>"
+
+
+@pytest.mark.parametrize(
+    "argv, column",
+    [
+        (["apply", "--rep", "1", "--expr", _nested("(", "t1", 330), "--state", "vac"], 65),
+        (["apply", "--rep", "112", "--expr", _nested("rho(", "t2*", 200), "--state", "|21;1>"], 257),
+        (["expand", "--expr", _nested("zeta(", "a(1)", 65)], 321),
+    ],
+)
+def test_nesting_over_the_bound_exits_two_with_column(argv, column):
+    done = fresh_cli(argv)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: column {column}: nesting is deeper than 64 levels\n"
+
+
+@pytest.mark.parametrize(
+    "argv, rc",
+    [
+        (["apply", "--rep", "112", "--expr", _nested("rho(", "t2*", 64), "--state", _LONG_WORD_STATE], 0),
+        (["apply", "--rep", "112", "--expr", _nested("zeta(", "t1 t2*", 64), "--state", _LONG_WORD_STATE], 0),
+        (["apply", "--rep", "1", "--expr", _nested("(", "t1", 64), "--state", "vac"], 0),
+        (["expand", "--expr", _nested("(", "t1", 64)], 0),
+        (["expand", "--expr", _nested("rho(", "t2*", 64)], 2),
+        (["expand", "--expr", _nested("zeta(", "t1", 64)], 2),
+    ],
+)
+def test_nesting_at_the_bound_runs_without_traceback(argv, rc):
+    done = fresh_cli(argv)
+    assert done.returncode == rc
+    assert (done.stdout != "") == (rc == 0)
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--expr", _nested("zeta(", "a(1)", 22)],
+        ["expand", "--expr", "(t1 + t2)" * 22],
+        ["expand", "--expr", "t1", "--depth", "24"],
+    ],
+)
+def test_wide_expansions_exit_two(argv):
+    done = fresh_cli(argv, timeout=20)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: the expansion has more than 65536 monomials\n"
 
 
 def test_radicand_at_the_bound_parses(capsys):

@@ -1,8 +1,14 @@
 """Text round trips for operator expressions, states, and labels."""
 
+import contextlib
+import io
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuntzrep.basis import BasisLabel, RepSpec, enumerate_basis
+from cuntzrep.cli import main
 from cuntzrep.operators import (
     adjoint,
     boson,
@@ -197,3 +203,48 @@ def test_parse_rep_validates():
         parse_rep("1212")
     with pytest.raises(RepValidationError):
         parse_rep("")
+
+
+# Text drawn from the grammar's tokens: names, numbers, kets, punctuation,
+# whitespace and characters the grammar does not know.
+_FUZZ_TOKENS = (
+    "sqrt", "zeta", "psi", "rho", "vac", "t1", "t2", "W", "X", "Y", "F", "I", "s", "a", "b",
+    "a(1)", "s(2)", "b(1)", "F(2)", "psi(1/2)", "sqrt(2)", "vac(1)",
+    "0", "1", "2", "3", "7", "02", "4097",
+    "|1;0>", "|0:12;1>", "|;1>", "|1:;0>", "|1;", "|",
+    "(", ")", "*", ".", "+", "-", "/", " ", "\t", "q", "é", ";", ">",
+)
+_FUZZ_TEXT = st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=24).map("".join)
+_FUZZ_REP = st.sampled_from([FOCK, WEDGE, parse_rep("112"), BOTH])
+_VALID_STATES = ("vac", "|1;0> - 1/2 vac", "(1 + sqrt(2))*|2;0>")
+_CALL_BUDGET_S = 5.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FUZZ_TEXT, _FUZZ_REP)
+def test_parsers_return_or_raise_parse_error_in_range(text, rep):
+    for parse in (parse_expr, lambda t: parse_state(rep, t), lambda t: parse_label(rep, t)):
+        try:
+            parse(text)
+        except ParseError as exc:
+            assert 0 <= exc.position <= len(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_FUZZ_TEXT, st.one_of(_FUZZ_TEXT, st.sampled_from(_VALID_STATES)), _FUZZ_REP)
+def test_cli_on_fuzzed_text_keeps_the_exit_code_contract(expr, state, rep):
+    for argv in (
+        ["apply", f"--rep={rep}", f"--expr={expr}", f"--state={state}"],
+        ["expand", f"--expr={expr}"],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse exits on usage errors
+                rc = exc.code
+        assert time.perf_counter() - start < _CALL_BUDGET_S
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        assert (out.getvalue() == "") == (rc == 2)
