@@ -3,6 +3,7 @@
 import contextlib
 import io
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +82,7 @@ def test_linear_combinations_and_scalars():
     )
     assert parse_expr("sqrt(2)*t1") == scaled(sqrt_int(2), gen(1))
     assert parse_expr("-t1") == scaled(RadicalScalar.from_rational(-1), gen(1))
+    assert parse_expr("2 t1 sqrt(2)*t2 3") == scaled(sqrt_int(72), prod(gen(1), gen(2)))
     assert parse_expr("t1 - t2") == lincomb(
         (ONE, gen(1)),
         (RadicalScalar.from_rational(-1), gen(2)),
@@ -120,6 +122,9 @@ def test_state_parsing_forms():
         RadicalScalar.from_rational(1) / RadicalScalar.from_rational(2)
     )
     assert parse_state(WEDGE, "(1 + sqrt(2))*vac") == vac.scale(ONE + sqrt_int(2))
+    assert parse_state(WEDGE, "2 . sqrt(2)*3 (2 sqrt(3) - 1/2 . 3) |2;1>") == two.scale(
+        sqrt_int(72) * (sqrt_int(12) - RadicalScalar.from_rational(Fraction(3, 2)))
+    )
     assert parse_state(WEDGE, "-vac + |2;1>") == two - vac
     assert parse_state(WEDGE, "0") == StateVector.zero(WEDGE)
 
