@@ -44,6 +44,10 @@ __all__ = [
 ALPHABET = "12"
 # enumerate_basis refuses more labels than this; 2^20 on rep 1 takes about 5 s.
 _MAX_BASIS_LABELS = 1 << 20
+# apply_gen refuses to build a longer word.  Each letter step copies the word,
+# so a long product of s(n) costs the square of its length; this is twice the
+# parser's family index bound, so s(4096) s(4096) vac fits.
+_MAX_WORD_LENGTH = 8192
 
 
 class RepValidationError(ValueError):
@@ -133,7 +137,8 @@ def normalize_label(rep: RepSpec, component: int, word: str, node: int) -> Basis
     length = rep.cycle_len(component)
     if not 0 <= node < length:
         raise ValueError(f"node {node} out of range for cycle {rep.cycle(component)!r}")
-    if set(word) - set(ALPHABET):
+    # every letter step lands here; str.count scans in C without hashing letters
+    if word.count("1") + word.count("2") != len(word):
         raise ValueError(f"word {word!r} uses letters outside {{1,2}}")
     while word and word[-1] == edge_letter(rep, component, node):
         word = word[:-1]
@@ -142,8 +147,14 @@ def normalize_label(rep: RepSpec, component: int, word: str, node: int) -> Basis
 
 
 def apply_gen(rep: RepSpec, i: int, label: BasisLabel) -> BasisLabel:
-    """Generator t_i on a basis label: prefix the letter, renormalize."""
-    return normalize_label(rep, label.component, str(i) + label.word, label.node)
+    """Generator t_i on a basis label: prefix the letter, renormalize.
+
+    Raises ValueError when the word would pass ``_MAX_WORD_LENGTH`` letters.
+    """
+    word = str(i) + label.word
+    if len(word) > _MAX_WORD_LENGTH:
+        raise ValueError(f"a basis word would pass the bound of {_MAX_WORD_LENGTH} letters")
+    return normalize_label(rep, label.component, word, label.node)
 
 
 def apply_gen_adjoint(rep: RepSpec, i: int, label: BasisLabel) -> Optional[BasisLabel]:

@@ -24,7 +24,9 @@ families, their adjoints and ``Rho``/``Zeta`` are memoised on ``(expr, rep,
 label)`` in an LRU cache of ``KERNEL_CACHE_SIZE`` entries, cleared by
 ``cli.main`` on entry; ``Prod``/``LinComb`` compose cached images per label;
 ``Gen``, ``Iso`` and ``Ident`` are recomputed.  The oracles use only the
-vector-level letter steps ``states.apply_letter*``, never the cache.
+vector-level letter steps ``states.apply_letter*``, never the cache, and the
+series oracle takes its weights from ``RadicalScalar.sqrt_int``, not from
+the memoised ``scalars.sqrt_int`` that the kernel uses.
 """
 
 from __future__ import annotations
@@ -353,7 +355,7 @@ def eval_series_b1_raw(v: StateVector) -> StateVector:
         word = apply_letter(apply_letter_adjoint(current, 1), 1)
         for _ in range(m - 1):
             word = apply_letter(word, 2)
-        out = out.combine(sqrt_int(m), word)
+        out = out.combine(RadicalScalar.sqrt_int(m), word)
     return out
 
 

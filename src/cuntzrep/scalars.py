@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
 __all__ = [
@@ -257,8 +258,11 @@ ZERO = RadicalScalar()
 ONE = RadicalScalar.from_rational(1)
 
 
+@lru_cache(maxsize=256, typed=True)
 def sqrt_int(m: int) -> RadicalScalar:
-    """Module-level alias for :meth:`RadicalScalar.sqrt_int`."""
+    """:meth:`RadicalScalar.sqrt_int`, memoised: the series weights and the rho
+    towers ask for a few small radicands thousands of times, and each split
+    builds ``Fraction``s.  ``typed`` keeps ``2.0`` a ValueError after ``2``."""
     return RadicalScalar.sqrt_int(m)
 
 

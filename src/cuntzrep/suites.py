@@ -3,18 +3,36 @@ every basis label up to a depth and reports failures with full witnesses.
 
 All comparisons are exact scalar equality.  A suite never raises on a failed
 identity; it records the input vector and both sides so the case can be
-replayed through the CLI `apply` command.  Two suites run on fixed
-representations by construction: the all-ones cycle (Fock behavior) and the
-alternating two-cycle (wedge behavior).  The wedge suite records measured
-scalars instead of asserting a disputed value; its pass condition is internal
-consistency of the commutation relations only.
+replayed through the CLI `apply` command.
+
+Tables.  A sampled suite is a table of ``(identity, left, right)`` rows,
+built once per run.  A side is an operator expression: sums are written with
+``lincomb`` and compositions with ``prod``, so the kernel composes a whole
+side per label in one ``apply`` call.  ``_Runner.run`` takes the table as
+groups and runs each group on every sample in turn, so the groups fix the
+case order.  A group is a tuple of rows, or a function of the sample for
+sums whose length depends on the sample (``_word_bound``,
+``_max_support``); those sums are memoised per bound for the run and are
+never keys of the kernel cache.
+
+Oracles.  A side written ``("eval_series_b1_raw",)`` or ``("_raw_boson", n)``
+names a function of the vector in this module, looked up when the side is
+evaluated; it works on vectors through the letter steps, off the kernel.
+The ``range_proj_definition(n)`` products are applied as whole sides, never
+inside a ``lincomb`` or ``prod``.
+
+Two suites run on fixed representations by construction: the all-ones cycle
+(Fock behavior) and the alternating two-cycle (wedge behavior).  The wedge
+suite records measured scalars instead of asserting a disputed value; its
+pass condition is internal consistency of the commutation relations only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from functools import cache
+from typing import Callable, Iterable, Sequence, Union
 
 from .basis import BasisLabel, RepSpec, enumerate_basis, label_sort_key
 from .operators import (
@@ -36,6 +54,7 @@ from .operators import (
     range_proj_definition,
     rho,
     s_star_support,
+    scaled,
     shift_series,
 )
 from .parsing import serialize_vector
@@ -68,6 +87,15 @@ DEFAULT_N_MAX = 4
 DEFAULT_M_MAX = 4
 DEFAULT_DEPTH = 5
 
+# A side is an operator expression, or an oracle: the name of a function of
+# the vector in this module, then its leading arguments.
+Side = Union[OperatorExpr, tuple]
+Row = tuple[str, Side, Side]
+Group = Union[Sequence[Row], Callable[[StateVector], Iterable[Row]]]
+
+_I = ident()
+_ZERO = lincomb()
+
 
 @dataclass
 class CheckReport:
@@ -96,14 +124,27 @@ class CheckReport:
         }
 
 
+def _side(side: Side, v: StateVector) -> StateVector:
+    # module globals, read at call time: a patched apply or oracle takes effect
+    if type(side) is tuple:
+        return globals()[side[0]](*side[1:], v)
+    return apply(side, v)
+
+
 class _Runner:
     def __init__(self, suite: str, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
-        self.rep = rep
         self.report = CheckReport(
             suite=suite,
             rep=str(rep),
             params={"n_max": n_max, "m_max": m_max, "depth": depth},
         )
+
+    def run(self, samples: list[StateVector], groups: Iterable[Group]) -> None:
+        """Both sides of every row on every sample, one group after another."""
+        for group in groups:
+            for v in samples:
+                for identity, left, right in group(v) if callable(group) else group:
+                    self.check(identity, v, _side(left, v), _side(right, v))
 
     def check(self, identity: str, v: StateVector, left: StateVector, right: StateVector) -> None:
         self.report.cases += 1
@@ -125,8 +166,14 @@ class _Runner:
             )
 
 
-def _pair_sum(x: OperatorExpr, y: OperatorExpr) -> OperatorExpr:
-    return lincomb((ONE, x), (ONE, y))
+def _delta(same: bool) -> tuple[str, OperatorExpr]:
+    """The name and the operator of delta_nm I."""
+    return ("I", _I) if same else ("0", _ZERO)
+
+
+def _anti(x: OperatorExpr, y: OperatorExpr, c: RadicalScalar = ONE) -> OperatorExpr:
+    """x y + c y x."""
+    return lincomb((ONE, prod(x, y)), (c, prod(y, x)))
 
 
 def _samples(rep: RepSpec, depth: int) -> list[StateVector]:
@@ -146,15 +193,6 @@ def _max_support(v: StateVector) -> int:
     return max(supp) if supp else 0
 
 
-def _apply_chain(v: StateVector, *exprs: OperatorExpr) -> StateVector:
-    # rightmost expression acts first, matching operator composition
-    for e in reversed(exprs):
-        v = apply(e, v)
-        if not v:
-            return v
-    return v
-
-
 def verify_identity(
     rep: RepSpec,
     name: str,
@@ -164,8 +202,7 @@ def verify_identity(
 ) -> CheckReport:
     """Compare two operator expressions on every sample vector."""
     r = _Runner("identity", rep, 0, 0, depth)
-    for v in _samples(rep, depth):
-        r.check(name, v, apply(left, v), apply(right, v))
+    r.run(_samples(rep, depth), [((name, left, right),)])
     return r.report
 
 
@@ -181,16 +218,15 @@ def check_cuntz(
     depth: int = DEFAULT_DEPTH,
 ) -> CheckReport:
     r = _Runner("cuntz", rep, n_max, m_max, depth)
-    basis_vecs = [StateVector.basis(rep, lab) for lab in enumerate_basis(rep, depth)]
-    for v in _samples(rep, depth):
-        for i in (1, 2):
-            for j in (1, 2):
-                got = _apply_chain(v, adj(gen(i)), gen(j))
-                want = v if i == j else StateVector.zero(rep)
-                r.check(f"t{i}* t{j} = {'I' if i == j else '0'}", v, got, want)
-        total = apply(gen(1), apply(adj(gen(1)), v)) + apply(gen(2), apply(adj(gen(2)), v))
-        r.check("t1 t1* + t2 t2* = I", v, total, v)
-    for v in basis_vecs:
+    rows: list[Row] = []
+    for i in (1, 2):
+        for j in (1, 2):
+            word, want = _delta(i == j)
+            rows.append((f"t{i}* t{j} = {word}", prod(adj(gen(i)), gen(j)), want))
+    resolution = lincomb(*((ONE, prod(gen(i), adj(gen(i)))) for i in (1, 2)))
+    rows.append(("t1 t1* + t2 t2* = I", resolution, _I))
+    r.run(_samples(rep, depth), [rows])
+    for v in (StateVector.basis(rep, lab) for lab in enumerate_basis(rep, depth)):
         hits = sum(1 for i in (1, 2) if apply(adj(gen(i)), v))
         r.check_text(
             "exactly one generator range contains each basis vector",
@@ -207,37 +243,28 @@ def check_cuntz(
 
 
 def _pair_relations(
-    r: _Runner,
-    samples: list[StateVector],
     name: str,
     family: Callable[[int], OperatorExpr],
     sign: int,
     n_max: int,
     m_max: int,
-) -> None:
-    """The CAR (sign +1) or CCR (sign -1) of one family on every sample:
+) -> list[tuple[Row, ...]]:
+    """The CAR (sign +1) or CCR (sign -1) of one family, one group per (n, m):
     x(n)x(m)* +- x(m)*x(n) = delta_nm I, and x(n)x(m) +- x(m)x(n) = 0 with
     and without stars, for 1 <= n <= n_max, 1 <= m <= m_max."""
     op, c = ("+", ONE) if sign > 0 else ("-", -ONE)
-    zero = StateVector.zero(r.rep)
+    groups = []
     for n in range(1, n_max + 1):
         for m in range(1, m_max + 1):
             xn, xm = family(n), family(m)
             a, b = f"{name}({n})", f"{name}({m})"
-            for v in samples:
-                mixed = _apply_chain(v, xn, adj(xm)).combine(c, _apply_chain(v, adj(xm), xn))
-                r.check(
-                    f"{a}{b}* {op} {b}*{a} = {'I' if n == m else '0'}",
-                    v,
-                    mixed,
-                    v if n == m else zero,
-                )
-                plain = _apply_chain(v, xn, xm).combine(c, _apply_chain(v, xm, xn))
-                r.check(f"{a}{b} {op} {b}{a} = 0", v, plain, zero)
-                starred = _apply_chain(v, adj(xn), adj(xm)).combine(
-                    c, _apply_chain(v, adj(xm), adj(xn))
-                )
-                r.check(f"{a}*{b}* {op} {b}*{a}* = 0", v, starred, zero)
+            word, want = _delta(n == m)
+            groups.append((
+                (f"{a}{b}* {op} {b}*{a} = {word}", _anti(xn, adj(xm), c), want),
+                (f"{a}{b} {op} {b}{a} = 0", _anti(xn, xm, c), _ZERO),
+                (f"{a}*{b}* {op} {b}*{a}* = 0", _anti(adj(xn), adj(xm), c), _ZERO),
+            ))
+    return groups
 
 
 def check_car(
@@ -247,31 +274,21 @@ def check_car(
     depth: int = DEFAULT_DEPTH,
 ) -> CheckReport:
     r = _Runner("car", rep, n_max, m_max, depth)
-    _pair_relations(r, _samples(rep, depth), "a", fermion, 1, n_max, m_max)
+    r.run(_samples(rep, depth), _pair_relations("a", fermion, 1, n_max, m_max))
     # representation-free restatement through the normal form
     cap = min(4, n_max, m_max)
     for n in range(1, cap + 1):
         for m in range(1, cap + 1):
             an, am = fermion(n), fermion(m)
-            nf = poly_normal_form(
-                _pair_sum(prod(an, adj(am)), prod(adj(am), an))
+            nf = poly_normal_form(_anti(an, adj(am)))
+            word, want = _delta(n == m)
+            r.check_text(
+                f"poly: a({n})a({m})* + a({m})*a({n}) = {word}",
+                "(algebra level)",
+                render_monomials(nf.terms),
+                render_monomials(poly_normal_form(want, depth=nf.depth).terms if n == m else ()),
             )
-            if n == m:
-                want = poly_normal_form(ident(), depth=nf.depth)
-                r.check_text(
-                    f"poly: a({n})a({m})* + a({m})*a({n}) = I",
-                    "(algebra level)",
-                    render_monomials(nf.terms),
-                    render_monomials(want.terms),
-                )
-            else:
-                r.check_text(
-                    f"poly: a({n})a({m})* + a({m})*a({n}) = 0",
-                    "(algebra level)",
-                    render_monomials(nf.terms),
-                    render_monomials(()),
-                )
-            nf2 = poly_normal_form(_pair_sum(prod(an, am), prod(am, an)))
+            nf2 = poly_normal_form(_anti(an, am))
             r.check_text(
                 f"poly: a({n})a({m}) + a({m})a({n}) = 0",
                 "(algebra level)",
@@ -304,22 +321,12 @@ def check_ccr(
     depth: int = DEFAULT_DEPTH,
 ) -> CheckReport:
     r = _Runner("ccr", rep, n_max, m_max, depth)
-    samples = _samples(rep, depth)
-    for v in samples:
-        r.check(
-            "b(1) evaluator = literal word series",
-            v,
-            apply(boson(1), v),
-            eval_series_b1_raw(v),
-        )
-        for n in range(2, n_max + 1):
-            r.check(
-                f"b({n}) evaluator = recursion over literal series",
-                v,
-                apply(boson(n), v),
-                _raw_boson(n, v),
-            )
-    _pair_relations(r, samples, "b", boson, -1, n_max, m_max)
+    rows = [("b(1) evaluator = literal word series", boson(1), ("eval_series_b1_raw",))]
+    rows += [
+        (f"b({n}) evaluator = recursion over literal series", boson(n), ("_raw_boson", n))
+        for n in range(2, n_max + 1)
+    ]
+    r.run(_samples(rep, depth), [rows, *_pair_relations("b", boson, -1, n_max, m_max)])
     return r.report
 
 
@@ -335,39 +342,31 @@ def check_wfamily(
     depth: int = DEFAULT_DEPTH,
 ) -> CheckReport:
     r = _Runner("wfamily", rep, n_max, m_max, depth)
-    samples = _samples(rep, depth)
+    w = [range_proj(n) for n in range(max(n_max, m_max) + 1)]
+    rows: list[Row] = []
+    for n in range(0, n_max + 1):
+        rows.append((f"W({n})W({n}) = W({n})", prod(w[n], w[n]), w[n]))
+        rows.append((f"W({n}) = fermion product form", w[n], range_proj_definition(n)))
+        rows += [
+            (f"W({n})W({m}) = 0", prod(w[n], w[m]), _ZERO) for m in range(0, m_max + 1) if m != n
+        ]
+
+    @cache
+    def resolution(bound: int) -> OperatorExpr:
+        return lincomb(*((ONE, range_proj(m)) for m in range(0, bound + 1)))
+
+    def with_resolution(v: StateVector) -> list[Row]:
+        return [("sum of W(m) = I", resolution(_max_support(v)), _I), *rows]
+
+    r.run(_samples(rep, depth), [with_resolution])
     basis_vecs = [StateVector.basis(rep, lab) for lab in enumerate_basis(rep, depth)]
-    for v in samples:
-        bound = _max_support(v)
-        total = StateVector.zero(rep)
-        for m in range(0, bound + 1):
-            total = total + apply(range_proj(m), v)
-        r.check("sum of W(m) = I", v, total, v)
-        for n in range(0, n_max + 1):
-            wn = apply(range_proj(n), v)
-            r.check(f"W({n})W({n}) = W({n})", v, apply(range_proj(n), wn), wn)
-            r.check(
-                f"W({n}) = fermion product form",
-                v,
-                wn,
-                apply(range_proj_definition(n), v),
-            )
-            for m in range(0, m_max + 1):
-                if m == n:
-                    continue
-                r.check(
-                    f"W({n})W({m}) = 0",
-                    v,
-                    apply(range_proj(n), apply(range_proj(m), v)),
-                    StateVector.zero(rep),
-                )
     pairs = list(zip(basis_vecs, basis_vecs[1:]))
     if len(basis_vecs) > 2:
         pairs.append((basis_vecs[0], basis_vecs[-1]))
     for x, y in pairs:
         for n in range(0, n_max + 1):
-            lhs = apply(range_proj(n), x).inner(y)
-            rhs = x.inner(apply(range_proj(n), y))
+            lhs = apply(w[n], x).inner(y)
+            rhs = x.inner(apply(w[n], y))
             r.check_text(
                 f"W({n}) symmetric in the basis pairing",
                 f"{serialize_vector(x)} , {serialize_vector(y)}",
@@ -389,55 +388,32 @@ def check_shift_relations(
     depth: int = DEFAULT_DEPTH,
 ) -> CheckReport:
     r = _Runner("lemma23", rep, n_max, m_max, depth)
-    samples = _samples(rep, depth)
-    for v in samples:
-        for n in range(1, n_max + 1):
-            r.check(
-                f"t2 s({n}) = s({n + 1})",
-                v,
-                apply(gen(2), apply(iso(n), v)),
-                apply(iso(n + 1), v),
-            )
-        for n in range(0, n_max + 1):
-            r.check(
-                f"W({n}) = s({n + 1})s({n + 1})*",
-                v,
-                apply(range_proj_definition(n), v),
-                _apply_chain(v, iso(n + 1), adj(iso(n + 1))),
-            )
-        for n in range(1, n_max + 1):
-            r.check(
-                f"s({n})t2*s({n})* = t2* X({n})",
-                v,
-                _apply_chain(v, iso(n), adj(gen(2)), adj(iso(n))),
-                apply(adj(gen(2)), apply(partial_shift(n), v)),
-            )
-        for n in range(1, n_max + 1):
-            for m in range(1, m_max + 1):
-                sign = ONE if m % 2 == 1 else -ONE
-                left = apply(iso(m), apply(fermion(n), v))
-                right = apply(fermion(n + m), apply(iso(m), v)).scale(sign)
-                r.check(f"s({m})a({n}) = (-1)^({m}-1) a({n + m})s({m})", v, left, right)
-                left = apply(iso(m), apply(adj(fermion(n)), v))
-                right = apply(adj(fermion(n + m)), apply(iso(m), v)).scale(sign)
-                r.check(f"s({m})a({n})* = (-1)^({m}-1) a({n + m})*s({m})", v, left, right)
+    t2_adj = adj(gen(2))
+    rows: list[Row] = [
+        (f"t2 s({n}) = s({n + 1})", prod(gen(2), iso(n)), iso(n + 1)) for n in range(1, n_max + 1)
+    ]
+    for n in range(0, n_max + 1):
+        s = iso(n + 1)
+        rows.append((f"W({n}) = s({n + 1})s({n + 1})*", range_proj_definition(n), prod(s, adj(s))))
+    for n in range(1, n_max + 1):
+        s, x = iso(n), prod(t2_adj, partial_shift(n))
+        rows.append((f"s({n})t2*s({n})* = t2* X({n})", prod(s, t2_adj, adj(s)), x))
+    for n in range(1, n_max + 1):
+        for m in range(1, m_max + 1):
+            c = ONE if m % 2 == 1 else -ONE
+            a, up, s = fermion(n), fermion(n + m), iso(m)
+            shifted = f"(-1)^({m}-1) a({n + m})"
+            rows += [
+                (f"s({m})a({n}) = {shifted}s({m})", prod(s, a), scaled(c, prod(up, s))),
+                (f"s({m})a({n})* = {shifted}*s({m})", prod(s, adj(a)), scaled(c, prod(adj(up), s))),
+            ]
+    r.run(_samples(rep, depth), [rows])
     return r.report
 
 
 # ---------------------------------------------------------------------------
 # Isometry family and the recursion endomorphism
 # ---------------------------------------------------------------------------
-
-_RHO_PAIRS: tuple[tuple[str, OperatorExpr, OperatorExpr], ...] = (
-    ("rho(t1 t2*) = rho(t1)rho(t2*)", gen(1), adj(gen(2))),
-    ("rho(a(1) a(2)) = rho(a(1))rho(a(2))", fermion(1), fermion(2)),
-    ("rho(t2 t1* t1) = rho(t2 t1*)rho(t1)", prod(gen(2), adj(gen(1))), gen(1)),
-    (
-        "rho(a(2)* a(1)a(1)*) = rho(a(2)*)rho(a(1)a(1)*)",
-        adj(fermion(2)),
-        prod(fermion(1), adj(fermion(1))),
-    ),
-)
 
 
 def check_embedding_and_rho(
@@ -447,55 +423,64 @@ def check_embedding_and_rho(
     depth: int = DEFAULT_DEPTH,
 ) -> CheckReport:
     r = _Runner("rho", rep, n_max, m_max, depth)
-    samples = _samples(rep, depth)
-    for v in samples:
-        for n in range(1, n_max + 1):
-            for m in range(1, m_max + 1):
-                got = apply(adj(iso(n)), apply(iso(m), v))
-                want = v if n == m else StateVector.zero(rep)
-                r.check(f"s({n})*s({m}) = {'I' if n == m else '0'}", v, got, want)
-        supp = s_star_support(v)
-        total = StateVector.zero(rep)
-        for m, w in sorted(supp.items()):
-            total = total + apply(iso(m), w)
-        r.check("sum of s(n)s(n)* = I", v, total, v)
-        r.check(
-            "rho(t2*) = t2* Y",
-            v,
-            apply(rho(adj(gen(2))), v),
-            apply(adj(gen(2)), apply(shift_series(), v)),
+    t2_adj, y = adj(gen(2)), shift_series()
+    isometries: list[Row] = []
+    for n in range(1, n_max + 1):
+        for m in range(1, m_max + 1):
+            word, want = _delta(n == m)
+            isometries.append((f"s({n})*s({m}) = {word}", prod(adj(iso(n)), iso(m)), want))
+    commuted = [
+        (
+            f"rho(t2* F({n})) = rho(t2*) rho(F({n}))",
+            rho(prod(t2_adj, cluster(n))),
+            prod(rho(t2_adj), rho(cluster(n))),
         )
+        for n in range(1, n_max + 1)
+    ]
+    rho_a = [rho(fermion(n)) for n in range(1, n_max + 1)]
+    homomorphism = [
+        (name, rho(prod(f, g)), prod(rho(f), rho(g)))
+        for name, f, g in (
+            ("rho(t1 t2*) = rho(t1)rho(t2*)", gen(1), t2_adj),
+            ("rho(a(1) a(2)) = rho(a(1))rho(a(2))", fermion(1), fermion(2)),
+            ("rho(t2 t1* t1) = rho(t2 t1*)rho(t1)", prod(gen(2), adj(gen(1))), gen(1)),
+            (
+                "rho(a(2)* a(1)a(1)*) = rho(a(2)*)rho(a(1)a(1)*)",
+                adj(fermion(2)),
+                prod(fermion(1), adj(fermion(1))),
+            ),
+        )
+    ]
+
+    @cache
+    def resolution(bound: int) -> OperatorExpr:
+        return lincomb(*((ONE, prod(iso(m), adj(iso(m)))) for m in range(1, bound + 1)))
+
+    @cache
+    def x_sum(bound: int) -> OperatorExpr:
+        return lincomb(*((ONE, partial_shift(n)) for n in range(1, bound + 2)))
+
+    @cache
+    def expansion(n: int, bound: int) -> OperatorExpr:
+        signs = (ONE, -ONE)
+        return lincomb(
+            *((signs[m % 2], prod(fermion(n + m + 1), range_proj(m))) for m in range(0, bound + 1))
+        )
+
+    def rows(v: StateVector) -> list[Row]:
         bound = _max_support(v)
-        ysum = StateVector.zero(rep)
-        for n in range(1, bound + 2):
-            ysum = ysum + apply(partial_shift(n), v)
-        r.check("Y = sum of X(n)", v, apply(shift_series(), v), ysum)
+        out = isometries + [
+            ("sum of s(n)s(n)* = I", resolution(bound), _I),
+            ("rho(t2*) = t2* Y", rho(t2_adj), prod(t2_adj, y)),
+            ("Y = sum of X(n)", y, x_sum(bound)),
+        ]
         for n in range(1, n_max + 1):
-            r.check(
-                f"rho(t2* F({n})) = rho(t2*) rho(F({n}))",
-                v,
-                apply(rho(prod(adj(gen(2)), cluster(n))), v),
-                apply(rho(adj(gen(2))), apply(rho(cluster(n)), v)),
-            )
-            expansion = StateVector.zero(rep)
-            for m in range(0, bound + 1):
-                sign = ONE if m % 2 == 0 else -ONE
-                expansion = expansion + apply(
-                    fermion(n + m + 1), apply(range_proj(m), v)
-                ).scale(sign)
-            r.check(
-                f"rho(a({n})) = alternating sum of a({n}+m+1)W(m)",
-                v,
-                apply(rho(fermion(n)), v),
-                expansion,
-            )
-        for name, x, y in _RHO_PAIRS:
-            r.check(
-                name,
-                v,
-                apply(rho(prod(x, y)), v),
-                apply(rho(x), apply(rho(y), v)),
-            )
+            out.append(commuted[n - 1])
+            name = f"rho(a({n})) = alternating sum of a({n}+m+1)W(m)"
+            out.append((name, rho_a[n - 1], expansion(n, bound)))
+        return out + homomorphism
+
+    r.run(_samples(rep, depth), [rows])
     return r.report
 
 
@@ -511,21 +496,14 @@ def check_main_theorem(
     depth: int = DEFAULT_DEPTH,
 ) -> CheckReport:
     r = _Runner("main", rep, n_max, m_max, depth)
-    samples = _samples(rep, depth)
-    for n in range(1, n_max + 1):
-        for v in samples:
-            r.check(
-                f"b({n}) = t2* F({n})",
-                v,
-                apply(boson(n), v),
-                apply(adj(gen(2)), apply(cluster(n), v)),
-            )
-            r.check(
-                f"b({n})* = F({n})* t2",
-                v,
-                apply(adj(boson(n)), v),
-                apply(adj(cluster(n)), apply(gen(2), v)),
-            )
+    groups = [
+        (
+            (f"b({n}) = t2* F({n})", boson(n), prod(adj(gen(2)), cluster(n))),
+            (f"b({n})* = F({n})* t2", adj(boson(n)), prod(adj(cluster(n)), gen(2))),
+        )
+        for n in range(1, n_max + 1)
+    ]
+    r.run(_samples(rep, depth), groups)
     return r.report
 
 
@@ -555,40 +533,54 @@ def check_f_closed_forms(
     depth: int = DEFAULT_DEPTH,
 ) -> CheckReport:
     r = _Runner("closedforms", rep, n_max, m_max, depth)
-    samples = _samples(rep, depth)
-    for v in samples:
-        bound = _word_bound(rep, v)
-        first = StateVector.zero(rep)
-        for n in range(1, bound + 1):
-            factors = _occupation_factors(1, n) + [fermion(n + 1), adj(fermion(n + 1))]
-            first = first + apply(prod(*factors), v).scale(sqrt_int(n))
-        r.check("F(1) = weighted occupation series", v, apply(cluster(1), v), first)
-        second = StateVector.zero(rep)
-        for n in range(1, bound + 1):
-            for m in range(1, bound + 1):
-                factors = (
-                    _occupation_factors(1, n - 1)
-                    + [adj(fermion(n)), fermion(n + 1)]
-                    + _occupation_factors(n + 2, n + m)
-                    + [fermion(n + m + 1), adj(fermion(n + m + 1))]
-                )
-                second = second + apply(prod(*factors), v).scale(sqrt_int(m))
-        r.check("F(2) = weighted double occupation series", v, apply(cluster(2), v), second)
-        supp_bound = _max_support(v)
-        for m in range(1, min(3, n_max) + 1):
-            expansion = StateVector.zero(rep)
-            for l in range(0, supp_bound + 1):
-                factors = [
-                    fermion(m + l + 2),
-                    adj(fermion(m + l + 2)),
-                ] + _occupation_factors(l + 2, l + 1 + m)
-                expansion = expansion + apply(prod(*factors), apply(range_proj(l), v))
-            r.check(
-                f"rho(W({m})) = occupation expansion",
-                v,
-                apply(rho(range_proj(m)), v),
-                expansion,
-            )
+
+    @cache
+    def first_term(n: int) -> OperatorExpr:
+        return prod(*_occupation_factors(1, n), fermion(n + 1), adj(fermion(n + 1)))
+
+    @cache
+    def second_term(n: int, m: int) -> OperatorExpr:
+        return prod(
+            *_occupation_factors(1, n - 1),
+            adj(fermion(n)),
+            fermion(n + 1),
+            *_occupation_factors(n + 2, n + m),
+            fermion(n + m + 1),
+            adj(fermion(n + m + 1)),
+        )
+
+    @cache
+    def rho_w_term(m: int, l: int) -> OperatorExpr:
+        top = fermion(m + l + 2)
+        return prod(top, adj(top), *_occupation_factors(l + 2, l + 1 + m), range_proj(l))
+
+    @cache
+    def first(bound: int) -> OperatorExpr:
+        return lincomb(*((sqrt_int(n), first_term(n)) for n in range(1, bound + 1)))
+
+    @cache
+    def second(bound: int) -> OperatorExpr:
+        span = range(1, bound + 1)
+        return lincomb(*((sqrt_int(m), second_term(n, m)) for n in span for m in span))
+
+    @cache
+    def rho_w(m: int, bound: int) -> OperatorExpr:
+        return lincomb(*((ONE, rho_w_term(m, l)) for l in range(0, bound + 1)))
+
+    f1, f2 = cluster(1), cluster(2)
+    rho_ws = [(m, rho(range_proj(m))) for m in range(1, min(3, n_max) + 1)]
+
+    def rows(v: StateVector) -> list[Row]:
+        bound, supp_bound = _word_bound(rep, v), _max_support(v)
+        out = [
+            ("F(1) = weighted occupation series", f1, first(bound)),
+            ("F(2) = weighted double occupation series", f2, second(bound)),
+        ]
+        for m, left in rho_ws:
+            out.append((f"rho(W({m})) = occupation expansion", left, rho_w(m, supp_bound)))
+        return out
+
+    r.run(_samples(rep, depth), [rows])
     return r.report
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,28 @@ def test_largest_iso_index_runs_on_the_vacuum():
     done = fresh_cli(["apply", "--rep", "1", "--expr", "s(4096)", "--state", "vac"])
     assert done.returncode == 0
     assert done.stdout == "|" + "2" * 4095 + ";0>\n"  # t1 fixes the vacuum
+
+
+@pytest.mark.parametrize("letters, rc", [(8192, 0), (8193, 2)])
+def test_word_length_bound(capsys, letters, rc):
+    # s(4096) s(4096) vac has 8191 letters, and each t2 adds one; the bound is 8192
+    expr = "t2 " * (letters - 8191) + "s(4096) s(4096)"
+    got = run(capsys, ["apply", "--rep", "1", "--expr", expr, "--state", "vac"])
+    if rc == 0:
+        word = "2" * (letters - 4096) + "1" + "2" * 4095
+        assert got == (0, f"|{word};0>\n", "")
+    else:
+        assert got == (2, "", "error: a basis word would pass the bound of 8192 letters\n")
+
+
+def test_long_product_of_isometries_exits_two_quickly():
+    expr = " ".join(["s(4096)"] * 8)
+    start = time.perf_counter()
+    done = fresh_cli(["apply", "--rep", "1", "--expr", expr, "--state", "vac"])
+    elapsed = time.perf_counter() - start
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: a basis word would pass the bound of 8192 letters\n"
+    assert elapsed < 1.0
 
 
 def test_fock_depth_beyond_the_word_bound_exits_two():

@@ -40,6 +40,17 @@ def test_sqrt_normalizes_square_part():
     assert sqrt_int(9) == RadicalScalar.from_rational(3)
 
 
+def test_memoised_sqrt_int_matches_the_uncached_root():
+    for m in range(1, 301):
+        first = sqrt_int(m)
+        assert sqrt_int(m) is first  # the second call is a cache hit
+        uncached = RadicalScalar.sqrt_int(m)
+        assert first == uncached and first.terms == uncached.terms and str(first) == str(uncached)
+    for bad in (0, -3, 2.0):
+        with pytest.raises(ValueError):
+            sqrt_int(bad)
+
+
 def test_conjugate_product():
     x = ONE + sqrt_int(2)
     y = ONE - sqrt_int(2)

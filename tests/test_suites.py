@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cuntzrep import suites
 from cuntzrep.basis import RepSpec
 from cuntzrep.operators import gen
 from cuntzrep.scalars import RadicalScalar
@@ -48,6 +49,58 @@ def test_all_twos_cycle_fails_embedding_completeness():
     assert not report.passed
     identities = {f["identity"] for f in report.failures}
     assert any("s(n)s(n)*" in name for name in identities)
+
+
+MIXED = "vac + sqrt(2)*|1;0> - 1/2*|11;0> + sqrt(3)*|21;0>"
+B2 = "b(2)b(2)* - b(2)*b(2) = I"
+B3 = "b(3)b(3)* - b(3)*b(3) = I"
+
+
+def test_all_twos_cycle_failures_keep_their_order():
+    # recorded from the loop-per-suite implementation before the tables
+    failures = [
+        (report.suite, f["identity"], f["input"])
+        for report in check_all(ALLTWO, **SMALL)
+        for f in report.failures
+    ]
+    assert failures == [
+        ("ccr", "b(1)b(1)* - b(1)*b(1) = I", "vac"),
+        ("ccr", "b(1)b(1)* - b(1)*b(1) = I", MIXED),
+        *(("ccr", B2, v) for v in ("vac", "|1;0>", "|21;0>", "|221;0>", MIXED)),
+        *(
+            ("ccr", B3, v)
+            for v in ("vac", "|1;0>", "|11;0>", "|21;0>", "|121;0>", "|211;0>", "|221;0>", MIXED)
+        ),
+        ("wfamily", "sum of W(m) = I", "vac"),
+        ("wfamily", "sum of W(m) = I", MIXED),
+        ("rho", "sum of s(n)s(n)* = I", "vac"),
+        ("rho", "sum of s(n)s(n)* = I", MIXED),
+    ]
+
+
+def test_closedforms_builds_its_table_once_per_run(monkeypatch):
+    # 1 and 1+1 meet the same word and support bounds, on twice the labels
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(suites, "prod", counted("prod", suites.prod))
+    monkeypatch.setattr(suites, "fermion", counted("fermion", suites.fermion))
+    seen = []
+    for rep in (FOCK, RepSpec.parse("1+1")):
+        counts.clear()
+        report = run_suite("closedforms", rep, **SMALL)
+        assert report.passed, report.failures[:3]
+        seen.append((dict(counts), report.cases))
+    (single, single_cases), (double, double_cases) = seen
+    assert single["prod"] > 0 and single["fermion"] > 0
+    assert single == double
+    assert double_cases > single_cases
 
 
 def test_all_twos_cycle_still_satisfies_main_identity():
