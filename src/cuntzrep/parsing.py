@@ -48,7 +48,7 @@ from .operators import (
     shift_series,
     zeta,
 )
-from .scalars import ONE, RadicalScalar, signed_sum_text, sqrt_int
+from .scalars import _bounded_radicand, ONE, RadicalScalar, signed_sum_text, sqrt_int
 from .states import StateVector
 
 __all__ = [
@@ -73,8 +73,6 @@ class ParseError(ValueError):
         self.position = position
 
 
-# Square-free splitting is trial division, about 0.07 s at this radicand.
-_MAX_RADICAND = 10**12
 # int() refuses longer decimal strings (sys.get_int_max_str_digits()).
 _MAX_DIGITS = 4300
 # Family indices: s(n) builds a word of n letters, about 0.2 s at this bound.
@@ -166,16 +164,15 @@ class _Parser:
 
     # -- shared scalar pieces -------------------------------------------
 
-    def parse_rational(self) -> Fraction:
+    def parse_rational(self) -> int | Fraction:
         tok = self.expect("NUM", "a number")
-        value = Fraction(int(tok[1]))
-        if self.peek()[0] == "SLASH":
-            self.next()
-            den = self.expect("NUM", "a denominator")
-            if int(den[1]) == 0:
-                raise ParseError("zero denominator", den[2])
-            value /= int(den[1])
-        return value
+        if self.peek()[0] != "SLASH":
+            return int(tok[1])
+        self.next()
+        den = self.expect("NUM", "a denominator")
+        if int(den[1]) == 0:
+            raise ParseError("zero denominator", den[2])
+        return Fraction(int(tok[1]), int(den[1]))
 
     def parse_scalar(self) -> RadicalScalar:
         """A literal p/q or sqrt(m), then any stars (a real scalar is self-adjoint)."""
@@ -188,10 +185,7 @@ class _Parser:
             num = self.expect("NUM", "a positive integer radicand")
             self.expect("RP", "')'")
             try:
-                m = int(num[1])
-                if m > _MAX_RADICAND:
-                    raise ValueError(f"radicand must be at most {_MAX_RADICAND}")
-                value = sqrt_int(m)
+                value = sqrt_int(_bounded_radicand(int(num[1])))
             except ValueError as exc:
                 raise ParseError(str(exc), num[2]) from None
         else:

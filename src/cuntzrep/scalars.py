@@ -1,16 +1,26 @@
 """Exact arithmetic in the real field generated by square roots of integers.
 
-A value is a finite sum ``sum_d c_d * sqrt(d)`` with rational coefficients
-``c_d`` and square-free positive radicands ``d``.  The radicand 1 carries the
-rational part.  Square roots of distinct square-free integers are linearly
-independent over the rationals, so the term map is a canonical form and
-equality is plain map equality; no floating point is involved anywhere.
+A value is a finite sum ``sum_d (n_d / D) * sqrt(d)`` over square-free
+positive radicands ``d``; the radicand 1 carries the rational part.  It is
+stored as one positive integer denominator ``D`` and a tuple of
+``(d, n_d)`` pairs with nonzero integer numerators, sorted by radicand, and
+the gcd of ``D`` and all the ``n_d`` is 1 (every result passes through
+``_canonical``, which divides it out).  Square roots of distinct
+square-free integers are linearly independent over the rationals, so this
+form is unique: ``==`` is a tuple compare, and no floating point is
+involved anywhere.
 
-Coefficients are :class:`fractions.Fraction` values, hence arbitrary
-precision.  Radicands stay small in practice (products of sqrt(m) for the
-series weights), so square-free splitting by trial division is enough; the
-parser bounds a literal ``sqrt(m)`` at m <= 10**12, which splits in about
-0.07 s.
+Sums and products work on Python ints only.  ``fractions.Fraction`` still
+appears at the edges: ``terms`` and ``rational_part`` return them,
+``from_rational`` accepts them, the public constructor and ``from_json``
+(which reads ``"n/d"`` strings) go through them, and a rational value has
+the hash of its ``Fraction`` (so ``RadicalScalar.from_rational(1)`` and
+``1`` are one set element).
+
+Radicands stay small in practice (products of sqrt(m) for the series
+weights), so square-free splitting by trial division is enough; a literal
+``sqrt(m)`` and a JSON radicand are bounded at ``m <= 10**12``
+(``_MAX_RADICAND``), which splits in about 0.07 s.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Mapping, Union
 
 __all__ = [
@@ -31,6 +42,16 @@ __all__ = [
 ]
 
 RationalLike = Union[int, Fraction]
+
+# Square-free splitting is trial division, about 0.07 s at this radicand.
+_MAX_RADICAND = 10**12
+
+
+def _bounded_radicand(m: int) -> int:
+    """``m`` itself; ValueError past ``_MAX_RADICAND``, before any splitting."""
+    if m > _MAX_RADICAND:
+        raise ValueError(f"radicand must be at most {_MAX_RADICAND}")
+    return m
 
 
 def square_free_split(m: int) -> tuple[int, int]:
@@ -64,15 +85,40 @@ def _smallest_prime_factor(n: int) -> int:
     return n
 
 
+# (denominator, ((radicand, numerator), ...)): the stored form of a value.
+Form = tuple[int, tuple[tuple[int, int], ...]]
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _reduced(form: Form) -> Form:
+    """Divide the denominator and the numerators by their gcd.
+
+    The pairs must already be sorted with square-free radicands and nonzero
+    numerators; zero, ``(D, ())``, comes out as ``(1, ())``.
+    """
+    den, pairs = form
+    g = den
+    for _, n in pairs:
+        g = gcd(g, n)
+        if g == 1:
+            return form
+    return den // g, tuple([(d, n // g) for d, n in pairs])
+
+
+def _nonzero_sorted(acc: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    return tuple([t for t in sorted(acc.items()) if t[1]])
+
+
 class RadicalScalar:
     """Element of the square-root field, kept in canonical form.
 
-    Immutable.  The term tuple is sorted by radicand and contains no zero
-    coefficients and no reducible radicands, so ``==`` and ``hash`` agree
-    with field equality.
+    Immutable.  ``_form`` is ``(denominator, pairs)`` as the module
+    docstring describes, so ``==`` and ``hash`` agree with field equality.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_form",)
 
     def __init__(
         self,
@@ -82,56 +128,64 @@ class RadicalScalar:
         acc: dict[int, Fraction] = {}
         for d, c in items:
             c = Fraction(c)
-            if not c:
-                continue
-            s, rad = square_free_split(d)
-            total = acc.get(rad, Fraction(0)) + c * s
-            if total:
-                acc[rad] = total
-            elif rad in acc:
-                del acc[rad]
-        object.__setattr__(self, "_terms", tuple(sorted(acc.items())))
+            if c:
+                s, rad = square_free_split(d)
+                acc[rad] = acc.get(rad, 0) + c * s
+        # over the lcm of lowest-terms denominators the form is already reduced
+        den = math.lcm(*(c.denominator for c in acc.values()))
+        pairs = [(d, c.numerator * (den // c.denominator)) for d, c in sorted(acc.items()) if c]
+        _set(self, "_form", (den, tuple(pairs)))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RadicalScalar is immutable")
 
     @classmethod
-    def _canonical(cls, acc: Mapping[int, Fraction]) -> "RadicalScalar":
-        # internal fast path: radicands already square-free, coeffs nonzero
-        out = object.__new__(cls)
-        object.__setattr__(out, "_terms", tuple(sorted(acc.items())))
+    def _canonical(cls, acc: Form) -> "RadicalScalar":
+        # internal fast path: pairs sorted, radicands square-free, numerators
+        # nonzero; only the gcd is left to divide out
+        out = _new(cls)
+        _set(out, "_form", acc if acc[0] == 1 else _reduced(acc))
         return out
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_rational(cls, value: RationalLike) -> "RadicalScalar":
-        return cls(((1, Fraction(value)),))
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        num = value.numerator
+        return cls._canonical((value.denominator, ((1, num),)) if num else (1, ()))
 
     @classmethod
     def sqrt_int(cls, m: int) -> "RadicalScalar":
         """Exact square root of a positive integer: sqrt(m) = s*sqrt(d)."""
         s, d = square_free_split(m)
-        return cls(((d, Fraction(s)),))
+        return cls._canonical((1, ((d, s),)))
 
     # -- inspection ---------------------------------------------------
 
+    def _fractions(self) -> Iterable[tuple[int, int, int]]:
+        """``(radicand, numerator, denominator)`` per term, in lowest terms."""
+        den, pairs = self._form
+        for d, n in pairs:
+            g = gcd(n, den)
+            yield d, n // g, den // g
+
     @property
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
-        return self._terms
+        return tuple((d, Fraction(p, q)) for d, p, q in self._fractions())
 
     def is_rational(self) -> bool:
-        return all(d == 1 for d, _ in self._terms)
+        pairs = self._form[1]
+        return not pairs or (len(pairs) == 1 and pairs[0][0] == 1)
 
     @property
     def rational_part(self) -> Fraction:
-        for d, c in self._terms:
-            if d == 1:
-                return c
-        return Fraction(0)
+        den, pairs = self._form
+        return Fraction(pairs[0][1], den) if pairs and pairs[0][0] == 1 else Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._form[1])
 
     # -- ring operations ----------------------------------------------
 
@@ -144,23 +198,31 @@ class RadicalScalar:
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other: "RadicalScalar | RationalLike") -> "RadicalScalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        acc = dict(self._terms)
-        for d, c in other._terms:
-            total = acc.get(d)
-            total = c if total is None else total + c
-            if total:
-                acc[d] = total
-            else:
-                del acc[d]
-        return RadicalScalar._canonical(acc)
+        if not isinstance(other, RadicalScalar):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        den, a = self._form
+        den2, b = other._form
+        if den == den2:
+            if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
+                n = a[0][1] + b[0][1]
+                return RadicalScalar._canonical((den, ((a[0][0], n),)) if n else (1, ()))
+            ka = kb = 1
+        else:  # over the lcm of the two denominators
+            g = gcd(den, den2)
+            ka, kb = den2 // g, den // g
+            den *= ka
+        acc = {d: n * ka for d, n in a}
+        for d, n in b:
+            acc[d] = acc.get(d, 0) + n * kb
+        return RadicalScalar._canonical((den, _nonzero_sorted(acc)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RadicalScalar":
-        return RadicalScalar._canonical({d: -c for d, c in self._terms})
+        den, pairs = self._form
+        return RadicalScalar._canonical((den, tuple([(d, -n) for d, n in pairs])))
 
     def __sub__(self, other: "RadicalScalar | RationalLike") -> "RadicalScalar":
         other = self._coerce(other)
@@ -172,24 +234,26 @@ class RadicalScalar:
         return -(self - other)
 
     def __mul__(self, other: "RadicalScalar | RationalLike") -> "RadicalScalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        acc: dict[int, Fraction] = {}
-        for d1, c1 in self._terms:
-            for d2, c2 in other._terms:
-                g = math.gcd(d1, d2)
-                # sqrt(d1)*sqrt(d2) = g*sqrt((d1/g)*(d2/g)); both factors are
-                # square-free and coprime, so the product is square-free.
+        if not isinstance(other, RadicalScalar):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        den, a = self._form
+        den2, b = other._form
+        # sqrt(d1)*sqrt(d2) = g*sqrt((d1/g)*(d2/g)) with g = gcd(d1, d2); both
+        # factors are square-free and coprime, so the product is square-free.
+        if len(a) == 1 and len(b) == 1:
+            (d1, n1), (d2, n2) = a[0], b[0]
+            g = gcd(d1, d2)
+            rad = (d1 // g) * (d2 // g)
+            return RadicalScalar._canonical((den * den2, ((rad, n1 * n2 * g),)))
+        acc: dict[int, int] = {}
+        for d1, n1 in a:
+            for d2, n2 in b:
+                g = gcd(d1, d2)
                 rad = (d1 // g) * (d2 // g)
-                c = c1 * c2 * g
-                total = acc.get(rad)
-                total = c if total is None else total + c
-                if total:
-                    acc[rad] = total
-                elif rad in acc:
-                    del acc[rad]
-        return RadicalScalar._canonical(acc)
+                acc[rad] = acc.get(rad, 0) + n1 * n2 * g
+        return RadicalScalar._canonical((den * den2, _nonzero_sorted(acc)))
 
     __rmul__ = __mul__
 
@@ -201,14 +265,18 @@ class RadicalScalar:
         without p (the conjugation is a field automorphism, so the product
         is nonzero) and recursion terminates.
         """
-        if not self._terms:
+        den, pairs = self._form
+        if not pairs:
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
-            return RadicalScalar.from_rational(1 / self.rational_part)
-        p = max(_smallest_prime_factor(d) for d, _ in self._terms if d > 1)
-        plain = [(d, c) for d, c in self._terms if d % p]
-        carried = [(d // p, c) for d, c in self._terms if d % p == 0]
-        conj = RadicalScalar(plain) - RadicalScalar.sqrt_int(p) * RadicalScalar(carried)
+            n = pairs[0][1]
+            return RadicalScalar._canonical((abs(n), ((1, den if n > 0 else -den),)))
+        p = max(_smallest_prime_factor(d) for d, _ in pairs if d > 1)
+        plain = RadicalScalar._canonical((den, tuple([(d, n) for d, n in pairs if d % p])))
+        carried = RadicalScalar._canonical(
+            (den, tuple([(d // p, n) for d, n in pairs if d % p == 0]))
+        )
+        conj = plain - RadicalScalar.sqrt_int(p) * carried
         norm = self * conj
         return conj * norm.inverse()
 
@@ -221,19 +289,28 @@ class RadicalScalar:
     # -- comparison / hashing ------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, RadicalScalar):
+            return self._form == other._form
         if isinstance(other, (int, Fraction)):
-            other = RadicalScalar.from_rational(other)
-        if not isinstance(other, RadicalScalar):
-            return NotImplemented
-        return self._terms == other._terms
+            num = other.numerator
+            return self._form == ((other.denominator, ((1, num),)) if num else (1, ()))
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._terms)
+        den, pairs = self._form
+        if not pairs:
+            return 0  # hash(0)
+        if len(pairs) == 1 and pairs[0][0] == 1:
+            # a rational value hashes as its Fraction, so as its int when whole
+            n = pairs[0][1]
+            return hash(n) if den == 1 else hash(Fraction(n, den))
+        return hash(self._form)
 
     # -- conversion -----------------------------------------------------
 
     def to_float(self) -> float:
-        return sum(float(c) * math.sqrt(d) for d, c in self._terms)
+        den, pairs = self._form
+        return sum(n / den * math.sqrt(d) for d, n in pairs)
 
     def __str__(self) -> str:
         return scalar_text(self)
@@ -244,14 +321,14 @@ class RadicalScalar:
     # -- JSON ------------------------------------------------------------
 
     def to_json(self) -> list[dict[str, object]]:
-        return [
-            {"radicand": d, "coeff": f"{c.numerator}/{c.denominator}"}
-            for d, c in self._terms
-        ]
+        return [{"radicand": d, "coeff": f"{p}/{q}"} for d, p, q in self._fractions()]
 
     @classmethod
     def from_json(cls, data: Iterable[Mapping[str, object]]) -> "RadicalScalar":
-        return cls([(int(item["radicand"]), Fraction(str(item["coeff"]))) for item in data])
+        return cls(
+            (_bounded_radicand(int(item["radicand"])), Fraction(str(item["coeff"])))
+            for item in data
+        )
 
 
 ZERO = RadicalScalar()
@@ -262,7 +339,7 @@ ONE = RadicalScalar.from_rational(1)
 def sqrt_int(m: int) -> RadicalScalar:
     """:meth:`RadicalScalar.sqrt_int`, memoised: the series weights and the rho
     towers ask for a few small radicands thousands of times, and each split
-    builds ``Fraction``s.  ``typed`` keeps ``2.0`` a ValueError after ``2``."""
+    is trial division.  ``typed`` keeps ``2.0`` a ValueError after ``2``."""
     return RadicalScalar.sqrt_int(m)
 
 
@@ -283,12 +360,12 @@ def _join_signed(pieces: Iterable[tuple[bool, str]]) -> str:
 def scalar_text(c: RadicalScalar, unicode: bool = False) -> str:
     """Canonical scalar rendering, ``1/2 - 3*sqrt(2)``; optionally with the radical glyph."""
     pieces = []
-    for d, q in c.terms:
-        mag = str(abs(q))  # Fraction prints "n" or "n/d"
+    for d, p, q in c._fractions():
+        mag = str(abs(p)) if q == 1 else f"{abs(p)}/{q}"
         if d > 1:
             root = f"√{d}" if unicode else f"sqrt({d})"
-            mag = root if abs(q) == 1 else f"{mag}*{root}"
-        pieces.append((q < 0, mag))
+            mag = root if abs(p) == q == 1 else f"{mag}*{root}"
+        pieces.append((p < 0, mag))
     return _join_signed(pieces)
 
 
@@ -300,10 +377,11 @@ def signed_sum_text(terms: Iterable[tuple[RadicalScalar, str]], unicode: bool = 
     """
     pieces = []
     for c, body in terms:
-        neg = bool(c) and c.terms[0][1] < 0
+        pairs = c._form[1]
+        neg = bool(pairs) and pairs[0][1] < 0
         mag = -c if neg else c
         if mag != ONE:
             text = scalar_text(mag, unicode)
-            body = f"({text})*{body}" if len(mag.terms) > 1 else f"{text}*{body}"
+            body = f"({text})*{body}" if len(pairs) > 1 else f"{text}*{body}"
         pieces.append((neg, body))
     return _join_signed(pieces)
