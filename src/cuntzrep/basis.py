@@ -23,8 +23,7 @@ cycle letter (else annihilate).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 __all__ = [
     "ALPHABET",
@@ -73,17 +72,32 @@ def _check_component(pos: int, word: str) -> None:
         )
 
 
-@dataclass(frozen=True, slots=True)
 class RepSpec:
-    """Validated direct sum of cycle components."""
+    """Validated direct sum of cycle components; immutable, equal by components."""
 
-    components: tuple[str, ...]
+    __slots__ = ("components",)
 
-    def __post_init__(self) -> None:
-        if not self.components:
+    def __init__(self, components: Sequence[str]) -> None:
+        if not components:
             raise RepValidationError("representation needs at least one cycle word")
-        for pos, word in enumerate(self.components):
+        for pos, word in enumerate(components):
             _check_component(pos, word)
+        object.__setattr__(self, "components", tuple(components))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("RepSpec is immutable")
+
+    def __reduce__(self) -> tuple:
+        return RepSpec, (self.components,)
+
+    def __eq__(self, other: object) -> bool:
+        return self.components == other.components if type(other) is RepSpec else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.components)
+
+    def __repr__(self) -> str:
+        return f"RepSpec(components={self.components!r})"
 
     @classmethod
     def parse(cls, text: str) -> "RepSpec":
@@ -104,11 +118,10 @@ def validate_rep(components: Sequence[str] | RepSpec) -> RepSpec:
     """Build a validated RepSpec; errors name the offending component."""
     if isinstance(components, RepSpec):
         return components
-    return RepSpec(tuple(components))
+    return RepSpec(components)
 
 
-@dataclass(frozen=True, slots=True)
-class BasisLabel:
+class BasisLabel(NamedTuple):
     """Normal-form name of one reference basis vector."""
 
     component: int

@@ -15,10 +15,9 @@ import json
 import sys
 from typing import Optional
 
-from .basis import RepValidationError, enumerate_basis
+from .basis import enumerate_basis
 from .operators import apply as apply_operator, kernel_cache_clear
 from .parsing import (
-    ParseError,
     ket_text,
     parse_expr,
     parse_rep,
@@ -27,7 +26,7 @@ from .parsing import (
     serialize_vector,
     vector_to_json,
 )
-from .polynorm import PolynomialError, collapse, poly_normal_form, render_monomials
+from .polynorm import collapse, poly_normal_form, render_monomials
 from .suites import (
     DEFAULT_DEPTH,
     DEFAULT_M_MAX,
@@ -101,7 +100,7 @@ def _run_expand(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(nf.to_json(), indent=2))
     else:
-        print(render_monomials(collapse(nf.terms)))
+        print(render_monomials(collapse(nf.terms), unicode=args.unicode))
     return 0
 
 
@@ -170,7 +169,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         return _DISPATCH[args.subcommand](args)
-    except (ParseError, RepValidationError, PolynomialError, ValueError) as exc:
+    except ValueError as exc:  # ParseError, RepValidationError, PolynomialError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

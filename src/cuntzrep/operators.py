@@ -1,7 +1,10 @@
 """Symbolic operators on the reference subspace and their exact evaluation.
 
-Expression nodes cover the two canonical generators, adjoints, products,
-linear combinations, and the named families built from them:
+Expression nodes are immutable ``OperatorExpr`` tuples, one class per
+operator kind; the classes are the lower-case constructors (``fermion is
+Fermion``), and ``prod``, ``lincomb``, ``scaled`` and ``adjoint`` build the
+composite nodes.  Nodes cover the two canonical generators, adjoints,
+products, linear combinations, and the named families built from them:
 
 * ``Iso(n)``        the embedded isometries   s_n = t2^(n-1) t1
 * ``Fermion(n)``    the recursive fermions    a_1 = t1 t2*,  a_n = zeta(a_{n-1})
@@ -31,9 +34,9 @@ the memoised ``scalars.sqrt_int`` that the kernel uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from operator import itemgetter
+from typing import Callable, Optional
 
 from .basis import BasisLabel, RepSpec, apply_gen, apply_gen_adjoint
 from .scalars import RadicalScalar, ONE, sqrt_int
@@ -90,168 +93,160 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Gen:
+class OperatorExpr(tuple):
+    """Base of every expression node: the tuple ``(token, *fields)``.
+
+    A subclass names one operator kind once: its parse ``token``, its
+    ``fields`` (read back as properties) and, for an indexed family, its
+    ``least`` index.  The class is the constructor: this ``__new__`` takes
+    one unchecked field, and a kind with no field or with arguments to
+    check overrides it.  Nodes are immutable, equal and hashed as their
+    tuples (the token keeps kinds apart), and pickle and copy through
+    ``__getnewargs__``.
+    """
+
+    __slots__ = ()
+    token = ""
+    fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        for i, name in enumerate(cls.__dict__.get("fields", ()), 1):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __new__(cls, arg: object):
+        return tuple.__new__(cls, (cls.token, arg))
+
+    def __getnewargs__(self) -> tuple:
+        return self[1:]
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(self.fields, self[1:]))
+        return f"{type(self).__name__}({args})"
+
+
+class Gen(OperatorExpr):
     """Canonical generator t_1 or t_2."""
 
-    letter: int
+    __slots__ = ()
+    token, fields = "t", ("letter",)
+
+    def __new__(cls, letter: int):
+        if letter not in (1, 2):
+            raise ValueError(f"generator letter must be 1 or 2, got {letter!r}")
+        return tuple.__new__(cls, (cls.token, letter))
 
 
-@dataclass(frozen=True, slots=True)
-class Adj:
+class Adj(OperatorExpr):
     """Adjoint of an atomic or named node (kept unexpanded)."""
 
-    arg: "OperatorExpr"
+    __slots__ = ()
+    token, fields = "*", ("arg",)
 
 
-@dataclass(frozen=True, slots=True)
-class Prod:
+class Prod(OperatorExpr):
     """Composition; factors act right to left."""
 
-    factors: tuple["OperatorExpr", ...]
+    __slots__ = ()
+    token, fields = ".", ("factors",)
 
 
-@dataclass(frozen=True, slots=True)
-class LinComb:
-    """Scalar combination sum_k c_k e_k."""
+class LinComb(OperatorExpr):
+    """Scalar combination sum_k c_k e_k, as a tuple of (c_k, e_k) parts."""
 
-    parts: tuple[tuple[RadicalScalar, "OperatorExpr"], ...]
-
-
-@dataclass(frozen=True, slots=True)
-class Ident:
-    pass
+    __slots__ = ()
+    token, fields = "+", ("parts",)
 
 
-@dataclass(frozen=True, slots=True)
-class Iso:
-    n: int
+class Ident(OperatorExpr):
+    __slots__ = ()
+    token = "I"
+
+    def __new__(cls):
+        return tuple.__new__(cls, (cls.token,))
 
 
-@dataclass(frozen=True, slots=True)
-class Fermion:
-    n: int
+class ShiftSeries(OperatorExpr):
+    __slots__ = ()
+    token = "Y"
+
+    def __new__(cls):
+        return tuple.__new__(cls, (cls.token,))
 
 
-@dataclass(frozen=True, slots=True)
-class Psi:
+class Rho(OperatorExpr):
+    __slots__ = ()
+    token, fields = "rho", ("arg",)
+
+
+class Zeta(OperatorExpr):
+    __slots__ = ()
+    token, fields = "zeta", ("arg",)
+
+
+class Psi(OperatorExpr):
     """Fermion indexed by the half-integer numer/2 (numer odd, nonzero)."""
 
-    numer: int
+    __slots__ = ()
+    token, fields = "psi", ("numer",)
+
+    def __new__(cls, numer: int):
+        if not isinstance(numer, int) or numer == 0 or numer % 2 == 0:
+            raise ValueError(f"psi index must be an odd half-integer p/2, got numerator {numer!r}")
+        return tuple.__new__(cls, (cls.token, numer))
 
 
-@dataclass(frozen=True, slots=True)
-class Boson:
-    n: int
+class _Indexed(OperatorExpr):
+    """A family member x_n, defined for every integer n >= ``least``."""
+
+    __slots__ = ()
+    fields = ("n",)
+    least = 1
+
+    def __new__(cls, n: int):
+        if not isinstance(n, int) or n < cls.least:
+            raise ValueError(f"{cls.token} index must be an integer >= {cls.least}, got {n!r}")
+        return tuple.__new__(cls, (cls.token, n))
 
 
-@dataclass(frozen=True, slots=True)
-class RangeProj:
-    n: int
+class Iso(_Indexed):
+    __slots__ = ()
+    token = "s"
 
 
-@dataclass(frozen=True, slots=True)
-class PartialShift:
-    n: int
+class Fermion(_Indexed):
+    __slots__ = ()
+    token = "a"
 
 
-@dataclass(frozen=True, slots=True)
-class ShiftSeries:
-    pass
+class Boson(_Indexed):
+    __slots__ = ()
+    token = "b"
 
 
-@dataclass(frozen=True, slots=True)
-class Cluster:
-    n: int
+class RangeProj(_Indexed):
+    __slots__ = ()
+    token, least = "W", 0
 
 
-@dataclass(frozen=True, slots=True)
-class Rho:
-    arg: "OperatorExpr"
+class PartialShift(_Indexed):
+    __slots__ = ()
+    token = "X"
 
 
-@dataclass(frozen=True, slots=True)
-class Zeta:
-    arg: "OperatorExpr"
+class Cluster(_Indexed):
+    __slots__ = ()
+    token = "F"
 
 
-OperatorExpr = Union[
-    Gen, Adj, Prod, LinComb, Ident, Iso, Fermion, Psi, Boson,
-    RangeProj, PartialShift, ShiftSeries, Cluster, Rho, Zeta,
-]
-
-
-# ---------------------------------------------------------------------------
-# Constructors with range validation
-# ---------------------------------------------------------------------------
-
-
-def _require_index(n: int, least: int, what: str) -> None:
-    if not isinstance(n, int) or n < least:
-        raise ValueError(f"{what} index must be an integer >= {least}, got {n!r}")
-
-
-def gen(i: int) -> Gen:
-    if i not in (1, 2):
-        raise ValueError(f"generator letter must be 1 or 2, got {i!r}")
-    return Gen(i)
-
-
-def ident() -> Ident:
-    return Ident()
-
-
-def iso(n: int) -> Iso:
-    _require_index(n, 1, "s")
-    return Iso(n)
-
-
-def fermion(n: int) -> Fermion:
-    _require_index(n, 1, "a")
-    return Fermion(n)
-
-
-def psi(numer: int) -> Psi:
-    if not isinstance(numer, int) or numer == 0 or numer % 2 == 0:
-        raise ValueError(f"psi index must be an odd half-integer p/2, got numerator {numer!r}")
-    return Psi(numer)
+# The lower-case constructors are the classes.
+gen, ident, iso, fermion, psi, boson = Gen, Ident, Iso, Fermion, Psi, Boson
+range_proj, partial_shift, shift_series, cluster = RangeProj, PartialShift, ShiftSeries, Cluster
+rho, zeta = Rho, Zeta
 
 
 def psi_fermion_index(numer: int) -> int:
     """Half-integer relabeling: p/2 > 0 maps to a_{p+1}, p/2 < 0 to a_{-p}."""
     return numer + 1 if numer > 0 else -numer
-
-
-def boson(n: int) -> Boson:
-    _require_index(n, 1, "b")
-    return Boson(n)
-
-
-def range_proj(n: int) -> RangeProj:
-    _require_index(n, 0, "W")
-    return RangeProj(n)
-
-
-def partial_shift(n: int) -> PartialShift:
-    _require_index(n, 1, "X")
-    return PartialShift(n)
-
-
-def shift_series() -> ShiftSeries:
-    return ShiftSeries()
-
-
-def cluster(n: int) -> Cluster:
-    _require_index(n, 1, "F")
-    return Cluster(n)
-
-
-def rho(x: OperatorExpr) -> Rho:
-    return Rho(x)
-
-
-def zeta(x: OperatorExpr) -> Zeta:
-    return Zeta(x)
 
 
 def prod(*factors: OperatorExpr) -> OperatorExpr:
@@ -302,10 +297,8 @@ def adjoint(e: OperatorExpr) -> OperatorExpr:
         return Prod(tuple(adjoint(f) for f in reversed(e.factors)))
     if isinstance(e, LinComb):
         return LinComb(tuple((c, adjoint(x)) for c, x in e.parts))
-    if isinstance(e, Rho):
-        return Rho(adjoint(e.arg))
-    if isinstance(e, Zeta):
-        return Zeta(adjoint(e.arg))
+    if isinstance(e, (Rho, Zeta)):
+        return type(e)(adjoint(e.arg))
     return Adj(e)
 
 
@@ -367,7 +360,7 @@ def eval_series_b1_raw(v: StateVector) -> StateVector:
 
 def range_proj_definition(n: int) -> OperatorExpr:
     """W_n as written in fermions: a_{n+1} a_{n+1}* a_n* a_n ... a_1* a_1."""
-    _require_index(n, 0, "W")
+    RangeProj(n)  # the index check
     factors: list[OperatorExpr] = [Fermion(n + 1), Adj(Fermion(n + 1))]
     for j in range(n, 0, -1):
         factors.extend((Adj(Fermion(j)), Fermion(j)))
@@ -376,7 +369,7 @@ def range_proj_definition(n: int) -> OperatorExpr:
 
 def partial_shift_definition(n: int) -> OperatorExpr:
     """X_n as written in fermions: a_1* a_1 ... a_{n-1}* a_{n-1} a_n* a_{n+1}."""
-    _require_index(n, 1, "X")
+    PartialShift(n)  # the index check
     factors: list[OperatorExpr] = []
     for j in range(1, n):
         factors.extend((Adj(Fermion(j)), Fermion(j)))

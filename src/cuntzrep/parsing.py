@@ -31,22 +31,22 @@ from typing import Callable, Optional, Union
 
 from .basis import BasisLabel, RepSpec, normalize_label
 from .operators import (
+    Boson,
+    Cluster,
+    Fermion,
+    Gen,
+    Ident,
+    Iso,
     OperatorExpr,
+    PartialShift,
+    Psi,
+    RangeProj,
+    Rho,
+    ShiftSeries,
+    Zeta,
     adj,
-    boson,
-    cluster,
-    fermion,
-    gen,
-    ident,
-    iso,
     lincomb,
-    partial_shift,
     prod,
-    psi,
-    range_proj,
-    rho,
-    shift_series,
-    zeta,
 )
 from .scalars import _bounded_radicand, ONE, RadicalScalar, signed_sum_text, sqrt_int
 from .states import StateVector
@@ -81,11 +81,17 @@ _MAX_INDEX = 4096
 # level and exhausts Python's default recursion limit at about 160 levels;
 # at this bound apply on rep 112 and expand run well inside it.
 _MAX_NESTING = 64
-# One alternation, tried in order at each position: names longest first where
-# they share a prefix ("sqrt" before "s"); a group's name is its token kind.
+# Operator names, read from the node classes.
+_ATOMS = {f"{Gen.token}{i}": Gen(i) for i in (1, 2)}
+_ATOMS |= {e.token: e for e in (ShiftSeries(), Ident())}
+_INDEXED = {cls.token: cls for cls in (Iso, Fermion, Boson, RangeProj, PartialShift, Cluster)}
+_TRANSFORMERS = {cls.token: cls for cls in (Rho, Zeta)}
+_NAMES = ("sqrt", "vac", Psi.token, *_ATOMS, *_INDEXED, *_TRANSFORMERS)
+# One alternation, tried in order at each position: names longest first, so
+# "sqrt" comes before "s"; a group's name is its token kind.
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<KET>\|(?:(\d+):)?([12]*);(\d+)>)|(?P<NUM>\d+)"
-    r"|(?P<NAME>sqrt|zeta|psi|rho|vac|t1|t2|W|X|Y|F|I|s|a|b)"
+    rf"|(?P<NAME>{'|'.join(sorted(_NAMES, key=len, reverse=True))})"
     r"|(?P<LP>\()|(?P<RP>\))|(?P<STAR>\*)|(?P<DOT>\.)|(?P<PLUS>\+)|(?P<MINUS>-)|(?P<SLASH>/)"
     r"|(?P<EOF>\Z))"
 )
@@ -260,10 +266,6 @@ def _signed(negated: bool, coeff: Optional[RadicalScalar]) -> RadicalScalar:
 # Operator expressions
 # ---------------------------------------------------------------------------
 
-_ATOMS = {"t1": gen(1), "t2": gen(2), "Y": shift_series(), "I": ident()}
-_INDEXED = {"s": iso, "a": fermion, "b": boson, "W": range_proj, "X": partial_shift, "F": cluster}
-
-
 def _index(num: Token) -> int:
     n = int(num[1])
     if n > _MAX_INDEX:
@@ -296,7 +298,7 @@ def _parse_psi(p: _Parser) -> OperatorExpr:
         raise ParseError("psi index must be a half-integer p/2", den[2])
     numer = sign * _index(num)
     try:
-        return psi(numer)
+        return Psi(numer)
     except ValueError as exc:
         raise ParseError(str(exc), num[2]) from None
 
@@ -319,12 +321,12 @@ def _parse_primary(p: _Parser) -> Factor:
             e = _ATOMS[text]
         elif text in _INDEXED:
             e = _parse_indexed(p, text)
-        elif text == "psi":
+        elif text == Psi.token:
             e = _parse_psi(p)
         else:
             p.expect("LP", "'('")
             arg = p.group(pos, _parse_sum)
-            e = rho(arg) if text == "rho" else zeta(arg)
+            e = _TRANSFORMERS[text](arg)
     while p.peek()[0] == "STAR":
         p.next()
         e = adj(e)

@@ -28,8 +28,7 @@ minimal equivalent monomial list independent of the chosen depth.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .operators import (
     Adj,
@@ -130,16 +129,6 @@ def _fermion_monomials(n: int) -> list[Monomial]:
     return out
 
 
-def _series_error(e: OperatorExpr) -> PolynomialError:
-    token = {
-        Boson: lambda x: f"b({x.n})",
-        Cluster: lambda x: f"F({x.n})",
-        ShiftSeries: lambda x: "Y",
-        Rho: lambda x: "rho(...)",
-    }[type(e)](e)
-    return PolynomialError(f"{token} is a series operator; it has no polynomial normal form")
-
-
 def monomials(e: OperatorExpr) -> list[Monomial]:
     """Lower a polynomial expression to reduced monomials (unmerged)."""
     if isinstance(e, Gen):
@@ -179,7 +168,8 @@ def monomials(e: OperatorExpr) -> list[Monomial]:
         out.extend((-c, "2" + u, "2" + v) for c, u, v in inner)
         return out
     if isinstance(e, (Boson, Cluster, ShiftSeries, Rho)):
-        raise _series_error(e)
+        text = e.token + ("(...)" if isinstance(e, Rho) else f"({e.n})" if e.fields else "")
+        raise PolynomialError(f"{text} is a series operator; it has no polynomial normal form")
     raise TypeError(f"not an operator expression: {e!r}")
 
 
@@ -196,8 +186,7 @@ def _merge(terms: list[Monomial]) -> dict[tuple[str, str], RadicalScalar]:
     return acc
 
 
-@dataclass(frozen=True)
-class PolyNormalForm:
+class PolyNormalForm(NamedTuple):
     """Merged monomial list with all left words refined to one length."""
 
     depth: int
@@ -307,9 +296,11 @@ def apply_normal_form(nf: PolyNormalForm, v: StateVector) -> StateVector:
     return out
 
 
-def render_monomials(terms: list[Monomial] | tuple[Monomial, ...]) -> str:
-    """ASCII rendering, e.g. ``t1t1t2*t1* - t2t1t2*t2*`` or ``I``."""
+def render_monomials(terms: list[Monomial] | tuple[Monomial, ...], unicode: bool = False) -> str:
+    """Text rendering, e.g. ``t1t1t2*t1* - t2t1t2*t2*`` or ``I``; ``unicode``
+    writes radicals as ``√2``, as ``scalars.signed_sum_text`` does."""
     return signed_sum_text(
-        (c, "".join(f"t{ch}" for ch in u) + "".join(f"t{ch}*" for ch in reversed(v)) or "I")
-        for c, u, v in terms
+        ((c, "".join(f"t{ch}" for ch in u) + "".join(f"t{ch}*" for ch in reversed(v)) or "I")
+         for c, u, v in terms),
+        unicode,
     )

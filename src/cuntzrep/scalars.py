@@ -139,6 +139,9 @@ class RadicalScalar:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RadicalScalar is immutable")
 
+    def __reduce__(self) -> tuple:
+        return RadicalScalar, (self.terms,)
+
     @classmethod
     def _canonical(cls, acc: Form) -> "RadicalScalar":
         # internal fast path: pairs sorted, radicands square-free, numerators

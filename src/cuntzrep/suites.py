@@ -29,7 +29,6 @@ pass condition is internal consistency of the commutation relations only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterable, Sequence, Union
@@ -97,16 +96,14 @@ _I = ident()
 _ZERO = lincomb()
 
 
-@dataclass
 class CheckReport:
     """Outcome of one suite run, JSON-serializable and deterministic."""
 
-    suite: str
-    rep: str
-    params: dict[str, int]
-    cases: int = 0
-    failures: list[dict[str, str]] = field(default_factory=list)
-    measured: dict[str, object] = field(default_factory=dict)
+    def __init__(self, suite: str, rep: str, params: dict[str, int]) -> None:
+        self.suite, self.rep, self.params = suite, rep, params
+        self.cases = 0
+        self.failures: list[dict[str, str]] = []
+        self.measured: dict[str, object] = {}
 
     @property
     def passed(self) -> bool:

@@ -61,6 +61,12 @@ def test_apply_unicode_output(capsys):
     assert out == "Ω_1\n"
 
 
+def test_expand_unicode_output(capsys):
+    rc, out, _ = run(capsys, ["expand", "--expr", "sqrt(2)*a(1)", "--unicode"])
+    assert rc == 0
+    assert out == "√2*t1t2*\n"
+
+
 def test_parse_error_exits_two(capsys):
     rc, out, err = run(capsys, ["apply", "--rep", "1", "--expr", "q", "--state", "vac"])
     assert rc == 2
@@ -135,6 +141,15 @@ def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
         captured = capsys.readouterr()
         done = fresh_cli(argv)
         assert (rc, captured.out, captured.err) == (done.returncode, done.stdout, done.stderr)
+
+
+def test_cli_import_leaves_dataclasses_out():
+    env = dict(os.environ, PYTHONPATH=str(Path(cuntzrep.__file__).parents[1]))
+    code = "import sys, cuntzrep.cli; print('dataclasses' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10
+    )
+    assert (done.returncode, done.stdout) == (0, "False\n")
 
 
 @pytest.mark.parametrize("expr", ["a(3000)", "F(400)"])

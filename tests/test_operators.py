@@ -1,5 +1,7 @@
 """Operator evaluation against hand-computed reference values."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -207,23 +209,74 @@ def test_scaled_and_lincomb_evaluate_linearly():
     assert apply(e, v) == v + apply(gen(1), v).scale(half)
 
 
-def test_constructor_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        fermion(0)
-    with pytest.raises(ValueError):
-        boson(0)
-    with pytest.raises(ValueError):
-        iso(0)
-    with pytest.raises(ValueError):
-        cluster(0)
-    with pytest.raises(ValueError):
-        range_proj(-1)
-    with pytest.raises(ValueError):
-        psi(2)
-    with pytest.raises(ValueError):
-        psi(0)
-    with pytest.raises(ValueError):
-        gen(3)
+@pytest.mark.parametrize(
+    "build, arg, message",
+    [
+        (iso, 0, "s index must be an integer >= 1, got 0"),
+        (fermion, 0, "a index must be an integer >= 1, got 0"),
+        (boson, 0, "b index must be an integer >= 1, got 0"),
+        (range_proj, -1, "W index must be an integer >= 0, got -1"),
+        (partial_shift, 0, "X index must be an integer >= 1, got 0"),
+        (cluster, 0, "F index must be an integer >= 1, got 0"),
+        (fermion, "2", "a index must be an integer >= 1, got '2'"),
+        (psi, 2, "psi index must be an odd half-integer p/2, got numerator 2"),
+        (psi, 0, "psi index must be an odd half-integer p/2, got numerator 0"),
+        (gen, 3, "generator letter must be 1 or 2, got 3"),
+    ],
+)
+def test_constructor_rejects_bad_indices(build, arg, message):
+    with pytest.raises(ValueError) as err:
+        build(arg)
+    assert str(err.value) == message
+
+
+def test_kinds_stay_distinct():
+    assert fermion(3) != boson(3)
+    assert iso(1) != fermion(1)
+    assert adjoint(fermion(1)) != fermion(1)
+    assert rho(gen(1)) != zeta(gen(1))
+    family = [f(3) for f in (iso, fermion, boson, range_proj, partial_shift, cluster)]
+    assert len(set(family)) == len(family)
+    assert range_proj(0).n == 0
+    assert fermion(3) == fermion(3) and hash(fermion(3)) == hash(fermion(3))
+
+
+def test_nodes_and_reps_are_immutable():
+    for value, field in ((fermion(2), "n"), (prod(gen(1), gen(2)), "factors"), (FOCK, "components")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        gen(1),
+        adjoint(fermion(2)),
+        prod(gen(1), gen(2)),
+        scaled(sqrt_int(2), iso(3)),
+        ident(),
+        iso(2),
+        fermion(3),
+        psi(-3),
+        boson(2),
+        range_proj(0),
+        partial_shift(2),
+        shift_series(),
+        cluster(2),
+        rho(gen(2)),
+        zeta(fermion(1)),
+        rho(prod(fermion(2), adjoint(fermion(3)))),
+        WEDGE,
+        BasisLabel(0, "12", 1),
+        poly_normal_form(scaled(sqrt_int(2), fermion(2))),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_values_survive_pickle_and_deepcopy(value):
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert twin == value
+        assert type(twin) is type(value)
+        assert hash(twin) == hash(value)
 
 
 _LABELS = enumerate_basis(WEDGE, 3)

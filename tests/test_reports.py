@@ -107,19 +107,19 @@ GOLDEN = {
     "expand --expr (1 + sqrt(2))*a(3) a(3)* - 3/4*a(1)* a(2) + sqrt(6)*zeta(a(1)) --format json":
         (0, "972cd5dacf592980e6711245cb7c98d914d15895aef0577c3e5eac3666fa80c7"),
     "expand --expr (1 + sqrt(2))*a(3) a(3)* - 3/4*a(1)* a(2) + sqrt(6)*zeta(a(1)) --unicode":
-        (0, "5f83b0256c95435e18998a9ca071dccdef8f97db5d549d365034857ba2668203"),
+        (0, "071896134613229d0592321437f2ab25a161be03907686382a1023fd78e706fc"),
     "expand --expr sqrt(2)*a(1)* sqrt(3)*a(2) + 1/6*sqrt(6)*a(2) a(1)* --depth 3":
         (0, "d656c50fc8074421a8a19db679dc26d5be781aa6b1a3db321823567e50b006e4"),
     "expand --expr sqrt(2)*a(1)* sqrt(3)*a(2) + 1/6*sqrt(6)*a(2) a(1)* --depth 3 --format json":
         (0, "9707d9d8be75c02449de302d0358f05c4e861c041c1ec1113357a600610e60ad"),
     "expand --expr sqrt(2)*a(1)* sqrt(3)*a(2) + 1/6*sqrt(6)*a(2) a(1)* --depth 3 --unicode":
-        (0, "d656c50fc8074421a8a19db679dc26d5be781aa6b1a3db321823567e50b006e4"),
+        (0, "7750db7fc170c3a7b88c56788a9dbcfb8d50eda9410e790b19340a45151c51bd"),
     "expand --expr (sqrt(3) - 1/2)*W(1) + 2/3*sqrt(5)*X(2)":
         (0, "d08c4bcec34a24c1e4ee93fa1262fcf40007327856aeecedc0beec6eafe70cd2"),
     "expand --expr (sqrt(3) - 1/2)*W(1) + 2/3*sqrt(5)*X(2) --format json":
         (0, "8cc2e3fcfe282bd23d7c2890341d147d800e703df3be12ad963290b673bba1a7"),
     "expand --expr (sqrt(3) - 1/2)*W(1) + 2/3*sqrt(5)*X(2) --unicode":
-        (0, "d08c4bcec34a24c1e4ee93fa1262fcf40007327856aeecedc0beec6eafe70cd2"),
+        (0, "f809979c927fa6342b1f995d07f70c654711a35b78977eecda1e832a1689d658"),
 }
 
 
