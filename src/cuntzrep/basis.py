@@ -73,9 +73,12 @@ def _check_component(pos: int, word: str) -> None:
 
 
 class RepSpec:
-    """Validated direct sum of cycle components; immutable, equal by components."""
+    """Validated direct sum of cycle components; immutable, equal by components.
 
-    __slots__ = ("components",)
+    The hash is computed once: every kernel cache lookup hashes the rep.
+    """
+
+    __slots__ = ("components", "_hash")
 
     def __init__(self, components: Sequence[str]) -> None:
         if not components:
@@ -83,6 +86,7 @@ class RepSpec:
         for pos, word in enumerate(components):
             _check_component(pos, word)
         object.__setattr__(self, "components", tuple(components))
+        object.__setattr__(self, "_hash", hash(self.components))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RepSpec is immutable")
@@ -94,7 +98,7 @@ class RepSpec:
         return self.components == other.components if type(other) is RepSpec else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.components)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"RepSpec(components={self.components!r})"
@@ -159,6 +163,11 @@ def normalize_label(rep: RepSpec, component: int, word: str, node: int) -> Basis
     return BasisLabel(component, word, node)
 
 
+def _word_bound_error() -> ValueError:
+    """The error of a step that would build a word past ``_MAX_WORD_LENGTH``."""
+    return ValueError(f"a basis word would pass the bound of {_MAX_WORD_LENGTH} letters")
+
+
 def apply_gen(rep: RepSpec, i: int, label: BasisLabel) -> BasisLabel:
     """Generator t_i on a basis label: prefix the letter, renormalize.
 
@@ -166,7 +175,7 @@ def apply_gen(rep: RepSpec, i: int, label: BasisLabel) -> BasisLabel:
     """
     word = str(i) + label.word
     if len(word) > _MAX_WORD_LENGTH:
-        raise ValueError(f"a basis word would pass the bound of {_MAX_WORD_LENGTH} letters")
+        raise _word_bound_error()
     return normalize_label(rep, label.component, word, label.node)
 
 

@@ -22,14 +22,28 @@ How evaluation works.  Every node but ``LinComb`` sends a basis label to at
 most one label times an exact scalar.  The kernel ``_act(e, rep, label)``
 returns that image as ``(label, scalar)`` terms; ``apply`` is its linear
 extension.  Exactly one of t1*, t2* survives on a label, so each family is a
-loop over letters, with forward and adjoint entries in one table.  Named
-families, their adjoints and ``Rho``/``Zeta`` are memoised on ``(expr, rep,
-label)`` in an LRU cache of ``KERNEL_CACHE_SIZE`` entries, cleared by
-``cli.main`` on entry; ``Prod``/``LinComb`` compose cached images per label;
-``Gen``, ``Iso`` and ``Ident`` are recomputed.  The oracles use only the
-vector-level letter steps ``states.apply_letter*``, never the cache, and the
-series oracle takes its weights from ``RadicalScalar.sqrt_int``, not from
-the memoised ``scalars.sqrt_int`` that the kernel uses.
+loop over letters, with forward and adjoint entries in one table.
+
+The loop's steps act on word slices, one string operation each: ``_down``
+finds the one s_m* that survives by ``word.find("1")`` (on a word of 2s,
+by a find in the cycle walk from the node), ``_peel`` slices off the
+letters n zeta levels peel, and ``_prepend`` puts t_i, s_n or the peeled
+letters back on in one concatenation.  Prepending to a nonempty normal
+word never changes its last letter, so only the image of a cycle vector is
+normalised, by stripping the letters that walk its cycle back.  The
+stepwise moves ``basis.apply_gen``/``apply_gen_adjoint`` stay the parser's
+and the oracles' path, and the word bound raises the same error on both.
+``apply`` walks a vector's terms unsorted; sums are exact, and output order
+comes from ``StateVector.terms()``.
+
+Named families, their adjoints and ``Rho``/``Zeta`` are memoised on
+``(expr, rep, label)`` in an LRU cache of ``KERNEL_CACHE_SIZE`` entries,
+cleared by ``cli.main`` on entry; ``Prod``/``LinComb`` compose cached
+images per label; ``Gen``, ``Iso`` and ``Ident`` are recomputed.  The
+oracles use only the vector-level letter steps ``states.apply_letter*``,
+never the cache or a word-slice step, and the series oracle takes its
+weights from ``RadicalScalar.sqrt_int``, not from the memoised
+``scalars.sqrt_int`` that the kernel uses.
 """
 
 from __future__ import annotations
@@ -38,7 +52,15 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Optional
 
-from .basis import BasisLabel, RepSpec, apply_gen, apply_gen_adjoint
+# the kernel steps no letter through apply_gen; perfbench/tracer.py patches the name
+from .basis import (
+    _MAX_WORD_LENGTH,
+    BasisLabel,
+    RepSpec,
+    _word_bound_error,
+    apply_gen,
+    apply_gen_adjoint,
+)
 from .scalars import RadicalScalar, ONE, sqrt_int
 from .states import StateVector, apply_letter, apply_letter_adjoint
 
@@ -404,27 +426,70 @@ def _merge(pairs) -> Terms:
     return tuple(acc.items())
 
 
-def _peel(rep: RepSpec, x: BasisLabel) -> tuple[int, BasisLabel]:
-    """The one letter i with t_i* x != 0, and t_i* x."""
-    image = apply_gen_adjoint(rep, 1, x)
-    return (1, image) if image is not None else (2, apply_gen_adjoint(rep, 2, x))
+def _prepend(rep: RepSpec, x: BasisLabel, letters: str) -> BasisLabel:
+    """t_i for each of ``letters``, last letter first: letters + x.word.
+
+    Prepending to a nonempty normal word keeps its last letter, so the
+    label stays normal.  Only on a cycle vector is there anything to
+    normalise: the trailing letters that walk the cycle back from the node
+    are stripped, as ``basis.normalize_label`` would.  Raises ValueError,
+    as the letter steps ``basis.apply_gen`` would, when the word passes the
+    bound.
+    """
+    node = x.node
+    if x.word:
+        word = letters + x.word
+    else:
+        cycle = rep.components[x.component]
+        end = len(letters)
+        while end and letters[end - 1] == cycle[node - 1]:
+            end -= 1
+            node = (node - 1) % len(cycle)
+        word = letters[:end]
+    if len(word) > _MAX_WORD_LENGTH:
+        raise _word_bound_error()
+    return BasisLabel(x.component, word, node)
+
+
+def _peel(rep: RepSpec, x: BasisLabel, n: int = 1) -> tuple[str, BasisLabel]:
+    """The n letters whose adjoints, first letter first, survive on x, and
+    what they leave: the word's first n letters, then the cycle walk."""
+    word = x.word
+    if len(word) >= n:
+        return word[:n], BasisLabel(x.component, word[n:], x.node)
+    cycle = rep.components[x.component]
+    k = n - len(word)
+    walk = (cycle[x.node :] + cycle * (k // len(cycle) + 1))[:k]
+    return word + walk, BasisLabel(x.component, "", (x.node + k) % len(cycle))
 
 
 def _up(rep: RepSpec, x: BasisLabel, n: int) -> BasisLabel:
     """s_n x = t2^(n-1) t1 x."""
-    x = apply_gen(rep, 1, x)
-    for _ in range(n - 1):
-        x = apply_gen(rep, 2, x)
-    return x
+    # a cycle vector absorbs at most L of the letters, so a larger n passes
+    # the bound: refuse it before building the string
+    if n - len(rep.components[x.component]) > _MAX_WORD_LENGTH - len(x.word):
+        raise _word_bound_error()
+    return _prepend(rep, x, "2" * (n - 1) + "1")
 
 
 def _down(rep: RepSpec, x: BasisLabel) -> Optional[tuple[int, BasisLabel]]:
-    """The one m with s_m* x != 0, and s_m* x; None when there is none."""
-    for m in range(1, len(x.word) + rep.cycle_len(x.component) + 2):
-        letter, x = _peel(rep, x)
-        if letter == 1:
-            return m, x
-    return None
+    """The one m with s_m* x != 0, and s_m* x; None when there is none.
+
+    m - 1 counts the 2s before the first 1: in the word, or, on a word of
+    2s, in the word and then the cycle walk from the node.
+    """
+    word = x.word
+    k = word.find("1")
+    if k >= 0:
+        return k + 1, BasisLabel(x.component, word[k + 1 :], x.node)
+    cycle = rep.components[x.component]
+    k = cycle.find("1", x.node)
+    if k < 0:
+        k = cycle.find("1")
+        if k < 0:
+            return None
+        k += len(cycle)
+    return len(word) + k - x.node + 1, BasisLabel(x.component, "", (k + 1) % len(cycle))
 
 
 def _iso_adj(e: Iso, rep: RepSpec, x: BasisLabel) -> Terms:
@@ -436,30 +501,26 @@ def _iso_adj(e: Iso, rep: RepSpec, x: BasisLabel) -> Terms:
 def _y(rep: RepSpec, x: BasisLabel) -> Optional[BasisLabel]:
     """Y = sum_n s_{n+1} t2* s_n*."""
     hit = _down(rep, x)
-    y = apply_gen_adjoint(rep, 2, hit[1]) if hit else None
-    return None if y is None else _up(rep, y, hit[0] + 1)
+    if hit is None:
+        return None
+    letter, y = _peel(rep, hit[1])
+    return _up(rep, y, hit[0] + 1) if letter == "2" else None
 
 
 def _y_adj(rep: RepSpec, x: BasisLabel) -> Optional[BasisLabel]:
     """Y* = sum_n s_n t2 s_{n+1}*."""
     hit = _down(rep, x)
-    return _up(rep, apply_gen(rep, 2, hit[1]), hit[0] - 1) if hit and hit[0] >= 2 else None
+    return _prepend(rep, hit[1], "2" * (hit[0] - 2) + "12") if hit and hit[0] >= 2 else None
 
 
 def _zeta_tower(n: int, rep: RepSpec, x: BasisLabel, e: OperatorExpr) -> Terms:
-    """zeta^n(e), unrolled: each level peels the one surviving letter (a t2
-    flips the sign), e acts, and the letters go back on in reverse."""
-    letters = []
-    for _ in range(n):
-        letter, x = _peel(rep, x)
-        letters.append(letter)
-    odd = letters.count(2) % 2
-    out = []
-    for z, c in _act(e, rep, x):
-        for letter in reversed(letters):
-            z = apply_gen(rep, letter, z)
-        out.append((z, -c if odd else c))
-    return tuple(out)
+    """zeta^n(e), unrolled: the n levels peel the n surviving letters (each
+    t2 flips the sign), e acts, and the letters go back on in one prefix."""
+    if not n:
+        return _act(e, rep, x)
+    letters, x = _peel(rep, x, n)
+    odd = letters.count("2") % 2
+    return tuple((_prepend(rep, z, letters), -c if odd else c) for z, c in _act(e, rep, x))
 
 
 def _rho_tower(n: int, rep: RepSpec, x: BasisLabel, k: int, d: int, before=None, after=None):
@@ -501,7 +562,7 @@ _A1 = (Prod((Gen(1), Adj(Gen(2)))), Prod((Gen(2), Adj(Gen(1)))))  # a_1 = t1 t2*
 # (0, 1), and F_1 = sum_m sqrt(m) s_{m+1} s_{m+1}* (1, 0), self-adjoint.
 _ENTRIES: dict[type, tuple[Callable[..., Terms], Callable[..., Terms]]] = {
     Gen: (
-        lambda e, rep, x: ((apply_gen(rep, e.letter, x), ONE),),
+        lambda e, rep, x: ((_prepend(rep, x, str(e.letter)), ONE),),
         lambda e, rep, x: _one(apply_gen_adjoint(rep, e.letter, x)),
     ),
     Ident: (lambda e, rep, x: ((x, ONE),),) * 2,
@@ -583,4 +644,5 @@ def apply(e: OperatorExpr, v: StateVector) -> StateVector:
     """Evaluate an operator expression on a vector, exactly."""
     if not v:
         return v
-    return StateVector(v.rep, _extend(e, v.rep, v.terms()))
+    # unsorted: the sums are exact, and terms() orders the output
+    return StateVector(v.rep, _extend(e, v.rep, tuple(v._terms.items())))

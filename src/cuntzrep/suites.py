@@ -59,7 +59,7 @@ from .operators import (
 from .parsing import serialize_vector
 from .polynorm import poly_normal_form, render_monomials
 from .scalars import ONE, RadicalScalar, sqrt_int
-from .states import StateVector
+from .states import StateVector, apply_letter
 
 __all__ = [
     "CheckReport",
@@ -302,12 +302,16 @@ def check_car(
 
 def _raw_boson(n: int, v: StateVector) -> StateVector:
     """Boson action built only from the literal word series and the
-    recursion sum, bypassing the engine's evaluator shortcuts."""
+    recursion sum, bypassing the engine's evaluator shortcuts: s_m acts as
+    the letter steps t2^(m-1) t1, off the kernel."""
     if n == 1:
         return eval_series_b1_raw(v)
     out = StateVector.zero(v.rep)
     for m, w in sorted(s_star_support(v).items()):
-        out = out + apply(iso(m), _raw_boson(n - 1, w))
+        w = apply_letter(_raw_boson(n - 1, w), 1)
+        for _ in range(m - 1):
+            w = apply_letter(w, 2)
+        out = out + w
     return out
 
 

@@ -1,6 +1,7 @@
 """Cycle-word representations: validation, label normal form, generator moves."""
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
@@ -203,3 +204,14 @@ def test_generator_image_is_normal(data, i):
     image = apply_gen(rep, i, label)
     renorm = normalize_label(rep, image.component, image.word, image.node)
     assert renorm == image
+
+
+@pytest.mark.parametrize("text", ["1", "12", "112", "1+12", "2", "1122"])
+def test_rep_hash_is_kept_across_pickle(text):
+    rep = RepSpec.parse(text)
+    twin = pickle.loads(pickle.dumps(rep))
+    assert twin == rep and twin is not rep
+    assert hash(twin) == hash(rep) == hash(rep.components)
+    assert {rep: 1}[twin] == 1
+    with pytest.raises(AttributeError):
+        twin._hash = 0

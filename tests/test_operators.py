@@ -7,7 +7,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuntzrep.basis import BasisLabel, RepSpec, enumerate_basis
+from cuntzrep import operators
+from cuntzrep.basis import (
+    BasisLabel,
+    RepSpec,
+    apply_gen,
+    apply_gen_adjoint,
+    enumerate_basis,
+    normalize_label,
+)
 from cuntzrep.cli import main
 from cuntzrep.operators import (
     _act,
@@ -407,13 +415,156 @@ def test_cli_main_starts_with_an_empty_cache(capsys):
     assert kernel_cache_info().currsize == 0
 
 
-def test_oracles_never_touch_the_cache():
+def test_oracles_never_touch_the_cache(monkeypatch):
     from cuntzrep.suites import _raw_boson
 
     v = fock("2") + fock("212").scale(sqrt_int(2)) + fock("22")
+    kernel = {e: apply(e, v) for e in (boson(1), boson(3), range_proj(2))}
     kernel_cache_clear()
-    eval_series_b1_raw(v)
-    _raw_boson(3, v)
-    apply_normal_form(poly_normal_form(range_proj_definition(2)), v)
+
+    def off_limits(*args):
+        raise AssertionError("an oracle reached a word-slice step of the kernel")
+
+    with monkeypatch.context() as patched:
+        for helper in ("_prepend", "_peel", "_up", "_down"):
+            patched.setattr(operators, helper, off_limits)
+        oracles = {
+            boson(1): eval_series_b1_raw(v),
+            boson(3): _raw_boson(3, v),
+            range_proj(2): apply_normal_form(poly_normal_form(range_proj_definition(2)), v),
+        }
     info = kernel_cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    assert oracles == kernel
+
+
+# -- word-slice letter steps against the stepwise basis moves ----------------
+
+_STEP_REPS = [RepSpec.parse(text) for text in ("1", "12", "112", "1+12", "2", "1122")]
+
+
+@st.composite
+def _step_labels(draw, min_len=0, max_len=12):
+    """A normal-form label on one of the reps: a random word, an all-2 word
+    (which walks the cycle under s_m*) or a cycle vector."""
+    rep = draw(st.sampled_from(_STEP_REPS))
+    component = draw(st.integers(0, len(rep.components) - 1))
+    node = draw(st.integers(0, rep.cycle_len(component) - 1))
+    length = draw(st.integers(min_len, max_len))
+    if draw(st.booleans()):
+        word = "2" * length
+    else:
+        chunk = draw(st.text("12", min_size=1, max_size=8))
+        word = (chunk * (length // len(chunk) + 1))[:length]
+    return rep, normalize_label(rep, component, word, node)
+
+
+def _outcome(step, *args):
+    """A step's result, or the message of the ValueError it raises."""
+    try:
+        return step(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _stepwise_peel(rep, x, n):
+    letters = ""
+    for _ in range(n):
+        image = apply_gen_adjoint(rep, 1, x)
+        letter, x = ("1", image) if image is not None else ("2", apply_gen_adjoint(rep, 2, x))
+        letters += letter
+    return letters, x
+
+
+def _stepwise_prepend(rep, x, letters):
+    for letter in reversed(letters):
+        x = apply_gen(rep, int(letter), x)
+    return x
+
+
+def _stepwise_up(rep, x, n):
+    return _stepwise_prepend(rep, x, "2" * (n - 1) + "1")
+
+
+def _stepwise_down(rep, x):
+    for m in range(1, len(x.word) + rep.cycle_len(x.component) + 2):
+        letter, x = _stepwise_peel(rep, x, 1)
+        if letter == "1":
+            return m, x
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step_labels(), st.integers(0, 20))
+def test_peel_matches_letter_steps(label, n):
+    rep, x = label
+    assert operators._peel(rep, x, n) == _stepwise_peel(rep, x, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step_labels())
+def test_down_matches_letter_steps(label):
+    rep, x = label
+    assert operators._down(rep, x) == _stepwise_down(rep, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step_labels(), st.integers(1, 20))
+def test_up_matches_letter_steps(label, n):
+    rep, x = label
+    assert operators._up(rep, x, n) == _stepwise_up(rep, x, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step_labels(), _step_labels(), st.integers(0, 20))
+def test_zeta_reprefix_matches_letter_steps(label, source, n):
+    # the letters a zeta tower peels off one label go back on another
+    rep, x = label
+    letters, _ = _stepwise_peel(source[0], source[1], n)
+    assert operators._prepend(rep, x, letters) == _stepwise_prepend(rep, x, letters)
+    peeled, rest = operators._peel(rep, x, n)
+    assert operators._prepend(rep, rest, peeled) == x
+
+
+_BOUND = 8192
+
+
+@settings(max_examples=40, deadline=None)
+@given(_step_labels(min_len=_BOUND - 30, max_len=_BOUND), st.integers(-2, 3), st.text("12", max_size=3))
+def test_steps_at_the_word_bound_match_letter_steps(label, past, tail):
+    # images that land just short of, at, or just past the bound
+    rep, x = label
+    n = max(1, _BOUND - len(x.word) + past)
+    assert _outcome(operators._up, rep, x, n) == _outcome(_stepwise_up, rep, x, n)
+    letters = "2" * (n - len(tail)) + tail
+    assert _outcome(operators._prepend, rep, x, letters) == _outcome(_stepwise_prepend, rep, x, letters)
+
+
+@pytest.mark.parametrize("text", ["1", "12", "2", "1122"])
+@pytest.mark.parametrize("past", [-1, 0, 1, 4, 5])
+def test_isometry_on_a_cycle_vector_at_the_word_bound(text, past):
+    # a cycle vector absorbs up to L of the letters of s_n before the word grows
+    rep = RepSpec.parse(text)
+    for node in range(rep.cycle_len(0)):
+        x = BasisLabel(0, "", node)
+        n = _BOUND + past
+        assert _outcome(operators._up, rep, x, n) == _outcome(_stepwise_up, rep, x, n)
+
+
+def test_long_cycle_walks_are_absorbed_again():
+    # a zeta tower deeper than the bound peels the cycle and puts it back
+    rep = RepSpec.parse("1122")
+    for node in range(4):
+        x = BasisLabel(0, "", node)
+        letters, rest = operators._peel(rep, x, 3 * _BOUND + 1)
+        assert (letters, rest) == _stepwise_peel(rep, x, 3 * _BOUND + 1)
+        assert operators._prepend(rep, rest, letters) == x
+
+
+def test_down_finds_nothing_on_the_all_2_cycle():
+    rep = RepSpec.parse("2")
+    for word in ("", "2", "222"):
+        assert operators._down(rep, BasisLabel(0, word, 0)) is None
+    assert apply(iso(3), StateVector.basis(rep, BasisLabel(0, "", 0))) == StateVector.basis(
+        rep, BasisLabel(0, "221", 0)
+    )
