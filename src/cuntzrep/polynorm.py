@@ -12,13 +12,16 @@ refined, merged, sorted list is a normal form and equality is decidable.
 
 A product is lowered factor by factor.  A pair (t_u1 t_v1*)(t_u2 t_v2*)
 survives only when one of v1 and u2 is a prefix of the other, so each
-factor's monomials are indexed by their left words (every prefix, and the
-exact word) and an accumulated monomial looks up its partners instead of
-trying every pair.  Coefficients are multiplied only for pairs that
-survive, and the product lists its monomials in the same order a pairwise
-double loop would.  No monomial list, unmerged or refined, grows past
-``_MAX_MONOMIALS`` terms: each is sized before it is built, and a longer one
-is a PolynomialError.
+factor's monomials are indexed by their left words and an accumulated
+monomial looks up its partners instead of trying every pair.  The index
+holds a left word's prefixes only at the lengths the accumulated right
+words have, and its exact words are probed only at the lengths the factor
+has: in a fermion product every word has one length, so one prefix per
+monomial is indexed and one lookup made.  Coefficients are multiplied only
+for pairs that survive, never by ONE, and the product lists its monomials
+in the same order a pairwise double loop would.  No monomial list,
+unmerged or refined, grows past ``_MAX_MONOMIALS`` terms: each is sized
+before it is built, and a longer one is a PolynomialError.
 
 For display the inverse rewrite is applied to exhaustion (merging sibling
 pairs with equal coefficients back into their parent), which yields the
@@ -92,40 +95,62 @@ def _compose(acc: list[Monomial], factor: list[Monomial]) -> list[Monomial]:
 
     (t_u1 t_v1*)(t_u2 t_v2*) is t_(u1 x) t_v2* when u2 = v1 x, and
     t_u1 t_(v2 y)* when v1 = u2 y with y nonempty; any other pair is 0.
-    Partners are taken in the factor's order, so the result is the list a
-    pairwise double loop gives, order included.
+    Each factor monomial is indexed under the prefixes of its left word
+    whose lengths some right word of ``acc`` has, and an accumulated
+    monomial probes the exact left words only at the lengths the factor
+    has that are shorter than its right word; no other key is ever looked
+    up.  Partners are taken in the factor's order, so the result is the
+    list a pairwise double loop gives, order included.
     """
+    if not acc or not factor:
+        return []
+    wanted = sorted({len(v1) for _, _, v1 in acc})
+    lengths = sorted({len(u2) for _, u2, _ in factor})
     by_prefix: dict[str, list[int]] = {}
-    by_word: dict[str, list[int]] = {}
     for i, (_, u2, _) in enumerate(factor):
-        by_word.setdefault(u2, []).append(i)
-        for k in range(len(u2) + 1):
+        for k in wanted:
+            if k > len(u2):
+                break
             by_prefix.setdefault(u2[:k], []).append(i)
+    by_word: dict[str, list[int]] = {}
+    if wanted[-1] > lengths[0]:
+        for i, (_, u2, _) in enumerate(factor):
+            by_word.setdefault(u2, []).append(i)
     out: list[Monomial] = []
     for c1, u1, v1 in acc:
-        hits = list(by_prefix.get(v1, ()))
-        for k in range(len(v1)):
-            hits.extend(by_word.get(v1[:k], ()))
-        hits.sort()
+        n = len(v1)
+        hits = by_prefix.get(v1, [])
+        if n > lengths[0]:
+            hits = list(hits)
+            for k in lengths:
+                if k >= n:
+                    break
+                hits.extend(by_word.get(v1[:k], ()))
+            hits.sort()
         _check_size(len(out) + len(hits))
         for i in hits:
             c2, u2, v2 = factor[i]
-            if len(u2) >= len(v1):
-                out.append((c1 * c2, u1 + u2[len(v1):], v2))
+            c = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
+            if len(u2) >= n:
+                out.append((c, u1 + u2[n:], v2))
             else:
-                out.append((c1 * c2, u1, v2 + v1[len(u2):]))
+                out.append((c, u1, v2 + v1[len(u2):]))
     return out
 
 
 def _fermion_monomials(n: int) -> list[Monomial]:
+    """a(n) by the recursion a(k+1) = zeta(a(k)) from a(1) = t1 t2*: the
+    1-block, then the 2-block with the sign flipped.  The words come out in
+    lexicographic order, and every coefficient is the shared ONE or -ONE."""
     if n > FERMION_CAP:
         raise PolynomialError(
             f"a({n}) expands to 2^{n - 1} monomials, beyond the cap of a({FERMION_CAP})"
         )
-    out: list[Monomial] = []
-    for letters in itertools.product(ALPHABET, repeat=n - 1):
-        w = "".join(letters)
-        out.append((_MINUS_ONE if w.count("2") % 2 else ONE, w + "1", w + "2"))
+    out: list[Monomial] = [(ONE, "1", "2")]
+    for _ in range(n - 1):
+        flipped = [(_MINUS_ONE if c is ONE else ONE, "2" + u, "2" + v) for c, u, v in out]
+        out = [(c, "1" + u, "1" + v) for c, u, v in out]
+        out.extend(flipped)
     return out
 
 
@@ -149,7 +174,7 @@ def monomials(e: OperatorExpr) -> list[Monomial]:
         for c, x in e.parts:
             part = monomials(x)
             _check_size(len(out) + len(part))
-            out.extend((c * c2, u, v) for c2, u, v in part)
+            out.extend(part if c is ONE else [(c * c2, u, v) for c2, u, v in part])
         return out
     if isinstance(e, Iso):
         return [(ONE, "2" * (e.n - 1) + "1", "")]

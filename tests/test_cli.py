@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -21,20 +22,31 @@ def run(capsys, argv):
     return rc, captured.out, captured.err
 
 
-@pytest.mark.parametrize(
-    "argv, expected",
-    [
-        (["apply", "--rep", "1", "--expr", "b(1)*", "--state", "vac"], "|2;0>\n"),
-        (["apply", "--rep", "1", "--expr", "I", "--state", "vac"], "vac\n"),
-        (["apply", "--rep", "12", "--expr", "b(1) b(1)*", "--state", "vac"], "vac\n"),
-        (["expand", "--expr", "a(2)"], "t1t1t2*t1* - t2t1t2*t2*\n"),
-        (["expand", "--expr", "t1* t1"], "I\n"),
-        (
-            ["expand", "--expr", "a(1) a(1)* + a(1)* a(1)", "--depth", "2"],
-            "I\n",
-        ),
-    ],
-)
+def _readme_examples():
+    """(argv, output) for each ``cuntzrep`` line of the README's "Command
+    line" block that a ``# output`` comment follows."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    return [
+        (shlex.split(line)[1:], comment[2:] + "\n")
+        for line, comment in zip(lines, lines[1:])
+        if line.startswith("cuntzrep ") and comment.startswith("# ")
+    ]
+
+
+def test_readme_lists_command_examples():
+    assert len(_readme_examples()) >= 5
+
+
+# the README's examples, and two more
+_DOCUMENTED = _readme_examples() + [
+    (["apply", "--rep", "1", "--expr", "I", "--state", "vac"], "vac\n"),
+    (["expand", "--expr", "t1* t1"], "I\n"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _DOCUMENTED, ids=[" ".join(a) for a, _ in _DOCUMENTED])
 def test_documented_examples(capsys, argv, expected):
     rc, out, err = run(capsys, argv)
     assert rc == 0

@@ -209,9 +209,12 @@ def _starred(e):
 
 
 _COEFFS = st.sampled_from([ONE, -ONE, sqrt_int(2), RadicalScalar.from_rational(Fraction(1, 2))])
+# isometries and fermions of several sizes, so factors mix left-word
+# lengths and products mix right-word lengths
 _atoms = st.one_of(
     st.sampled_from([gen(1), gen(2), ident()]).flatmap(_starred),
-    st.integers(1, 4).map(fermion).flatmap(_starred),
+    st.integers(1, 4).map(iso).flatmap(_starred),
+    st.integers(1, 6).map(fermion).flatmap(_starred),
     st.integers(0, 3).map(range_proj),
     st.integers(1, 3).map(partial_shift).flatmap(_starred),
 )
@@ -230,5 +233,30 @@ _trees = st.recursive(
 @given(_trees)
 # t1* meets the sum's I by its exact word and t1t1 by its prefix: out of order
 @example(prod(adjoint(gen(1)), lincomb((ONE, ident()), (-ONE, prod(gen(1), gen(1))))))
+# right words of lengths 1 and 2 meet left words of lengths 1 and 3
+@example(
+    prod(
+        lincomb((ONE, adjoint(gen(1))), (ONE, adjoint(fermion(2)))),
+        lincomb((ONE, gen(2)), (ONE, fermion(3))),
+    )
+)
+@example(prod(adjoint(iso(3)), iso(1), adjoint(fermion(2))))
 def test_indexed_product_matches_pairwise_reference(e):
     assert monomials(e) == _pairwise_monomials(e)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_fermion_recursion_matches_word_definition(n):
+    assert monomials(fermion(n)) == _pairwise_monomials(fermion(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_trees, st.randoms(use_true_random=False))
+def test_collapse_is_independent_of_order_and_depth(e, rnd):
+    nf = poly_normal_form(e)
+    want = collapse(nf.terms)
+    shuffled = list(nf.terms)
+    rnd.shuffle(shuffled)
+    assert collapse(shuffled) == want
+    for k in (1, 2):
+        assert collapse(nf.at_depth(nf.depth + k).terms) == want
