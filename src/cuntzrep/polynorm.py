@@ -138,19 +138,28 @@ def _compose(acc: list[Monomial], factor: list[Monomial]) -> list[Monomial]:
     return out
 
 
+def _zeta(inner: list[Monomial]) -> list[Monomial]:
+    """zeta(t_u t_v*) = t_1u t_1v* - t_2u t_2v*: the 1-block, then the
+    2-block with the sign flipped (a unit sign stays the shared ONE or -ONE)."""
+    _check_size(2 * len(inner))
+    out = [(c, "1" + u, "1" + v) for c, u, v in inner]
+    out.extend(
+        (_MINUS_ONE if c is ONE else ONE if c is _MINUS_ONE else -c, "2" + u, "2" + v)
+        for c, u, v in inner
+    )
+    return out
+
+
 def _fermion_monomials(n: int) -> list[Monomial]:
-    """a(n) by the recursion a(k+1) = zeta(a(k)) from a(1) = t1 t2*: the
-    1-block, then the 2-block with the sign flipped.  The words come out in
-    lexicographic order, and every coefficient is the shared ONE or -ONE."""
+    """a(n) by the recursion a(k+1) = zeta(a(k)) from a(1) = t1 t2*; the
+    words come out in lexicographic order."""
     if n > FERMION_CAP:
         raise PolynomialError(
             f"a({n}) expands to 2^{n - 1} monomials, beyond the cap of a({FERMION_CAP})"
         )
     out: list[Monomial] = [(ONE, "1", "2")]
     for _ in range(n - 1):
-        flipped = [(_MINUS_ONE if c is ONE else ONE, "2" + u, "2" + v) for c, u, v in out]
-        out = [(c, "1" + u, "1" + v) for c, u, v in out]
-        out.extend(flipped)
+        out = _zeta(out)
     return out
 
 
@@ -187,11 +196,7 @@ def monomials(e: OperatorExpr) -> list[Monomial]:
     if isinstance(e, PartialShift):
         return monomials(partial_shift_definition(e.n))
     if isinstance(e, Zeta):
-        inner = monomials(e.arg)
-        _check_size(2 * len(inner))
-        out = [(c, "1" + u, "1" + v) for c, u, v in inner]
-        out.extend((-c, "2" + u, "2" + v) for c, u, v in inner)
-        return out
+        return _zeta(monomials(e.arg))
     if isinstance(e, (Boson, Cluster, ShiftSeries, Rho)):
         text = e.token + ("(...)" if isinstance(e, Rho) else f"({e.n})" if e.fields else "")
         raise PolynomialError(f"{text} is a series operator; it has no polynomial normal form")
