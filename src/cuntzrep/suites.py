@@ -56,7 +56,7 @@ from .operators import (
     scaled,
     shift_series,
 )
-from .parsing import serialize_vector
+from .parsing import _MAX_INDEX, serialize_vector
 from .polynorm import poly_normal_form, render_monomials
 from .scalars import ONE, RadicalScalar, sqrt_int
 from .states import StateVector, apply_letter
@@ -68,16 +68,6 @@ __all__ = [
     "DEFAULT_M_MAX",
     "DEFAULT_DEPTH",
     "verify_identity",
-    "check_cuntz",
-    "check_car",
-    "check_ccr",
-    "check_wfamily",
-    "check_shift_relations",
-    "check_embedding_and_rho",
-    "check_main_theorem",
-    "check_f_closed_forms",
-    "check_fock_suite",
-    "check_wedge_suite",
     "check_all",
     "run_suite",
 ]
@@ -91,6 +81,8 @@ DEFAULT_DEPTH = 5
 Side = Union[OperatorExpr, tuple]
 Row = tuple[str, Side, Side]
 Group = Union[Sequence[Row], Callable[[StateVector], Iterable[Row]]]
+# A case's input and sides: vectors, or text already rendered.
+Witness = Union[StateVector, str]
 
 _I = ident()
 _ZERO = lincomb()
@@ -143,24 +135,17 @@ class _Runner:
                 for identity, left, right in group(v) if callable(group) else group:
                     self.check(identity, v, _side(left, v), _side(right, v))
 
-    def check(self, identity: str, v: StateVector, left: StateVector, right: StateVector) -> None:
+    def check(self, identity: str, source: Witness, left: Witness, right: Witness) -> None:
+        """One case; a vector is serialized only as a failure's witness."""
         self.report.cases += 1
         if left != right:
             self.report.failures.append(
-                {
-                    "identity": identity,
-                    "input": serialize_vector(v),
-                    "left": serialize_vector(left),
-                    "right": serialize_vector(right),
-                }
+                {"identity": identity, "input": _text(source), "left": _text(left), "right": _text(right)}
             )
 
-    def check_text(self, identity: str, source: str, left: str, right: str) -> None:
-        self.report.cases += 1
-        if left != right:
-            self.report.failures.append(
-                {"identity": identity, "input": source, "left": left, "right": right}
-            )
+
+def _text(x: Witness) -> str:
+    return x if type(x) is str else serialize_vector(x)
 
 
 def _delta(same: bool) -> tuple[str, OperatorExpr]:
@@ -208,13 +193,7 @@ def verify_identity(
 # ---------------------------------------------------------------------------
 
 
-def check_cuntz(
-    rep: RepSpec,
-    n_max: int = DEFAULT_N_MAX,
-    m_max: int = DEFAULT_M_MAX,
-    depth: int = DEFAULT_DEPTH,
-) -> CheckReport:
-    r = _Runner("cuntz", rep, n_max, m_max, depth)
+def _cuntz(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
     rows: list[Row] = []
     for i in (1, 2):
         for j in (1, 2):
@@ -225,13 +204,12 @@ def check_cuntz(
     r.run(_samples(rep, depth), [rows])
     for v in (StateVector.basis(rep, lab) for lab in enumerate_basis(rep, depth)):
         hits = sum(1 for i in (1, 2) if apply(adj(gen(i)), v))
-        r.check_text(
+        r.check(
             "exactly one generator range contains each basis vector",
-            serialize_vector(v),
+            v,
             str(hits),
             "1",
         )
-    return r.report
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +242,7 @@ def _pair_relations(
     return groups
 
 
-def check_car(
-    rep: RepSpec,
-    n_max: int = DEFAULT_N_MAX,
-    m_max: int = DEFAULT_M_MAX,
-    depth: int = DEFAULT_DEPTH,
-) -> CheckReport:
-    r = _Runner("car", rep, n_max, m_max, depth)
+def _car(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
     r.run(_samples(rep, depth), _pair_relations("a", fermion, 1, n_max, m_max))
     # representation-free restatement through the normal form
     cap = min(4, n_max, m_max)
@@ -279,20 +251,19 @@ def check_car(
             an, am = fermion(n), fermion(m)
             nf = poly_normal_form(_anti(an, adj(am)))
             word, want = _delta(n == m)
-            r.check_text(
+            r.check(
                 f"poly: a({n})a({m})* + a({m})*a({n}) = {word}",
                 "(algebra level)",
                 render_monomials(nf.terms),
                 render_monomials(poly_normal_form(want, depth=nf.depth).terms if n == m else ()),
             )
             nf2 = poly_normal_form(_anti(an, am))
-            r.check_text(
+            r.check(
                 f"poly: a({n})a({m}) + a({m})a({n}) = 0",
                 "(algebra level)",
                 render_monomials(nf2.terms),
                 render_monomials(()),
             )
-    return r.report
 
 
 # ---------------------------------------------------------------------------
@@ -315,20 +286,13 @@ def _raw_boson(n: int, v: StateVector) -> StateVector:
     return out
 
 
-def check_ccr(
-    rep: RepSpec,
-    n_max: int = DEFAULT_N_MAX,
-    m_max: int = DEFAULT_M_MAX,
-    depth: int = DEFAULT_DEPTH,
-) -> CheckReport:
-    r = _Runner("ccr", rep, n_max, m_max, depth)
+def _ccr(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
     rows = [("b(1) evaluator = literal word series", boson(1), ("eval_series_b1_raw",))]
     rows += [
         (f"b({n}) evaluator = recursion over literal series", boson(n), ("_raw_boson", n))
         for n in range(2, n_max + 1)
     ]
     r.run(_samples(rep, depth), [rows, *_pair_relations("b", boson, -1, n_max, m_max)])
-    return r.report
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +300,7 @@ def check_ccr(
 # ---------------------------------------------------------------------------
 
 
-def check_wfamily(
-    rep: RepSpec,
-    n_max: int = DEFAULT_N_MAX,
-    m_max: int = DEFAULT_M_MAX,
-    depth: int = DEFAULT_DEPTH,
-) -> CheckReport:
-    r = _Runner("wfamily", rep, n_max, m_max, depth)
+def _wfamily(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
     w = [range_proj(n) for n in range(max(n_max, m_max) + 1)]
     rows: list[Row] = []
     for n in range(0, n_max + 1):
@@ -368,13 +326,12 @@ def check_wfamily(
         for n in range(0, n_max + 1):
             lhs = apply(w[n], x).inner(y)
             rhs = x.inner(apply(w[n], y))
-            r.check_text(
+            r.check(
                 f"W({n}) symmetric in the basis pairing",
                 f"{serialize_vector(x)} , {serialize_vector(y)}",
                 str(lhs),
                 str(rhs),
             )
-    return r.report
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +339,7 @@ def check_wfamily(
 # ---------------------------------------------------------------------------
 
 
-def check_shift_relations(
-    rep: RepSpec,
-    n_max: int = DEFAULT_N_MAX,
-    m_max: int = DEFAULT_M_MAX,
-    depth: int = DEFAULT_DEPTH,
-) -> CheckReport:
-    r = _Runner("lemma23", rep, n_max, m_max, depth)
+def _lemma23(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
     t2_adj = adj(gen(2))
     rows: list[Row] = [
         (f"t2 s({n}) = s({n + 1})", prod(gen(2), iso(n)), iso(n + 1)) for n in range(1, n_max + 1)
@@ -409,7 +360,6 @@ def check_shift_relations(
                 (f"s({m})a({n})* = {shifted}*s({m})", prod(s, adj(a)), scaled(c, prod(adj(up), s))),
             ]
     r.run(_samples(rep, depth), [rows])
-    return r.report
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +367,7 @@ def check_shift_relations(
 # ---------------------------------------------------------------------------
 
 
-def check_embedding_and_rho(
-    rep: RepSpec,
-    n_max: int = DEFAULT_N_MAX,
-    m_max: int = DEFAULT_M_MAX,
-    depth: int = DEFAULT_DEPTH,
-) -> CheckReport:
-    r = _Runner("rho", rep, n_max, m_max, depth)
+def _rho(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
     t2_adj, y = adj(gen(2)), shift_series()
     isometries: list[Row] = []
     for n in range(1, n_max + 1):
@@ -482,7 +426,6 @@ def check_embedding_and_rho(
         return out + homomorphism
 
     r.run(_samples(rep, depth), [rows])
-    return r.report
 
 
 # ---------------------------------------------------------------------------
@@ -490,13 +433,7 @@ def check_embedding_and_rho(
 # ---------------------------------------------------------------------------
 
 
-def check_main_theorem(
-    rep: RepSpec,
-    n_max: int = DEFAULT_N_MAX,
-    m_max: int = DEFAULT_M_MAX,
-    depth: int = DEFAULT_DEPTH,
-) -> CheckReport:
-    r = _Runner("main", rep, n_max, m_max, depth)
+def _main(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
     groups = [
         (
             (f"b({n}) = t2* F({n})", boson(n), prod(adj(gen(2)), cluster(n))),
@@ -505,7 +442,6 @@ def check_main_theorem(
         for n in range(1, n_max + 1)
     ]
     r.run(_samples(rep, depth), groups)
-    return r.report
 
 
 # ---------------------------------------------------------------------------
@@ -527,13 +463,7 @@ def _word_bound(rep: RepSpec, v: StateVector) -> int:
     return v.depth() + 2 * cyc + 2
 
 
-def check_f_closed_forms(
-    rep: RepSpec,
-    n_max: int = DEFAULT_N_MAX,
-    m_max: int = DEFAULT_M_MAX,
-    depth: int = DEFAULT_DEPTH,
-) -> CheckReport:
-    r = _Runner("closedforms", rep, n_max, m_max, depth)
+def _closedforms(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
 
     @cache
     def first_term(n: int) -> OperatorExpr:
@@ -582,7 +512,6 @@ def check_f_closed_forms(
         return out
 
     r.run(_samples(rep, depth), [rows])
-    return r.report
 
 
 # ---------------------------------------------------------------------------
@@ -661,30 +590,22 @@ def _degree_partitions(total: int) -> list[tuple[int, ...]]:
     return out
 
 
-def check_fock_suite(
-    rep: RepSpec | None = None,
-    n_max: int = DEFAULT_N_MAX,
-    m_max: int = DEFAULT_M_MAX,
-    depth: int = DEFAULT_DEPTH,
-) -> CheckReport:
-    del rep  # fixed representation by construction
+def _fock(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
     if _boson_word_count(depth) > _MAX_FOCK_WORDS:
         raise ValueError(
             f"depth {depth} gives more than {_MAX_FOCK_WORDS} boson words in the fock suite"
         )
-    fock = RepSpec.parse("1")
-    r = _Runner("fock", fock, n_max, m_max, depth)
-    vac = StateVector.basis(fock, BasisLabel(0, "", 0))
+    vac = StateVector.basis(rep, BasisLabel(0, "", 0))
     r.check("t1 vac = vac", vac, apply(gen(1), vac), vac)
-    zero = StateVector.zero(fock)
+    zero = StateVector.zero(rep)
     for n in range(1, n_max + 1):
         r.check(f"a({n}) vac = 0", vac, apply(fermion(n), vac), zero)
         r.check(f"b({n}) vac = 0", vac, apply(boson(n), vac), zero)
-    first = StateVector.basis(fock, BasisLabel(0, "2", 0))
+    first = StateVector.basis(rep, BasisLabel(0, "2", 0))
     r.check("b(1)* vac = a(1)* vac", vac, apply(adj(boson(1)), vac), apply(adj(fermion(1)), vac))
     r.check("b(1)* vac = |2;0>", vac, apply(adj(boson(1)), vac), first)
     r.check("b(2)* vac = a(2)* vac", vac, apply(adj(boson(2)), vac), apply(adj(fermion(2)), vac))
-    second = StateVector.basis(fock, BasisLabel(0, "12", 0))
+    second = StateVector.basis(rep, BasisLabel(0, "12", 0))
     r.check("b(2)* vac = |12;0>", vac, apply(adj(boson(2)), vac), second)
     # span growth of boson monomials on the vacuum, recorded not asserted
     vectors: list[StateVector] = []
@@ -702,21 +623,12 @@ def check_fock_suite(
         str(d): (ranks[counts[d] - 1] if counts[d] else 0) for d in range(0, depth + 1)
     }
     r.report.measured["span_dimension_by_total_degree"] = dims
-    return r.report
 
 
-def check_wedge_suite(
-    rep: RepSpec | None = None,
-    n_max: int = DEFAULT_N_MAX,
-    m_max: int = DEFAULT_M_MAX,
-    depth: int = DEFAULT_DEPTH,
-) -> CheckReport:
-    del rep  # fixed representation by construction
-    wedge = RepSpec.parse("12")
-    r = _Runner("wedge", wedge, n_max, m_max, depth)
-    vac = StateVector.basis(wedge, BasisLabel(0, "", 0))
-    dual = StateVector.basis(wedge, BasisLabel(0, "", 1))
-    zero = StateVector.zero(wedge)
+def _wedge(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
+    vac = StateVector.basis(rep, BasisLabel(0, "", 0))
+    dual = StateVector.basis(rep, BasisLabel(0, "", 1))
+    zero = StateVector.zero(rep)
     r.check("t2 vac = vac(1)", vac, apply(gen(2), vac), dual)
     for n in range(1, n_max + 1):
         r.check(f"a({2 * n - 1}) vac = 0", vac, apply(fermion(2 * n - 1), vac), zero)
@@ -754,9 +666,9 @@ def check_wedge_suite(
         lowered = apply(adj(boson(n)), apply(boson(n), vac))
         mu_n = lowered.coeff(BasisLabel(0, "", 0))
         r.check(f"b({n})*b({n}) vac is a multiple of vac", vac, lowered, vac.scale(mu_n))
-        r.check_text(
+        r.check(
             f"commutation consistency: lambda({n}) = 1 + mu({n})",
-            serialize_vector(vac),
+            vac,
             str(lam_n),
             str(ONE + mu_n),
         )
@@ -767,7 +679,6 @@ def check_wedge_suite(
     r.report.measured["mu"] = mu
     r.report.measured["lambda_from_commutation"] = lam_from_comm
     r.report.measured["reference_scalar"] = "2"
-    return r.report
 
 
 # ---------------------------------------------------------------------------
@@ -775,18 +686,20 @@ def check_wedge_suite(
 # ---------------------------------------------------------------------------
 
 _SUITES = {
-    "cuntz": check_cuntz,
-    "car": check_car,
-    "ccr": check_ccr,
-    "wfamily": check_wfamily,
-    "lemma23": check_shift_relations,
-    "rho": check_embedding_and_rho,
-    "main": check_main_theorem,
-    "closedforms": check_f_closed_forms,
-    "fock": check_fock_suite,
-    "wedge": check_wedge_suite,
+    "cuntz": _cuntz,
+    "car": _car,
+    "ccr": _ccr,
+    "wfamily": _wfamily,
+    "lemma23": _lemma23,
+    "rho": _rho,
+    "main": _main,
+    "closedforms": _closedforms,
+    "fock": _fock,
+    "wedge": _wedge,
 }
 SUITE_NAMES = tuple(_SUITES)
+# The fixed-representation suites run on these, whatever rep is asked for.
+_FIXED_REPS = {"fock": RepSpec.parse("1"), "wedge": RepSpec.parse("12")}
 
 
 def run_suite(
@@ -796,15 +709,23 @@ def run_suite(
     m_max: int = DEFAULT_M_MAX,
     depth: int = DEFAULT_DEPTH,
 ) -> CheckReport:
+    """Run one suite by name; the only way into a suite, so every run is checked here."""
     try:
-        fn = _SUITES[name]
+        body = _SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}, expected one of {', '.join(SUITE_NAMES)} or all") from None
     # A negative bound samples nothing, and an empty run must not report a pass.
     for param, value in (("n_max", n_max), ("m_max", m_max), ("depth", depth)):
         if value < 0:
             raise ValueError(f"{param} must be >= 0, got {value}")
-    return fn(rep, n_max, m_max, depth)
+    # The family indices are bounded as the parser bounds them.
+    for param, value in (("n_max", n_max), ("m_max", m_max)):
+        if value > _MAX_INDEX:
+            raise ValueError(f"{param} must be at most {_MAX_INDEX}, got {value}")
+    rep = _FIXED_REPS.get(name, rep)
+    r = _Runner(name, rep, n_max, m_max, depth)
+    body(r, rep, n_max, m_max, depth)
+    return r.report
 
 
 def check_all(

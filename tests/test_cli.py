@@ -14,6 +14,7 @@ import cuntzrep
 from cuntzrep.basis import RepSpec
 from cuntzrep.cli import main
 from cuntzrep.parsing import parse_state, vector_from_json
+from cuntzrep.suites import SUITE_NAMES
 
 
 def run(capsys, argv):
@@ -98,12 +99,22 @@ def test_bad_rep_exits_two(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("suite", [*SUITE_NAMES, "all"])
 @pytest.mark.parametrize("flag", ["--n-max", "--m-max", "--depth"])
-def test_negative_bound_exits_two(capsys, flag):
-    rc, out, err = run(capsys, ["check", "--rep", "1", "--suite", "fock", flag, "-1"])
+def test_negative_bound_exits_two(capsys, flag, suite):
+    rc, out, err = run(capsys, ["check", "--rep", "1", "--suite", suite, flag, "-1"])
     assert rc == 2
     assert out == ""
     assert err.startswith("error:") and "must be >= 0" in err
+
+
+@pytest.mark.parametrize("suite", [*SUITE_NAMES, "all"])
+@pytest.mark.parametrize("flag", ["--n-max", "--m-max"])
+def test_index_bound_above_the_parser_bound_exits_two(capsys, flag, suite):
+    rc, out, err = run(capsys, ["check", "--rep", "1", "--suite", suite, flag, "4097"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "must be at most 4096" in err
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,11 @@ import json
 import pytest
 
 from cuntzrep import suites
-from cuntzrep.basis import RepSpec
+from cuntzrep.basis import BasisLabel, RepSpec
 from cuntzrep.operators import gen
+from cuntzrep.parsing import serialize_vector
 from cuntzrep.scalars import RadicalScalar
+from cuntzrep.states import StateVector
 from cuntzrep.suites import (
     _MAX_FOCK_WORDS,
     SUITE_NAMES,
@@ -216,3 +218,18 @@ def test_check_all_covers_every_suite_in_order():
     reports = check_all(WEDGE, **SMALL)
     assert [r.suite for r in reports] == list(SUITE_NAMES)
     assert all(isinstance(r, CheckReport) for r in reports)
+
+
+def test_suites_are_reached_only_through_run_suite():
+    assert not [name for name in suites.__all__ if name.startswith("check_") and name != "check_all"]
+
+
+def test_text_case_witness_serializes_its_input_vector():
+    r = suites._Runner("cuntz", FOCK, 0, 0, 0)
+    vac = StateVector.basis(FOCK, BasisLabel(0, "", 0))
+    r.check("hits", vac, "2", "1")
+    r.check("hits", vac, "1", "1")
+    assert r.report.cases == 2
+    assert r.report.failures == [
+        {"identity": "hits", "input": serialize_vector(vac), "left": "2", "right": "1"}
+    ]
