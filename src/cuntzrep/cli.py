@@ -51,23 +51,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser, rep_required: bool) -> None:
-        p.add_argument("--rep", required=rep_required, help="cycle word, e.g. 1, 12, or 1+12")
+    def subcommand(name: str, help: str, rep: bool = True, unicode: bool = True):
+        # each flag only where it is read: argparse refuses it elsewhere
+        p = sub.add_parser(name, help=help)
+        if rep:
+            p.add_argument("--rep", required=True, help="cycle word, e.g. 1, 12, or 1+12")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--unicode", action="store_true", help="render vacuum and radical glyphs")
+        if unicode:
+            p.add_argument("--unicode", action="store_true", help="render vacuum and radical glyphs")
+        return p
 
-    p_apply = sub.add_parser("apply", help="apply an operator expression to a state")
-    common(p_apply, rep_required=True)
+    p_apply = subcommand("apply", "apply an operator expression to a state")
     p_apply.add_argument("--expr", required=True, help="operator expression")
     p_apply.add_argument("--state", required=True, help="state vector, e.g. vac or |2;0>")
 
-    p_expand = sub.add_parser("expand", help="polynomial normal form of an expression")
-    common(p_expand, rep_required=False)
+    p_expand = subcommand("expand", "polynomial normal form of an expression", rep=False)
     p_expand.add_argument("--expr", required=True, help="polynomial operator expression")
     p_expand.add_argument("--depth", type=int, default=None, help="refinement depth")
 
-    p_check = sub.add_parser("check", help="run a verification suite")
-    common(p_check, rep_required=True)
+    p_check = subcommand("check", "run a verification suite", unicode=False)
     p_check.add_argument(
         "--suite", required=True, help=f"one of {', '.join(SUITE_NAMES)}, or all"
     )
@@ -75,8 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--m-max", type=int, default=DEFAULT_M_MAX)
     p_check.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
 
-    p_list = sub.add_parser("list-basis", help="enumerate basis labels up to a depth")
-    common(p_list, rep_required=True)
+    p_list = subcommand("list-basis", "enumerate basis labels up to a depth")
     p_list.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
 
     return parser
@@ -131,10 +132,8 @@ def _run_check(args: argparse.Namespace) -> int:
     else:
         reports = [run_suite(args.suite, rep, args.n_max, args.m_max, args.depth)]
     if args.format == "json":
-        if args.suite == "all":
-            print(json.dumps([r.to_json() for r in reports], indent=2))
-        else:
-            print(json.dumps(reports[0].to_json(), indent=2))
+        payload = [r.to_json() for r in reports] if args.suite == "all" else reports[0].to_json()
+        print(json.dumps(payload, indent=2))
     else:
         for report in reports:
             _print_report_text(report)

@@ -21,8 +21,9 @@ products, linear combinations, and the named families built from them:
 How evaluation works.  Every node but ``LinComb`` sends a basis label to at
 most one label times an exact scalar.  The kernel ``_act(e, rep, label)``
 returns that image as ``(label, scalar)`` terms; ``apply`` is its linear
-extension.  Exactly one of t1*, t2* survives on a label, so each family is a
-loop over letters, with forward and adjoint entries in one table.
+extension, summed by ``states.merge_terms``.  Exactly one of t1*, t2*
+survives on a label, so each family is a loop over letters, with forward
+and adjoint entries in one table.
 
 The loop's steps act on word slices, one string operation each: ``_down``
 finds the one s_m* that survives by ``word.find("1")`` (on a word of 2s,
@@ -62,7 +63,7 @@ from .basis import (
     apply_gen_adjoint,
 )
 from .scalars import RadicalScalar, ONE, sqrt_int
-from .states import StateVector, apply_letter, apply_letter_adjoint
+from .states import StateVector, apply_letter, apply_letter_adjoint, merge_terms
 
 __all__ = [
     "OperatorExpr",
@@ -415,17 +416,6 @@ def _mul(c: RadicalScalar, d: RadicalScalar) -> RadicalScalar:
     return c if d is ONE else d if c is ONE else c * d
 
 
-def _merge(pairs) -> Terms:
-    """Sum (label, scalar) pairs per label, dropping zeros."""
-    acc: dict[BasisLabel, RadicalScalar] = {}
-    for x, c in pairs:
-        total = acc.pop(x, None)
-        total = c if total is None else total + c
-        if total:
-            acc[x] = total
-    return tuple(acc.items())
-
-
 def _prepend(rep: RepSpec, x: BasisLabel, letters: str) -> BasisLabel:
     """t_i for each of ``letters``, last letter first: letters + x.word.
 
@@ -610,7 +600,8 @@ def _act(e: OperatorExpr, rep: RepSpec, x: BasisLabel) -> Terms:
                 break
         return terms
     if kind is LinComb:
-        return _merge((z, _mul(c, d)) for c, f in e.parts for z, d in _act(f, rep, x))
+        pairs = ((z, _mul(c, d)) for c, f in e.parts for z, d in _act(f, rep, x))
+        return tuple(merge_terms(pairs).items())
     node = e.arg if kind is Adj else e
     entries = _ENTRIES.get(type(node))
     if entries is None:
@@ -637,7 +628,8 @@ def _extend(e: OperatorExpr, rep: RepSpec, terms) -> Terms:
     """Linear extension of _act(e, rep, .) over (label, scalar) terms."""
     if len(terms) == 1 and terms[0][1] is ONE:
         return _act(e, rep, terms[0][0])
-    return _merge((z, _mul(c, d)) for x, c in terms for z, d in _act(e, rep, x))
+    pairs = ((z, _mul(c, d)) for x, c in terms for z, d in _act(e, rep, x))
+    return tuple(merge_terms(pairs).items())
 
 
 def apply(e: OperatorExpr, v: StateVector) -> StateVector:

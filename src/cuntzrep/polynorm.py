@@ -55,7 +55,7 @@ from .operators import (
     range_proj_definition,
 )
 from .scalars import RadicalScalar, ONE, signed_sum_text
-from .states import StateVector, apply_letter, apply_letter_adjoint
+from .states import StateVector, apply_letter, apply_letter_adjoint, merge_terms
 from .basis import ALPHABET
 
 __all__ = [
@@ -204,16 +204,7 @@ def monomials(e: OperatorExpr) -> list[Monomial]:
 
 
 def _merge(terms: list[Monomial]) -> dict[tuple[str, str], RadicalScalar]:
-    acc: dict[tuple[str, str], RadicalScalar] = {}
-    for c, u, v in terms:
-        key = (u, v)
-        total = acc.get(key)
-        total = c if total is None else total + c
-        if total:
-            acc[key] = total
-        elif key in acc:
-            del acc[key]
-    return acc
+    return merge_terms(((u, v), c) for c, u, v in terms)
 
 
 class PolyNormalForm(NamedTuple):

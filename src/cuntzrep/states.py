@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Hashable, Iterable, Mapping
 from typing import Union
 
 from .basis import BasisLabel, RepSpec, apply_gen, apply_gen_adjoint, label_sort_key
@@ -22,6 +22,25 @@ def _as_scalar(c: ScalarLike) -> RadicalScalar:
     return c if isinstance(c, RadicalScalar) else RadicalScalar.from_rational(c)
 
 
+def _as_term(term: tuple[BasisLabel, ScalarLike]) -> tuple[BasisLabel, RadicalScalar]:
+    return term if isinstance(term[1], RadicalScalar) else (term[0], _as_scalar(term[1]))
+
+
+def merge_terms(
+    pairs: Iterable[tuple[Hashable, RadicalScalar]], acc: dict | None = None
+) -> dict[Hashable, RadicalScalar]:
+    """Add (key, scalar) pairs per key into acc, a new dict by default, and
+    drop each key whose total is zero; every exact sparse sum is this one."""
+    if acc is None:
+        acc = {}
+    for key, c in pairs:
+        total = acc.pop(key, None)
+        total = c if total is None else total + c
+        if total:
+            acc[key] = total
+    return acc
+
+
 class StateVector:
     """Map from basis labels to nonzero scalars; immutable by convention.
 
@@ -38,19 +57,8 @@ class StateVector:
         terms: Mapping[BasisLabel, ScalarLike] | Iterable[tuple[BasisLabel, ScalarLike]] = (),
     ) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[BasisLabel, RadicalScalar] = {}
-        for label, c in items:
-            c = _as_scalar(c)
-            if not c:
-                continue
-            prev = acc.get(label)
-            total = c if prev is None else prev + c
-            if total:
-                acc[label] = total
-            elif prev is not None:
-                del acc[label]
         object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "_terms", acc)
+        object.__setattr__(self, "_terms", merge_terms(map(_as_term, items)))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("StateVector is immutable")
@@ -88,22 +96,14 @@ class StateVector:
 
     def _require_same_rep(self, other: "StateVector") -> None:
         if self.rep != other.rep:
-            raise RepMismatchError(
-                f"cannot combine vectors over {self.rep} and {other.rep}"
-            )
+            raise RepMismatchError(f"cannot combine vectors over {self.rep} and {other.rep}")
 
     def combine(self, c: ScalarLike, other: "StateVector") -> "StateVector":
         """self + c * other, exactly."""
         self._require_same_rep(other)
         c = _as_scalar(c)
-        merged = dict(self._terms)
-        for label, coeff in other._terms.items():
-            prev = merged.get(label)
-            total = c * coeff if prev is None else prev + c * coeff
-            if total:
-                merged[label] = total
-            elif prev is not None:
-                del merged[label]
+        terms = other._terms
+        merged = merge_terms(zip(terms, map(c.__mul__, terms.values())), dict(self._terms))
         out = StateVector.zero(self.rep)
         object.__setattr__(out, "_terms", merged)
         return out

@@ -8,7 +8,7 @@ replayed through the CLI `apply` command.
 Tables.  A sampled suite is a table of ``(identity, left, right)`` rows,
 built once per run.  A side is an operator expression: sums are written with
 ``lincomb`` and compositions with ``prod``, so the kernel composes a whole
-side per label in one ``apply`` call.  ``_Runner.run`` takes the table as
+side per label in one ``apply`` call.  ``CheckReport.run`` takes the table as
 groups and runs each group on every sample in turn, so the groups fix the
 case order.  A group is a tuple of rows, or a function of the sample for
 sums whose length depends on the sample (``_word_bound``,
@@ -59,7 +59,7 @@ from .operators import (
 from .parsing import _MAX_INDEX, serialize_vector
 from .polynorm import poly_normal_form, render_monomials
 from .scalars import ONE, RadicalScalar, sqrt_int
-from .states import StateVector, apply_letter
+from .states import StateVector, apply_letter, merge_terms
 
 __all__ = [
     "CheckReport",
@@ -81,15 +81,16 @@ DEFAULT_DEPTH = 5
 Side = Union[OperatorExpr, tuple]
 Row = tuple[str, Side, Side]
 Group = Union[Sequence[Row], Callable[[StateVector], Iterable[Row]]]
-# A case's input and sides: vectors, or text already rendered.
-Witness = Union[StateVector, str]
+# A case's input and sides: vectors, a pair of vectors, or text already rendered.
+Witness = Union[StateVector, tuple[StateVector, StateVector], str]
 
 _I = ident()
 _ZERO = lincomb()
 
 
 class CheckReport:
-    """Outcome of one suite run, JSON-serializable and deterministic."""
+    """Outcome of one suite run, JSON-serializable and deterministic; a
+    suite body counts its cases into it through ``run`` and ``check``."""
 
     def __init__(self, suite: str, rep: str, params: dict[str, int]) -> None:
         self.suite, self.rep, self.params = suite, rep, params
@@ -112,22 +113,6 @@ class CheckReport:
             "measured": dict(self.measured),
         }
 
-
-def _side(side: Side, v: StateVector) -> StateVector:
-    # module globals, read at call time: a patched apply or oracle takes effect
-    if type(side) is tuple:
-        return globals()[side[0]](*side[1:], v)
-    return apply(side, v)
-
-
-class _Runner:
-    def __init__(self, suite: str, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
-        self.report = CheckReport(
-            suite=suite,
-            rep=str(rep),
-            params={"n_max": n_max, "m_max": m_max, "depth": depth},
-        )
-
     def run(self, samples: list[StateVector], groups: Iterable[Group]) -> None:
         """Both sides of every row on every sample, one group after another."""
         for group in groups:
@@ -136,16 +121,27 @@ class _Runner:
                     self.check(identity, v, _side(left, v), _side(right, v))
 
     def check(self, identity: str, source: Witness, left: Witness, right: Witness) -> None:
-        """One case; a vector is serialized only as a failure's witness."""
-        self.report.cases += 1
+        """One case; a witness is serialized only when the case fails."""
+        self.cases += 1
         if left != right:
-            self.report.failures.append(
+            self.failures.append(
                 {"identity": identity, "input": _text(source), "left": _text(left), "right": _text(right)}
             )
 
 
+def _side(side: Side, v: StateVector) -> StateVector:
+    # module globals, read at call time: a patched apply or oracle takes effect
+    if type(side) is tuple:
+        return globals()[side[0]](*side[1:], v)
+    return apply(side, v)
+
+
 def _text(x: Witness) -> str:
-    return x if type(x) is str else serialize_vector(x)
+    if type(x) is str:
+        return x
+    if type(x) is tuple:
+        return " , ".join(map(serialize_vector, x))
+    return serialize_vector(x)
 
 
 def _delta(same: bool) -> tuple[str, OperatorExpr]:
@@ -183,9 +179,9 @@ def verify_identity(
     depth: int = DEFAULT_DEPTH,
 ) -> CheckReport:
     """Compare two operator expressions on every sample vector."""
-    r = _Runner("identity", rep, 0, 0, depth)
-    r.run(_samples(rep, depth), [((name, left, right),)])
-    return r.report
+    report = CheckReport("identity", str(rep), {"n_max": 0, "m_max": 0, "depth": depth})
+    report.run(_samples(rep, depth), [((name, left, right),)])
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +189,7 @@ def verify_identity(
 # ---------------------------------------------------------------------------
 
 
-def _cuntz(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
+def _cuntz(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
     rows: list[Row] = []
     for i in (1, 2):
         for j in (1, 2):
@@ -201,10 +197,10 @@ def _cuntz(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None
             rows.append((f"t{i}* t{j} = {word}", prod(adj(gen(i)), gen(j)), want))
     resolution = lincomb(*((ONE, prod(gen(i), adj(gen(i)))) for i in (1, 2)))
     rows.append(("t1 t1* + t2 t2* = I", resolution, _I))
-    r.run(_samples(rep, depth), [rows])
+    report.run(_samples(rep, depth), [rows])
     for v in (StateVector.basis(rep, lab) for lab in enumerate_basis(rep, depth)):
         hits = sum(1 for i in (1, 2) if apply(adj(gen(i)), v))
-        r.check(
+        report.check(
             "exactly one generator range contains each basis vector",
             v,
             str(hits),
@@ -242,8 +238,8 @@ def _pair_relations(
     return groups
 
 
-def _car(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
-    r.run(_samples(rep, depth), _pair_relations("a", fermion, 1, n_max, m_max))
+def _car(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
+    report.run(_samples(rep, depth), _pair_relations("a", fermion, 1, n_max, m_max))
     # representation-free restatement through the normal form
     cap = min(4, n_max, m_max)
     for n in range(1, cap + 1):
@@ -251,14 +247,14 @@ def _car(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
             an, am = fermion(n), fermion(m)
             nf = poly_normal_form(_anti(an, adj(am)))
             word, want = _delta(n == m)
-            r.check(
+            report.check(
                 f"poly: a({n})a({m})* + a({m})*a({n}) = {word}",
                 "(algebra level)",
                 render_monomials(nf.terms),
                 render_monomials(poly_normal_form(want, depth=nf.depth).terms if n == m else ()),
             )
             nf2 = poly_normal_form(_anti(an, am))
-            r.check(
+            report.check(
                 f"poly: a({n})a({m}) + a({m})a({n}) = 0",
                 "(algebra level)",
                 render_monomials(nf2.terms),
@@ -286,13 +282,13 @@ def _raw_boson(n: int, v: StateVector) -> StateVector:
     return out
 
 
-def _ccr(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
+def _ccr(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
     rows = [("b(1) evaluator = literal word series", boson(1), ("eval_series_b1_raw",))]
     rows += [
         (f"b({n}) evaluator = recursion over literal series", boson(n), ("_raw_boson", n))
         for n in range(2, n_max + 1)
     ]
-    r.run(_samples(rep, depth), [rows, *_pair_relations("b", boson, -1, n_max, m_max)])
+    report.run(_samples(rep, depth), [rows, *_pair_relations("b", boson, -1, n_max, m_max)])
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +296,7 @@ def _ccr(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _wfamily(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
+def _wfamily(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
     w = [range_proj(n) for n in range(max(n_max, m_max) + 1)]
     rows: list[Row] = []
     for n in range(0, n_max + 1):
@@ -317,7 +313,7 @@ def _wfamily(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> No
     def with_resolution(v: StateVector) -> list[Row]:
         return [("sum of W(m) = I", resolution(_max_support(v)), _I), *rows]
 
-    r.run(_samples(rep, depth), [with_resolution])
+    report.run(_samples(rep, depth), [with_resolution])
     basis_vecs = [StateVector.basis(rep, lab) for lab in enumerate_basis(rep, depth)]
     pairs = list(zip(basis_vecs, basis_vecs[1:]))
     if len(basis_vecs) > 2:
@@ -326,9 +322,9 @@ def _wfamily(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> No
         for n in range(0, n_max + 1):
             lhs = apply(w[n], x).inner(y)
             rhs = x.inner(apply(w[n], y))
-            r.check(
+            report.check(
                 f"W({n}) symmetric in the basis pairing",
-                f"{serialize_vector(x)} , {serialize_vector(y)}",
+                (x, y),
                 str(lhs),
                 str(rhs),
             )
@@ -339,7 +335,7 @@ def _wfamily(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> No
 # ---------------------------------------------------------------------------
 
 
-def _lemma23(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
+def _lemma23(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
     t2_adj = adj(gen(2))
     rows: list[Row] = [
         (f"t2 s({n}) = s({n + 1})", prod(gen(2), iso(n)), iso(n + 1)) for n in range(1, n_max + 1)
@@ -359,7 +355,7 @@ def _lemma23(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> No
                 (f"s({m})a({n}) = {shifted}s({m})", prod(s, a), scaled(c, prod(up, s))),
                 (f"s({m})a({n})* = {shifted}*s({m})", prod(s, adj(a)), scaled(c, prod(adj(up), s))),
             ]
-    r.run(_samples(rep, depth), [rows])
+    report.run(_samples(rep, depth), [rows])
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +363,7 @@ def _lemma23(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> No
 # ---------------------------------------------------------------------------
 
 
-def _rho(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
+def _rho(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
     t2_adj, y = adj(gen(2)), shift_series()
     isometries: list[Row] = []
     for n in range(1, n_max + 1):
@@ -425,7 +421,7 @@ def _rho(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
             out.append((name, rho_a[n - 1], expansion(n, bound)))
         return out + homomorphism
 
-    r.run(_samples(rep, depth), [rows])
+    report.run(_samples(rep, depth), [rows])
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +429,7 @@ def _rho(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _main(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
+def _main(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
     groups = [
         (
             (f"b({n}) = t2* F({n})", boson(n), prod(adj(gen(2)), cluster(n))),
@@ -441,7 +437,7 @@ def _main(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
         )
         for n in range(1, n_max + 1)
     ]
-    r.run(_samples(rep, depth), groups)
+    report.run(_samples(rep, depth), groups)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +459,7 @@ def _word_bound(rep: RepSpec, v: StateVector) -> int:
     return v.depth() + 2 * cyc + 2
 
 
-def _closedforms(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
+def _closedforms(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
 
     @cache
     def first_term(n: int) -> OperatorExpr:
@@ -511,7 +507,7 @@ def _closedforms(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -
             out.append((f"rho(W({m})) = occupation expansion", left, rho_w(m, supp_bound)))
         return out
 
-    r.run(_samples(rep, depth), [rows])
+    report.run(_samples(rep, depth), [rows])
 
 
 # ---------------------------------------------------------------------------
@@ -524,19 +520,12 @@ def _exact_rank(vectors: list[StateVector]) -> list[int]:
     pivots: list[tuple[BasisLabel, dict[BasisLabel, RadicalScalar]]] = []
     ranks: list[int] = []
     for vec in vectors:
-        row = {lab: c for lab, c in vec.terms()}
+        row = dict(vec.terms())
         for lead, pivot in pivots:
             c = row.get(lead)
-            if c is None or not c:
-                continue
-            for lab, pc in pivot.items():
-                cur = row.get(lab)
-                nxt = (cur if cur is not None else RadicalScalar({})) - c * pc
-                if nxt:
-                    row[lab] = nxt
-                else:
-                    row.pop(lab, None)
-        row = {lab: c for lab, c in row.items() if c}
+            if c is not None:
+                neg = -c
+                merge_terms(((lab, neg * pc) for lab, pc in pivot.items()), row)
         if row:
             lead = min(row, key=label_sort_key)
             inv = row[lead].inverse()
@@ -548,29 +537,6 @@ def _exact_rank(vectors: list[StateVector]) -> list[int]:
 # The span rank is exact elimination over every boson word: about 1.3 s at
 # depth 18 (1597 words), and growing about threefold per two degrees.
 _MAX_FOCK_WORDS = 2048
-
-
-def _boson_word_count(depth: int) -> int:
-    """Partitions of 0..depth, counted by Euler's pentagonal recurrence.
-
-    Counting stops once the sum passes ``_MAX_FOCK_WORDS``, so a huge depth
-    costs no more than the bound.
-    """
-    p = [1]
-    total = 1
-    for t in range(1, depth + 1):
-        if total > _MAX_FOCK_WORDS:
-            break
-        pt, k = 0, 1
-        while (g := k * (3 * k - 1) // 2) <= t:
-            sign = 1 if k % 2 else -1
-            pt += sign * p[t - g]
-            if g + k <= t:
-                pt += sign * p[t - g - k]
-            k += 1
-        p.append(pt)
-        total += pt
-    return total
 
 
 def _degree_partitions(total: int) -> list[tuple[int, ...]]:
@@ -590,58 +556,65 @@ def _degree_partitions(total: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _fock(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
-    if _boson_word_count(depth) > _MAX_FOCK_WORDS:
-        raise ValueError(
-            f"depth {depth} gives more than {_MAX_FOCK_WORDS} boson words in the fock suite"
-        )
-    vac = StateVector.basis(rep, BasisLabel(0, "", 0))
-    r.check("t1 vac = vac", vac, apply(gen(1), vac), vac)
-    zero = StateVector.zero(rep)
-    for n in range(1, n_max + 1):
-        r.check(f"a({n}) vac = 0", vac, apply(fermion(n), vac), zero)
-        r.check(f"b({n}) vac = 0", vac, apply(boson(n), vac), zero)
-    first = StateVector.basis(rep, BasisLabel(0, "2", 0))
-    r.check("b(1)* vac = a(1)* vac", vac, apply(adj(boson(1)), vac), apply(adj(fermion(1)), vac))
-    r.check("b(1)* vac = |2;0>", vac, apply(adj(boson(1)), vac), first)
-    r.check("b(2)* vac = a(2)* vac", vac, apply(adj(boson(2)), vac), apply(adj(fermion(2)), vac))
-    second = StateVector.basis(rep, BasisLabel(0, "12", 0))
-    r.check("b(2)* vac = |12;0>", vac, apply(adj(boson(2)), vac), second)
-    # span growth of boson monomials on the vacuum, recorded not asserted
-    vectors: list[StateVector] = []
+def _fock(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
+    # the boson words, total by total, bounded before any case runs
+    words: list[tuple[int, ...]] = []
     counts: list[int] = []
     for total in range(0, depth + 1):
-        for parts in _degree_partitions(total):
-            w = vac
-            for idx in reversed(parts):
-                w = apply(adj(boson(idx)), w)
-            vectors.append(w)
-        counts.append(len(vectors))
+        words += _degree_partitions(total)
+        if len(words) > _MAX_FOCK_WORDS:
+            raise ValueError(
+                f"depth {depth} gives more than {_MAX_FOCK_WORDS} boson words in the fock suite"
+            )
+        counts.append(len(words))
+    vac = StateVector.basis(rep, BasisLabel(0, "", 0))
+    report.check("t1 vac = vac", vac, apply(gen(1), vac), vac)
+    zero = StateVector.zero(rep)
+    for n in range(1, n_max + 1):
+        report.check(f"a({n}) vac = 0", vac, apply(fermion(n), vac), zero)
+        report.check(f"b({n}) vac = 0", vac, apply(boson(n), vac), zero)
+    first = StateVector.basis(rep, BasisLabel(0, "2", 0))
+    report.check(
+        "b(1)* vac = a(1)* vac", vac, apply(adj(boson(1)), vac), apply(adj(fermion(1)), vac)
+    )
+    report.check("b(1)* vac = |2;0>", vac, apply(adj(boson(1)), vac), first)
+    report.check(
+        "b(2)* vac = a(2)* vac", vac, apply(adj(boson(2)), vac), apply(adj(fermion(2)), vac)
+    )
+    second = StateVector.basis(rep, BasisLabel(0, "12", 0))
+    report.check("b(2)* vac = |12;0>", vac, apply(adj(boson(2)), vac), second)
+    # span growth of boson monomials on the vacuum, recorded not asserted
+    vectors: list[StateVector] = []
+    for parts in words:
+        w = vac
+        for idx in reversed(parts):
+            w = apply(adj(boson(idx)), w)
+        vectors.append(w)
     ranks = _exact_rank(vectors)
-    r.report.cases += len(vectors)
+    report.cases += len(vectors)
     dims = {
         str(d): (ranks[counts[d] - 1] if counts[d] else 0) for d in range(0, depth + 1)
     }
-    r.report.measured["span_dimension_by_total_degree"] = dims
+    report.measured["span_dimension_by_total_degree"] = dims
 
 
-def _wedge(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
+def _wedge(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
     vac = StateVector.basis(rep, BasisLabel(0, "", 0))
     dual = StateVector.basis(rep, BasisLabel(0, "", 1))
     zero = StateVector.zero(rep)
-    r.check("t2 vac = vac(1)", vac, apply(gen(2), vac), dual)
+    report.check("t2 vac = vac(1)", vac, apply(gen(2), vac), dual)
     for n in range(1, n_max + 1):
-        r.check(f"a({2 * n - 1}) vac = 0", vac, apply(fermion(2 * n - 1), vac), zero)
-        r.check(f"a({2 * n})* vac = 0", vac, apply(adj(fermion(2 * n)), vac), zero)
-        r.check(
+        report.check(f"a({2 * n - 1}) vac = 0", vac, apply(fermion(2 * n - 1), vac), zero)
+        report.check(f"a({2 * n})* vac = 0", vac, apply(adj(fermion(2 * n)), vac), zero)
+        report.check(
             f"psi(-{2 * n - 1}/2) vac = 0", vac, apply(psi(-(2 * n - 1)), vac), zero
         )
-        r.check(
+        report.check(
             f"psi({2 * n - 1}/2)* vac = 0", vac, apply(adj(psi(2 * n - 1)), vac), zero
         )
     flags = {"even_plain": True, "odd_plain": True, "even_starred": True, "odd_starred": True}
     for n in range(1, n_max + 1):
-        r.report.cases += 4
+        report.cases += 4
         if apply(fermion(2 * n), dual):
             flags["even_plain"] = False
         if apply(fermion(2 * n - 1), dual):
@@ -650,7 +623,7 @@ def _wedge(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None
             flags["even_starred"] = False
         if apply(adj(fermion(2 * n - 1)), dual):
             flags["odd_starred"] = False
-    r.report.measured["dual_vacuum_annihilation"] = flags
+    report.measured["dual_vacuum_annihilation"] = flags
     lam: dict[str, object] = {}
     mu: dict[str, object] = {}
     lam_from_comm: dict[str, object] = {}
@@ -660,13 +633,15 @@ def _wedge(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None
             adj(gen(2)),
             apply(cluster(n), apply(adj(cluster(n)), apply(gen(2), vac))),
         )
-        r.check(f"b({n})b({n})* vac agrees on both evaluation paths", vac, raised, cluster_path)
+        report.check(
+            f"b({n})b({n})* vac agrees on both evaluation paths", vac, raised, cluster_path
+        )
         lam_n = raised.coeff(BasisLabel(0, "", 0))
-        r.check(f"b({n})b({n})* vac is a multiple of vac", vac, raised, vac.scale(lam_n))
+        report.check(f"b({n})b({n})* vac is a multiple of vac", vac, raised, vac.scale(lam_n))
         lowered = apply(adj(boson(n)), apply(boson(n), vac))
         mu_n = lowered.coeff(BasisLabel(0, "", 0))
-        r.check(f"b({n})*b({n}) vac is a multiple of vac", vac, lowered, vac.scale(mu_n))
-        r.check(
+        report.check(f"b({n})*b({n}) vac is a multiple of vac", vac, lowered, vac.scale(mu_n))
+        report.check(
             f"commutation consistency: lambda({n}) = 1 + mu({n})",
             vac,
             str(lam_n),
@@ -675,10 +650,10 @@ def _wedge(r: _Runner, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None
         lam[str(n)] = lam_n.to_json()
         mu[str(n)] = mu_n.to_json()
         lam_from_comm[str(n)] = (ONE + mu_n).to_json()
-    r.report.measured["lambda"] = lam
-    r.report.measured["mu"] = mu
-    r.report.measured["lambda_from_commutation"] = lam_from_comm
-    r.report.measured["reference_scalar"] = "2"
+    report.measured["lambda"] = lam
+    report.measured["mu"] = mu
+    report.measured["lambda_from_commutation"] = lam_from_comm
+    report.measured["reference_scalar"] = "2"
 
 
 # ---------------------------------------------------------------------------
@@ -723,9 +698,9 @@ def run_suite(
         if value > _MAX_INDEX:
             raise ValueError(f"{param} must be at most {_MAX_INDEX}, got {value}")
     rep = _FIXED_REPS.get(name, rep)
-    r = _Runner(name, rep, n_max, m_max, depth)
-    body(r, rep, n_max, m_max, depth)
-    return r.report
+    report = CheckReport(name, str(rep), {"n_max": n_max, "m_max": m_max, "depth": depth})
+    body(report, rep, n_max, m_max, depth)
+    return report
 
 
 def check_all(

@@ -136,6 +136,23 @@ def test_lone_double_dash_value_is_a_usage_error(capsys, argv):
     assert captured.err.endswith(f"error: argument {option}: expected one argument\n")
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["expand", "--rep", "nonsense", "--expr", "a(1)"], "--rep nonsense"),
+        (["check", "--rep", "1", "--suite", "main", "--unicode"], "--unicode"),
+    ],
+)
+def test_option_the_subcommand_does_not_read_is_a_usage_error(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage: cuntzrep")
+    assert captured.err.endswith(f"error: unrecognized arguments: {option}\n")
+
+
 def fresh_cli(argv, timeout=10):
     # a fresh process, so the exit code and stderr are what a shell user sees
     env = dict(os.environ, PYTHONPATH=str(Path(cuntzrep.__file__).parents[1]))
@@ -268,6 +285,15 @@ def test_fock_depth_beyond_the_word_bound_exits_two():
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == "error: depth 40 gives more than 2048 boson words in the fock suite\n"
+
+
+def test_fock_huge_depth_exits_two_at_once():
+    start = time.perf_counter()
+    done = fresh_cli(["check", "--rep", "1", "--suite", "fock", "--depth", "1000000000"])
+    elapsed = time.perf_counter() - start
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: depth 1000000000 gives more than 2048 boson words")
+    assert elapsed < 5.0
 
 
 @pytest.mark.parametrize("expr", ["W(12)", "a(14) a(14)*"])

@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from cuntzrep.basis import BasisLabel, RepSpec, enumerate_basis
 from cuntzrep.scalars import ONE, ZERO, RadicalScalar, sqrt_int
-from cuntzrep.states import RepMismatchError, StateVector
+from cuntzrep.states import RepMismatchError, StateVector, merge_terms
+from test_scalars import scalars
 
 FOCK = RepSpec.parse("1")
 WEDGE = RepSpec.parse("12")
@@ -131,3 +132,27 @@ def test_inner_bilinearity(u, v, w, a):
     assert u.inner(v) == v.inner(u)
     assert (u + v).inner(w) == u.inner(w) + v.inner(w)
     assert (a * u).inner(w) == a * u.inner(w)
+
+
+@st.composite
+def _pairs_and_permutation(draw):
+    """(key, scalar) pairs over a few keys, where every pair of each key in a
+    drawn set is followed by its negation, so those keys cancel exactly."""
+    pairs = draw(st.lists(st.tuples(st.sampled_from("uvwx"), scalars()), max_size=8))
+    cancelled = draw(st.sets(st.sampled_from("uvwx")))
+    pairs += [(key, -c) for key, c in pairs if key in cancelled]
+    return pairs, cancelled, draw(st.permutations(pairs))
+
+
+@given(_pairs_and_permutation(), st.integers(0, 16))
+def test_merge_terms_is_the_exact_sparse_sum(drawn, split):
+    pairs, cancelled, permuted = drawn
+    merged = merge_terms(pairs)
+    keys = {key for key, _ in pairs}
+    assert all(merged.values())
+    assert set(merged) <= keys and not set(merged) & cancelled
+    for key in keys:
+        assert merged.get(key, ZERO) == sum((c for k, c in pairs if k == key), ZERO)
+    assert merge_terms(permuted) == merged
+    # summing on into a dict already holding a prefix's sum
+    assert merge_terms(pairs[split:], merge_terms(pairs[:split])) == merged

@@ -14,7 +14,6 @@ from cuntzrep.suites import (
     _MAX_FOCK_WORDS,
     SUITE_NAMES,
     CheckReport,
-    _boson_word_count,
     check_all,
     run_suite,
     verify_identity,
@@ -148,13 +147,12 @@ def test_fock_span_dimensions_match_partition_counts():
 
 def test_fock_word_bound_counts_partitions():
     counts = partitions_up_to(30)
-    for depth in range(31):
-        words = sum(counts[: depth + 1])
-        if words <= _MAX_FOCK_WORDS:
-            assert _boson_word_count(depth) == words
-        else:
-            assert _boson_word_count(depth) > _MAX_FOCK_WORDS
     assert sum(counts[:19]) <= _MAX_FOCK_WORDS < sum(counts[:20])
+    # one case per boson word, after the fixed vacuum cases
+    fixed = run_suite("fock", FOCK, n_max=1, m_max=1, depth=0).cases - 1
+    for depth in (1, 7, 12):
+        report = run_suite("fock", FOCK, n_max=1, m_max=1, depth=depth)
+        assert report.cases - fixed == sum(counts[: depth + 1])
     with pytest.raises(ValueError, match="depth 19 gives more than 2048 boson words"):
         run_suite("fock", FOCK, depth=19)
 
@@ -225,11 +223,19 @@ def test_suites_are_reached_only_through_run_suite():
 
 
 def test_text_case_witness_serializes_its_input_vector():
-    r = suites._Runner("cuntz", FOCK, 0, 0, 0)
+    report = CheckReport("cuntz", str(FOCK), {"n_max": 0, "m_max": 0, "depth": 0})
     vac = StateVector.basis(FOCK, BasisLabel(0, "", 0))
-    r.check("hits", vac, "2", "1")
-    r.check("hits", vac, "1", "1")
-    assert r.report.cases == 2
-    assert r.report.failures == [
-        {"identity": "hits", "input": serialize_vector(vac), "left": "2", "right": "1"}
+    two = StateVector.basis(FOCK, BasisLabel(0, "2", 0))
+    report.check("hits", vac, "2", "1")
+    report.check("hits", vac, "1", "1")
+    report.check("pairing", (vac, two), "0", "1")
+    assert report.cases == 3
+    assert report.failures == [
+        {"identity": "hits", "input": serialize_vector(vac), "left": "2", "right": "1"},
+        {
+            "identity": "pairing",
+            "input": f"{serialize_vector(vac)} , {serialize_vector(two)}",
+            "left": "0",
+            "right": "1",
+        },
     ]
