@@ -166,6 +166,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     for name, value in vars(args).items():
         if isinstance(value, list):  # argparse drops a lone "--" value, leaving []
             parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
+    if getattr(args, "unicode", False) and args.format == "json":  # JSON has no glyphs to switch
+        parser.error("argument --unicode: not allowed with --format json")
     try:
         return _DISPATCH[args.subcommand](args)
     except ValueError as exc:  # ParseError, RepValidationError, PolynomialError among them

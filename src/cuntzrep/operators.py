@@ -18,40 +18,34 @@ products, linear combinations, and the named families built from them:
 * ``Rho(x)``, ``Zeta(x)``   the transformers
                     rho(x) = sum_m s_m x s_m*,  zeta(x) = t1 x t1* - t2 x t2*
 
-How evaluation works.  Every node but ``LinComb`` sends a basis label to at
-most one label times an exact scalar.  The kernel ``_act(e, rep, label)``
-returns that image as ``(label, scalar)`` terms; ``apply`` is its linear
-extension, summed by ``states.merge_terms``.  Exactly one of t1*, t2*
-survives on a label, so each family is a loop over letters, with forward
-and adjoint entries in one table.
+How evaluation works.  Every node but ``LinComb`` sends a basis label to
+at most one label times an exact scalar.  ``apply(e, v)`` lowers e once
+into a plan: sums are multiplied through into (coefficient, factor chain)
+pairs, and the chains form a trie read right to left, so chains that end
+in the same factors take them once per label, and a label that a shared
+factor annihilates prunes every chain below it.  Each edge holds its
+factor's entry, resolved when the plan is built: a word-slice step for t_i
+and s_n, the LRU cache (``KERNEL_CACHE_SIZE`` entries, keyed on the label)
+for a named family, its own plan for X_n, a sum inside a product and the
+argument of rho or zeta.  Plans are memoised on the identity of the
+expression, at most ``_PLAN_CACHE_SIZE`` of them; ``kernel_cache_clear``,
+called by ``cli.main`` on entry, empties both caches.  ``apply`` merges the
+images of v's terms, unsorted, and hands the dict to
+``StateVector._trusted`` as it is.
 
-The loop's steps act on word slices, one string operation each: ``_down``
-finds the one s_m* that survives by ``word.find("1")`` (on a word of 2s,
-by a find in the cycle walk from the node), ``_peel`` slices off the
-letters n zeta levels peel, and ``_prepend`` puts t_i, s_n or the peeled
-letters back on in one concatenation.  Prepending to a nonempty normal
-word never changes its last letter, so only the image of a cycle vector is
-normalised, by stripping the letters that walk its cycle back.  The
-stepwise moves ``basis.apply_gen``/``apply_gen_adjoint`` stay the parser's
-and the oracles' path, and the word bound raises the same error on both.
-``apply`` walks a vector's terms unsorted; sums are exact, and output order
-comes from ``StateVector.terms()``.
-
-Named families, their adjoints and ``Rho``/``Zeta`` are memoised on
-``(expr, rep, label)`` in an LRU cache of ``KERNEL_CACHE_SIZE`` entries,
-cleared by ``cli.main`` on entry; ``Prod``/``LinComb`` compose cached
-images per label; ``Gen``, ``Iso`` and ``Ident`` are recomputed.  The
-oracles use only the vector-level letter steps ``states.apply_letter*``,
-never the cache or a word-slice step, and the series oracle takes its
-weights from ``RadicalScalar.sqrt_int``, not from the memoised
-``scalars.sqrt_int`` that the kernel uses.
+Exactly one of t1*, t2* survives on a label, so each family is a loop of
+word-slice steps (``_down``, ``_peel``, ``_prepend``), with forward and
+adjoint entries in one table.  The oracles use only the vector-level letter
+steps ``states.apply_letter*``, never a plan, the cache or a word-slice
+step, and the series oracle takes its weights from
+``RadicalScalar.sqrt_int``, not from the memoised ``scalars.sqrt_int``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 # the kernel steps no letter through apply_gen; perfbench/tracer.py patches the name
 from .basis import (
@@ -404,8 +398,9 @@ def partial_shift_definition(n: int) -> OperatorExpr:
 # Per-label kernel
 # ---------------------------------------------------------------------------
 
-KERNEL_CACHE_SIZE = 1 << 12  # ~2 MB; closedforms on rep 112 would hold 8k, and loses 1% of hits
+KERNEL_CACHE_SIZE = 1 << 12  # ~2 MB; closedforms on rep 112 would hold 7.7k, and loses 5% of hits
 Terms = tuple[tuple[BasisLabel, RadicalScalar], ...]
+_MINUS_ONE = -ONE
 
 
 def _one(label: Optional[BasisLabel]) -> Terms:
@@ -503,14 +498,16 @@ def _y_adj(rep: RepSpec, x: BasisLabel) -> Optional[BasisLabel]:
     return _prepend(rep, hit[1], "2" * (hit[0] - 2) + "12") if hit and hit[0] >= 2 else None
 
 
-def _zeta_tower(n: int, rep: RepSpec, x: BasisLabel, e: OperatorExpr) -> Terms:
-    """zeta^n(e), unrolled: the n levels peel the n surviving letters (each
-    t2 flips the sign), e acts, and the letters go back on in one prefix."""
-    if not n:
-        return _act(e, rep, x)
+def _fermion(e: Fermion, rep: RepSpec, x: BasisLabel, flip: str = "1") -> Terms:
+    """a_n x (flip "1") or a_n* x (flip "2"): zeta^(n-1) of a_1 = t1 t2* (a_1* =
+    t2 t1*) peels n letters.  The last must not be ``flip`` and becomes it,
+    each 2 among the others flips the sign, and they go back on at once."""
+    n = e.n
     letters, x = _peel(rep, x, n)
-    odd = letters.count("2") % 2
-    return tuple((_prepend(rep, z, letters), -c if odd else c) for z, c in _act(e, rep, x))
+    if letters[-1] == flip:
+        return ()
+    sign = _MINUS_ONE if letters.count("2", 0, n - 1) % 2 else ONE
+    return ((_prepend(rep, x, letters[:-1] + flip), sign),)
 
 
 def _rho_tower(n: int, rep: RepSpec, x: BasisLabel, k: int, d: int, before=None, after=None):
@@ -537,13 +534,17 @@ def _rho_tower(n: int, rep: RepSpec, x: BasisLabel, k: int, d: int, before=None,
     return ((x, sqrt_int(j - k)),)
 
 
-def _rho(e: OperatorExpr, rep: RepSpec, x: BasisLabel) -> Terms:
-    """rho(e) = sum_m s_m e s_m*."""
+def _rho(plan: list, rep: RepSpec, x: BasisLabel) -> Terms:
+    """rho(e) = sum_m s_m e s_m*, e given by its plan."""
     hit = _down(rep, x)
-    return tuple((_up(rep, z, hit[0]), c) for z, c in _act(e, rep, hit[1])) if hit else ()
+    return tuple((_up(rep, z, hit[0]), c) for z, c in _act(plan, rep, hit[1])) if hit else ()
 
 
-_A1 = (Prod((Gen(1), Adj(Gen(2)))), Prod((Gen(2), Adj(Gen(1)))))  # a_1 = t1 t2*, a_1*
+def _zeta(plan: list, rep: RepSpec, x: BasisLabel) -> Terms:
+    """zeta(e) = t1 e t1* - t2 e t2*, e given by its plan."""
+    letter, x = _peel(rep, x)
+    images = _act(plan, rep, x)
+    return tuple((_prepend(rep, z, letter), -c if letter == "2" else c) for z, c in images)
 
 
 # Node type -> (forward entry, adjoint entry); an entry maps (node, rep,
@@ -555,81 +556,132 @@ _ENTRIES: dict[type, tuple[Callable[..., Terms], Callable[..., Terms]]] = {
         lambda e, rep, x: ((_prepend(rep, x, str(e.letter)), ONE),),
         lambda e, rep, x: _one(apply_gen_adjoint(rep, e.letter, x)),
     ),
-    Ident: (lambda e, rep, x: ((x, ONE),),) * 2,
     Iso: (lambda e, rep, x: ((_up(rep, x, e.n), ONE),), _iso_adj),
-    Fermion: (  # a_n = zeta(a_{n-1})
-        lambda e, rep, x: _zeta_tower(e.n - 1, rep, x, _A1[0]),
-        lambda e, rep, x: _zeta_tower(e.n - 1, rep, x, _A1[1]),
-    ),
-    Psi: (
-        lambda e, rep, x: _act(Fermion(psi_fermion_index(e.numer)), rep, x),
-        lambda e, rep, x: _act(Adj(Fermion(psi_fermion_index(e.numer))), rep, x),
-    ),
+    Fermion: (_fermion, lambda e, rep, x: _fermion(e, rep, x, "2")),
     Boson: (
         lambda e, rep, x: _rho_tower(e.n, rep, x, 1, -1),
         lambda e, rep, x: _rho_tower(e.n, rep, x, 0, 1),
     ),
-    RangeProj: (lambda e, rep, x: _act(Prod((Iso(e.n + 1), Adj(Iso(e.n + 1)))), rep, x),) * 2,
-    PartialShift: (
-        lambda e, rep, x: _act(partial_shift_definition(e.n), rep, x),
-        lambda e, rep, x: _act(adjoint(partial_shift_definition(e.n)), rep, x),
-    ),
+    # W_n = s_{n+1} s_{n+1}*: x itself when s_{n+1}* x survives
+    RangeProj: (lambda e, rep, x: _iso_adj(Iso(e.n + 1), rep, x) and ((x, ONE),),) * 2,
     ShiftSeries: (lambda e, rep, x: _one(_y(rep, x)), lambda e, rep, x: _one(_y_adj(rep, x))),
     Cluster: (  # F_n = Y rho(F_{n-1}),  F_n* = rho(F_{n-1}*) Y*
         lambda e, rep, x: _rho_tower(e.n, rep, x, 1, 0, after=_y),
         lambda e, rep, x: _rho_tower(e.n, rep, x, 1, 0, before=_y_adj),
     ),
-    Rho: (lambda e, rep, x: _rho(e.arg, rep, x), lambda e, rep, x: _rho(adjoint(e.arg), rep, x)),
-    Zeta: (
-        lambda e, rep, x: _zeta_tower(1, rep, x, e.arg),
-        lambda e, rep, x: _zeta_tower(1, rep, x, adjoint(e.arg)),
-    ),
 }
-_LETTER_WORDS = (Gen, Iso, Ident)  # cheaper to recompute than to look up
-
-
-def _act(e: OperatorExpr, rep: RepSpec, x: BasisLabel) -> Terms:
-    """Image of the basis label x under e, as (label, scalar) terms: empty
-    when x is annihilated, at most one term unless e contains a LinComb."""
-    kind = type(e)
-    if kind is Prod:
-        terms: Terms = ((x, ONE),)
-        for f in reversed(e.factors):
-            terms = _extend(f, rep, terms)
-            if not terms:
-                break
-        return terms
-    if kind is LinComb:
-        pairs = ((z, _mul(c, d)) for c, f in e.parts for z, d in _act(f, rep, x))
-        return tuple(merge_terms(pairs).items())
-    node = e.arg if kind is Adj else e
-    entries = _ENTRIES.get(type(node))
-    if entries is None:
-        if kind is Adj and isinstance(node, (Adj, Prod, LinComb)):
-            return _act(adjoint(node), rep, x)  # unnormalized star: normalize once
-        raise TypeError(f"not an operator expression: {e!r}")
-    if type(node) in _LETTER_WORDS:
-        return entries[kind is Adj](node, rep, x)
-    return _act_cached(e, rep, x)
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
-def _act_cached(e: OperatorExpr, rep: RepSpec, x: BasisLabel) -> Terms:
-    if type(e) is Adj:
-        return _ENTRIES[type(e.arg)][1](e.arg, rep, x)
-    return _ENTRIES[type(e)][0](e, rep, x)
+def _act_cached(entry: Callable[..., Terms], e: OperatorExpr, rep: RepSpec, x: BasisLabel) -> Terms:
+    return entry(e, rep, x)
+
+
+def _step(e: OperatorExpr) -> Callable[[RepSpec, BasisLabel], Terms]:
+    """The entry of one factor, resolved once, as a function of (rep, label):
+    a table entry, through the per-label cache unless a letter word; psi
+    as its fermion; rho and zeta around their argument's plan; X_n, and a
+    sum, a product or a star that adjoint() rewrites inside a product, as
+    their own plans."""
+    star = type(e) is Adj
+    node = e.arg if star else e
+    kind = type(node)
+    if kind in _ENTRIES:
+        entry = _ENTRIES[kind][star]
+        if kind is Gen or kind is Iso:  # cheaper to recompute than to look up
+            return partial(entry, node)
+        return partial(_act_cached, entry, node)
+    if kind is Psi:
+        a = Fermion(psi_fermion_index(node.numer))
+        return _step(Adj(a) if star else a)
+    if kind is Rho or kind is Zeta:
+        arg = adjoint(node.arg) if star else node.arg
+        return partial(_rho if kind is Rho else _zeta, _build(arg))
+    if kind is PartialShift:
+        node = partial_shift_definition(node.n)
+    elif kind not in (Adj, Prod, LinComb, Ident):
+        raise TypeError(f"not an operator expression: {e!r}")
+    return partial(_act, _build(adjoint(node) if star else node))
+
+
+def _chains(e: OperatorExpr, c: RadicalScalar) -> Iterator[tuple[RadicalScalar, list]]:
+    """(coefficient, factors) for each product of e, sums multiplied through
+    and the identity dropped.  A sum inside a product stays one factor, so a
+    product of k sums is k steps, not 2^k chains."""
+    if type(e) is LinComb:
+        for d, part in e.parts:
+            yield from _chains(part, _mul(c, d))
+    else:
+        factors = e.factors if type(e) is Prod else (e,)
+        yield c, [f for f in factors if type(f) is not Ident]
+
+
+def _build(e: OperatorExpr) -> list:
+    """The plan of e, in one pass: a trie of its factor chains read right to
+    left, so chains that end in the same factors share those edges.  A node
+    is ``[coefficient or None, {factor: (step, child)}]``, the coefficient
+    the sum of the chains that end there; each distinct factor's step is
+    resolved once."""
+    root: list = [None, {}]
+    steps: dict[OperatorExpr, Callable] = {}
+    for c, factors in _chains(e, ONE):
+        node = root
+        for f in reversed(factors):
+            edge = node[1].get(f)
+            if edge is None:
+                step = steps.get(f)
+                if step is None:
+                    step = steps[f] = _step(f)
+                edge = node[1][f] = (step, [None, {}])
+            node = edge[1]
+        total = c if node[0] is None else node[0] + c
+        node[0] = total if total else None
+    return root
+
+
+def _images(plan: list, rep: RepSpec, terms) -> Iterator[tuple[BasisLabel, RadicalScalar]]:
+    """Every chain's image of each (label, scalar) term, unmerged.  A label
+    takes an edge's step once for all the chains below it, and a step that
+    annihilates it prunes them all."""
+    stack = [(plan, x, c) for x, c in terms]
+    while stack:
+        (coeff, edges), x, c = stack.pop()
+        if coeff is not None:
+            yield x, c if coeff is ONE else coeff if c is ONE else c * coeff
+        for step, child in edges.values():
+            for z, d in step(rep, x):
+                stack.append((child, z, c if d is ONE else d if c is ONE else c * d))
+
+
+def _act(plan: list, rep: RepSpec, x: BasisLabel) -> Terms:
+    """Image of the basis label x under a plan, as merged (label, scalar)
+    terms: empty when x is annihilated, one term at most without a sum."""
+    return tuple(merge_terms(_images(plan, rep, ((x, ONE),))).items())
+
+
+# Plans memoised on the identity of the expression, since hashing a long
+# sum per call costs more than its plan saves.  An entry keeps its
+# expression alive, so the id is not reused; the oldest entry goes first.
+_PLAN_CACHE_SIZE = 256
+_plans: dict[int, tuple[OperatorExpr, list]] = {}
+
+
+def _plan(e: OperatorExpr) -> list:
+    entry = _plans.get(id(e))
+    if entry is None:
+        if len(_plans) >= _PLAN_CACHE_SIZE:
+            del _plans[next(iter(_plans))]
+        entry = _plans[id(e)] = (e, _build(e))
+    return entry[1]
 
 
 kernel_cache_info = _act_cached.cache_info
-kernel_cache_clear = _act_cached.cache_clear
 
 
-def _extend(e: OperatorExpr, rep: RepSpec, terms) -> Terms:
-    """Linear extension of _act(e, rep, .) over (label, scalar) terms."""
-    if len(terms) == 1 and terms[0][1] is ONE:
-        return _act(e, rep, terms[0][0])
-    pairs = ((z, _mul(c, d)) for x, c in terms for z, d in _act(e, rep, x))
-    return tuple(merge_terms(pairs).items())
+def kernel_cache_clear() -> None:
+    """Empty the plan memo and the per-label cache."""
+    _plans.clear()
+    _act_cached.cache_clear()
 
 
 def apply(e: OperatorExpr, v: StateVector) -> StateVector:
@@ -637,4 +689,4 @@ def apply(e: OperatorExpr, v: StateVector) -> StateVector:
     if not v:
         return v
     # unsorted: the sums are exact, and terms() orders the output
-    return StateVector(v.rep, _extend(e, v.rep, tuple(v._terms.items())))
+    return StateVector._trusted(v.rep, merge_terms(_images(_plan(e), v.rep, v._terms.items())))

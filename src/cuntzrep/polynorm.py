@@ -233,6 +233,7 @@ class PolyNormalForm(NamedTuple):
 
 
 def _refine(terms: list[Monomial], depth: int) -> PolyNormalForm:
+    """The normal form at ``depth`` of merged terms: padded, merged, sorted."""
     size = 0
     for _, u, _ in terms:
         pad = depth - len(u)
@@ -243,6 +244,8 @@ def _refine(terms: list[Monomial], depth: int) -> PolyNormalForm:
         # capped, so a huge depth never builds a huge power of two
         size += 1 << min(pad, _MAX_MONOMIALS.bit_length())
     _check_size(size)
+    if size == len(terms):  # no term is padded: the merged input is the result
+        return PolyNormalForm(depth, tuple(sorted(terms, key=lambda t: t[1:])))
     refined: list[Monomial] = []
     for c, u, v in terms:
         pad = depth - len(u)

@@ -64,8 +64,16 @@ class StateVector:
         raise AttributeError("StateVector is immutable")
 
     @classmethod
+    def _trusted(cls, rep: RepSpec, terms: dict[BasisLabel, RadicalScalar]) -> "StateVector":
+        """The vector of a dict that ``merge_terms`` built, taken as it is."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "rep", rep)
+        object.__setattr__(out, "_terms", terms)
+        return out
+
+    @classmethod
     def zero(cls, rep: RepSpec) -> "StateVector":
-        return cls(rep)
+        return cls._trusted(rep, {})
 
     @classmethod
     def basis(cls, rep: RepSpec, label: BasisLabel) -> "StateVector":
@@ -104,9 +112,7 @@ class StateVector:
         c = _as_scalar(c)
         terms = other._terms
         merged = merge_terms(zip(terms, map(c.__mul__, terms.values())), dict(self._terms))
-        out = StateVector.zero(self.rep)
-        object.__setattr__(out, "_terms", merged)
-        return out
+        return StateVector._trusted(self.rep, merged)
 
     def __add__(self, other: "StateVector") -> "StateVector":
         return self.combine(ONE, other)

@@ -7,13 +7,13 @@ replayed through the CLI `apply` command.
 
 Tables.  A sampled suite is a table of ``(identity, left, right)`` rows,
 built once per run.  A side is an operator expression: sums are written with
-``lincomb`` and compositions with ``prod``, so the kernel composes a whole
-side per label in one ``apply`` call.  ``CheckReport.run`` takes the table as
+``lincomb`` and compositions with ``prod``, so one ``apply`` call runs a
+whole side's plan per label.  ``CheckReport.run`` takes the table as
 groups and runs each group on every sample in turn, so the groups fix the
 case order.  A group is a tuple of rows, or a function of the sample for
 sums whose length depends on the sample (``_word_bound``,
-``_max_support``); those sums are memoised per bound for the run and are
-never keys of the kernel cache.
+``_max_support``); those sums are memoised per bound for the run, so the
+kernel lowers each to one plan.
 
 Oracles.  A side written ``("eval_series_b1_raw",)`` or ``("_raw_boson", n)``
 names a function of the vector in this module, looked up when the side is
@@ -198,8 +198,9 @@ def _cuntz(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: int
     resolution = lincomb(*((ONE, prod(gen(i), adj(gen(i)))) for i in (1, 2)))
     rows.append(("t1 t1* + t2 t2* = I", resolution, _I))
     report.run(_samples(rep, depth), [rows])
+    stars = (adj(gen(1)), adj(gen(2)))
     for v in (StateVector.basis(rep, lab) for lab in enumerate_basis(rep, depth)):
-        hits = sum(1 for i in (1, 2) if apply(adj(gen(i)), v))
+        hits = sum(1 for star in stars if apply(star, v))
         report.check(
             "exactly one generator range contains each basis vector",
             v,
@@ -365,6 +366,7 @@ def _lemma23(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: i
 
 def _rho(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
     t2_adj, y = adj(gen(2)), shift_series()
+    shift_row = ("rho(t2*) = t2* Y", rho(t2_adj), prod(t2_adj, y))
     isometries: list[Row] = []
     for n in range(1, n_max + 1):
         for m in range(1, m_max + 1):
@@ -412,7 +414,7 @@ def _rho(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: int) 
         bound = _max_support(v)
         out = isometries + [
             ("sum of s(n)s(n)* = I", resolution(bound), _I),
-            ("rho(t2*) = t2* Y", rho(t2_adj), prod(t2_adj, y)),
+            shift_row,
             ("Y = sum of X(n)", y, x_sum(bound)),
         ]
         for n in range(1, n_max + 1):

@@ -153,6 +153,26 @@ def test_option_the_subcommand_does_not_read_is_a_usage_error(capsys, argv, opti
     assert captured.err.endswith(f"error: unrecognized arguments: {option}\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply", "--rep", "1", "--expr", "sqrt(2)*t1", "--state", "vac"],
+        ["expand", "--expr", "sqrt(2)*a(1)"],
+        ["list-basis", "--rep", "1", "--depth", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unicode_with_json_is_a_usage_error(capsys, argv):
+    # JSON output has no glyphs for the flag to switch
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "json", "--unicode"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage: cuntzrep")
+    assert captured.err.endswith("error: argument --unicode: not allowed with --format json\n")
+
+
 def fresh_cli(argv, timeout=10):
     # a fresh process, so the exit code and stderr are what a shell user sees
     env = dict(os.environ, PYTHONPATH=str(Path(cuntzrep.__file__).parents[1]))

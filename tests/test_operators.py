@@ -19,6 +19,7 @@ from cuntzrep.basis import (
 from cuntzrep.cli import main
 from cuntzrep.operators import (
     _act,
+    _plan,
     adjoint,
     apply,
     boson,
@@ -360,10 +361,58 @@ _polynomials = st.recursive(
 )
 
 
+@st.composite
+def _shared_suffix_sums(draw):
+    """A sum of products that end in suffixes of one factor list, so that
+    their plan shares edges; some parts come twice with opposite
+    coefficients and cancel.  Wrapped in a scalar or used as a factor."""
+    suffix = draw(st.lists(_poly_atoms, min_size=1, max_size=3))
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        head = draw(st.lists(_poly_atoms, max_size=2))
+        tail = suffix[draw(st.integers(0, len(suffix) - 1)) :]
+        c = draw(_COEFFS)
+        parts.append((c, prod(*head, *tail)))
+        if draw(st.booleans()):
+            parts.append((-c, prod(*head, *tail)))
+    e = lincomb(*parts)
+    return draw(st.sampled_from([e, scaled(sqrt_int(2), e), prod(gen(1), e), prod(e, adjoint(fermion(2)))]))
+
+
 @settings(max_examples=80, deadline=None)
-@given(_polynomials, _kernel_vectors)
+@given(st.one_of(_polynomials, _shared_suffix_sums()), _kernel_vectors)
 def test_kernel_matches_normal_form_action(e, v):
     assert apply(e, v) == apply_normal_form(poly_normal_form(e), v)
+
+
+def test_fermion_entries_match_normal_form_action():
+    # every label to depth 4 up to a(6); cycle vectors, which peel past
+    # their word, up to a(12)
+    for n in range(1, 13):
+        for e in (fermion(n), adjoint(fermion(n))):
+            nf = poly_normal_form(e)
+            for rep in _KERNEL_REPS:
+                for label in enumerate_basis(rep, 4):
+                    if n <= 6 or not label.word:
+                        v = StateVector.basis(rep, label)
+                        assert apply(e, v) == apply_normal_form(nf, v), (e, rep, label)
+
+
+def test_plan_shares_right_hand_suffixes():
+    shared = (fermion(3), adjoint(fermion(3)))
+    e = lincomb(
+        (ONE, prod(fermion(1), *shared)),
+        (sqrt_int(2), prod(fermion(2), *shared)),
+        (-ONE, prod(fermion(1), *shared)),
+    )
+    root = operators._build(e)
+    assert list(root[1]) == [adjoint(fermion(3))]
+    ((_, below),) = root[1].values()
+    assert list(below[1]) == [fermion(3)]
+    ((_, fork),) = below[1].values()
+    assert set(fork[1]) == {fermion(1), fermion(2)}
+    assert fork[1][fermion(1)][1][0] is None  # the two a(1) parts cancel
+    assert fork[1][fermion(2)][1][0] == sqrt_int(2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -386,7 +435,7 @@ def test_kernel_family_images_have_at_most_one_term():
     for rep in _KERNEL_REPS:
         for label in enumerate_basis(rep, 6):
             for e in nodes:
-                assert len(_act(e, rep, label)) <= 1, (e, rep, label)
+                assert len(_act(_plan(e), rep, label)) <= 1, (e, rep, label)
 
 
 def test_kernel_cache_key_includes_the_representation():
@@ -409,10 +458,37 @@ def test_kernel_cache_key_includes_the_representation():
 
 def test_cli_main_starts_with_an_empty_cache(capsys):
     apply(cluster(3), fock("22"))
-    assert kernel_cache_info().currsize > 0
+    assert kernel_cache_info().currsize > 0 and operators._plans
     assert main(["list-basis", "--rep", "1", "--depth", "0"]) == 0
     capsys.readouterr()
-    assert kernel_cache_info().currsize == 0
+    assert kernel_cache_info().currsize == 0 and not operators._plans
+
+
+def test_plans_are_memoised_on_the_identity_of_the_expression(monkeypatch):
+    kernel_cache_clear()
+    built = []
+    build = operators._build
+    monkeypatch.setattr(operators, "_build", lambda e: built.append(e) or build(e))
+    e, twin, v = prod(gen(1), fermion(2)), prod(gen(1), fermion(2)), fock("2")
+    assert apply(e, v) == apply(e, v) == apply(twin, v)
+    assert built == [e, twin] and built[1] is twin
+    kernel_cache_clear()
+    assert not operators._plans
+    apply(e, v)
+    assert len(built) == 3
+
+
+def test_plan_memo_stays_within_its_bound():
+    kernel_cache_clear()
+    bound = operators._PLAN_CACHE_SIZE
+    v = fock("2")
+    exprs = [prod(gen(1), iso(n)) for n in range(1, bound + 21)]
+    for e in exprs:
+        apply(e, v)
+        assert len(operators._plans) <= bound
+    # the oldest went first, and each entry keeps its expression
+    assert [e for e, _ in operators._plans.values()] == exprs[-bound:]
+    kernel_cache_clear()
 
 
 def test_oracles_never_touch_the_cache(monkeypatch):
@@ -423,10 +499,10 @@ def test_oracles_never_touch_the_cache(monkeypatch):
     kernel_cache_clear()
 
     def off_limits(*args):
-        raise AssertionError("an oracle reached a word-slice step of the kernel")
+        raise AssertionError("an oracle reached a plan or a word-slice step of the kernel")
 
     with monkeypatch.context() as patched:
-        for helper in ("_prepend", "_peel", "_up", "_down"):
+        for helper in ("_prepend", "_peel", "_up", "_down", "_build", "_plan", "_images"):
             patched.setattr(operators, helper, off_limits)
         oracles = {
             boson(1): eval_series_b1_raw(v),
