@@ -118,6 +118,27 @@ def test_index_bound_above_the_parser_bound_exits_two(capsys, flag, suite):
 
 
 @pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--suite", "main", "--n-max", "0"], "suite main has no case at n_max=0, m_max=4, depth=5"),
+        (["--suite", "car", "--n-max", "0"], "suite car has no case at n_max=0, m_max=4, depth=5"),
+        (["--suite", "car", "--m-max", "0"], "suite car has no case at n_max=4, m_max=0, depth=5"),
+        (["--suite", "all", "--n-max", "0"], "suite car has no case at n_max=0, m_max=4, depth=5"),
+    ],
+)
+def test_run_with_no_case_exits_two(capsys, argv, named):
+    # a run that samples nothing must not print PASS
+    rc, out, err = run(capsys, ["check", "--rep", "1", *argv])
+    assert (rc, out, err) == (2, "", f"error: {named}\n")
+
+
+def test_wfamily_with_no_family_index_still_has_cases(capsys):
+    rc, out, _ = run(capsys, ["check", "--rep", "1", "--suite", "wfamily", "--n-max", "0"])
+    assert rc == 0
+    assert out.startswith("PASS suite=wfamily rep=1 n_max=0 ") and " cases=0 " not in out
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["apply", "--rep", "1", "--expr=--", "--state", "vac"],

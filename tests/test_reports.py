@@ -2,7 +2,9 @@
 
 Each entry is the sha256 of what ``cuntzrep.cli.main`` prints for one
 invocation, with its exit code.  The check reports cover every suite on
-five representations (rep ``2`` exits 1 with its recorded failures); the
+six representations at the default bounds (rep ``2`` exits 1 with its
+recorded failures), and on the long cycle ``1112122`` and the rotated
+``21`` at small bounds with ``m_max`` above ``n_max``; the
 ``apply``/``expand`` queries carry fractional and irrational coefficients in
 text, ``--format json`` and ``--unicode``.  A change that alters any output
 must be a bug fix: re-record with ``PYTHONPATH=src python
@@ -17,7 +19,9 @@ import pytest
 
 from cuntzrep.cli import main
 
-CHECK_REPS = ("1", "12", "112", "2", "1+12")
+CHECK_REPS = ("1", "12", "112", "2", "1+12", "1122")
+SMALL_CHECK_REPS = ("1112122", "21")
+SMALL_BOUNDS = ("--n-max", "2", "--m-max", "5", "--depth", "3")
 
 QUERIES = (
     ("apply", "--rep", "12", "--expr", "b(2)* b(1)*", "--state", "1/2*vac - sqrt(3)*|2;0>"),
@@ -37,6 +41,8 @@ FORMATS = ((), ("--format", "json"), ("--unicode",))
 def _invocations():
     for rep in CHECK_REPS:
         yield ("check", "--suite", "all", "--rep", rep, "--format", "json")
+    for rep in SMALL_CHECK_REPS:
+        yield ("check", "--suite", "all", "--rep", rep, *SMALL_BOUNDS, "--format", "json")
     for query in QUERIES:
         for fmt in FORMATS:
             yield query + fmt
@@ -60,6 +66,12 @@ GOLDEN = {
         (1, "53ab800794cffd62fe5f8c69f7a99389d8d27ea7f78176ec81778d5e303e7cbd"),
     "check --suite all --rep 1+12 --format json":
         (0, "8c602db02f0ad651fc2318545b8dbac09cae5361a95d3eabb4400390591a4c40"),
+    "check --suite all --rep 1122 --format json":
+        (0, "c634e1af0aa878e8190592c5067128f811f8e411e173232d7fca45d78be8b715"),
+    "check --suite all --rep 1112122 --n-max 2 --m-max 5 --depth 3 --format json":
+        (0, "939df4d6b03a21d178188c4faddb7123a8b1af8dc2bfef62465243be849063a1"),
+    "check --suite all --rep 21 --n-max 2 --m-max 5 --depth 3 --format json":
+        (0, "34a19fc5a1dd7c174de9f68475931695b656f7471b3927f9ff3e6f178bf85bf0"),
     "apply --rep 12 --expr b(2)* b(1)* --state 1/2*vac - sqrt(3)*|2;0>":
         (0, "b3d6a23be1f2b353c06bd5ebbc24c3a47fb3188863f30549f4c4b1c39c36fa8b"),
     "apply --rep 12 --expr b(2)* b(1)* --state 1/2*vac - sqrt(3)*|2;0> --format json":

@@ -6,7 +6,7 @@ import pytest
 
 from cuntzrep import suites
 from cuntzrep.basis import BasisLabel, RepSpec
-from cuntzrep.operators import gen
+from cuntzrep.operators import _support_bound, gen, s_star_support
 from cuntzrep.parsing import serialize_vector
 from cuntzrep.scalars import RadicalScalar
 from cuntzrep.states import StateVector
@@ -102,6 +102,36 @@ def test_closedforms_builds_its_table_once_per_run(monkeypatch):
     assert single["prod"] > 0 and single["fermion"] > 0
     assert single == double
     assert double_cases > single_cases
+
+
+@pytest.mark.parametrize("rep", ["1", "12", "112", "2", "1+12", "1122", "1112122"])
+def test_run_bounds_cover_every_sample(rep):
+    # No s(m)* survives on a sample past the support bound, which also
+    # covers the walk that s_star_support takes; the word bound covers the
+    # closed forms' series cut-off |word| + 2L + 2 of every sample.
+    rep = RepSpec.parse(rep)
+    cyc = max(map(len, rep.components))
+    for depth in range(7):
+        support, words = suites._bounds(rep, depth)
+        for v in suites._samples(rep, depth):
+            assert max(s_star_support(v), default=0) <= support
+            assert _support_bound(v) <= support
+            assert v.depth() + 2 * cyc + 2 <= words
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_apply_gets_each_expression_as_one_object(monkeypatch, suite):
+    # plans are memoised on identity, so an equal expression built again is lowered again
+    objects = {}
+    apply = suites.apply
+
+    def recording(e, v):
+        objects.setdefault(e, {})[id(e)] = e
+        return apply(e, v)
+
+    monkeypatch.setattr(suites, "apply", recording)
+    run_suite(suite, TRIPLE)
+    assert sum(len(same) - 1 for same in objects.values()) == 0
 
 
 def test_all_twos_cycle_still_satisfies_main_identity():
