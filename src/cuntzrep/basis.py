@@ -23,14 +23,13 @@ cycle letter (else annihilate).
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 __all__ = [
     "ALPHABET",
     "RepValidationError",
     "RepSpec",
     "BasisLabel",
-    "validate_rep",
     "is_primitive",
     "edge_letter",
     "normalize_label",
@@ -72,57 +71,40 @@ def _check_component(pos: int, word: str) -> None:
         )
 
 
-class RepSpec:
-    """Validated direct sum of cycle components; immutable, equal by components.
+class RepSpec(tuple):
+    """Validated direct sum of cycle components: the tuple of its cycle words.
 
-    The hash is computed once: every kernel cache lookup hashes the rep.
+    ``rep[c]`` is component c's cycle word.  Equality, hashing and
+    immutability are the tuple's, so a rep equals the plain tuple of its
+    words; copy, and pickle from protocol 2 on, rebuild it through
+    ``__new__``, which validates.
     """
 
-    __slots__ = ("components", "_hash")
+    __slots__ = ()
 
-    def __init__(self, components: Sequence[str]) -> None:
+    def __new__(cls, components: Iterable[str]) -> "RepSpec":
+        components = tuple(components)
         if not components:
             raise RepValidationError("representation needs at least one cycle word")
         for pos, word in enumerate(components):
             _check_component(pos, word)
-        object.__setattr__(self, "components", tuple(components))
-        object.__setattr__(self, "_hash", hash(self.components))
+        return tuple.__new__(cls, components)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RepSpec is immutable")
+    components = property(tuple)
 
-    def __reduce__(self) -> tuple:
-        return RepSpec, (self.components,)
-
-    def __eq__(self, other: object) -> bool:
-        return self.components == other.components if type(other) is RepSpec else NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __getnewargs__(self) -> tuple:
+        return (tuple(self),)
 
     def __repr__(self) -> str:
-        return f"RepSpec(components={self.components!r})"
+        return f"RepSpec(components={tuple(self)!r})"
 
     @classmethod
     def parse(cls, text: str) -> "RepSpec":
         """Parse ``"12"`` or a direct sum ``"1+12"``."""
-        return cls(tuple(part.strip() for part in text.split("+")))
-
-    def cycle(self, component: int) -> str:
-        return self.components[component]
-
-    def cycle_len(self, component: int) -> int:
-        return len(self.components[component])
+        return cls(part.strip() for part in text.split("+"))
 
     def __str__(self) -> str:
-        return "+".join(self.components)
-
-
-def validate_rep(components: Sequence[str] | RepSpec) -> RepSpec:
-    """Build a validated RepSpec; errors name the offending component."""
-    if isinstance(components, RepSpec):
-        return components
-    return RepSpec(components)
+        return "+".join(self)
 
 
 class BasisLabel(NamedTuple):
@@ -132,9 +114,6 @@ class BasisLabel(NamedTuple):
     word: str
     node: int
 
-    def is_cycle_vector(self) -> bool:
-        return not self.word
-
 
 def label_sort_key(label: BasisLabel) -> tuple[int, int, int, str]:
     """Canonical enumeration order: component, node, word length, word."""
@@ -143,18 +122,19 @@ def label_sort_key(label: BasisLabel) -> tuple[int, int, int, str]:
 
 def edge_letter(rep: RepSpec, component: int, node: int) -> str:
     """Cycle letter whose application moves node k to node k-1 (mod L)."""
-    cycle = rep.cycle(component)
+    cycle = rep[component]
     return cycle[(node - 1) % len(cycle)]
 
 
 def normalize_label(rep: RepSpec, component: int, word: str, node: int) -> BasisLabel:
     """Strip trailing edge letters, stepping the node back around the cycle."""
-    if not 0 <= component < len(rep.components):
+    if not 0 <= component < len(rep):
         raise ValueError(f"component {component} out of range for {rep}")
-    length = rep.cycle_len(component)
+    length = len(rep[component])
     if not 0 <= node < length:
-        raise ValueError(f"node {node} out of range for cycle {rep.cycle(component)!r}")
-    # every letter step lands here; str.count scans in C without hashing letters
+        raise ValueError(f"node {node} out of range for cycle {rep[component]!r}")
+    # the parser's and the oracles' letter steps land here (the kernel's
+    # word-slice steps do not); str.count scans in C without hashing letters
     if word.count("1") + word.count("2") != len(word):
         raise ValueError(f"word {word!r} uses letters outside {{1,2}}")
     while word and word[-1] == edge_letter(rep, component, node):
@@ -190,7 +170,7 @@ def apply_gen_adjoint(rep: RepSpec, i: int, label: BasisLabel) -> Optional[Basis
         if label.word[0] == str(i):
             return BasisLabel(label.component, label.word[1:], label.node)
         return None
-    cycle = rep.cycle(label.component)
+    cycle = rep[label.component]
     if cycle[label.node] == str(i):
         return BasisLabel(label.component, "", (label.node + 1) % len(cycle))
     return None
@@ -204,7 +184,7 @@ def enumerate_basis(rep: RepSpec, depth: int) -> list[BasisLabel]:
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    nodes = sum(len(word) for word in rep.components)
+    nodes = sum(map(len, rep))
     # the depth test comes first, so a huge depth never builds 2^depth
     if depth > _MAX_BASIS_LABELS.bit_length() or nodes << depth > _MAX_BASIS_LABELS:
         raise ValueError(
@@ -212,8 +192,8 @@ def enumerate_basis(rep: RepSpec, depth: int) -> list[BasisLabel]:
             f"more than the bound of {_MAX_BASIS_LABELS}"
         )
     out: list[BasisLabel] = []
-    for component in range(len(rep.components)):
-        for node in range(rep.cycle_len(component)):
+    for component, cycle in enumerate(rep):
+        for node in range(len(cycle)):
             barred = edge_letter(rep, component, node)
             out.append(BasisLabel(component, "", node))
             for length in range(1, depth + 1):

@@ -330,7 +330,7 @@ adj = adjoint
 def _support_bound(v: StateVector) -> int:
     # After the word is consumed the label walks the cycle with period L,
     # so a 1-edge either appears within |word| + L steps or never does.
-    return max((len(x.word) + v.rep.cycle_len(x.component) + 1 for x in v.labels()), default=0)
+    return max((len(x.word) + len(v.rep[x.component]) + 1 for x in v.labels()), default=0)
 
 
 def s_star_support(v: StateVector) -> dict[int, StateVector]:
@@ -425,7 +425,7 @@ def _prepend(rep: RepSpec, x: BasisLabel, letters: str) -> BasisLabel:
     if x.word:
         word = letters + x.word
     else:
-        cycle = rep.components[x.component]
+        cycle = rep[x.component]
         end = len(letters)
         while end and letters[end - 1] == cycle[node - 1]:
             end -= 1
@@ -442,7 +442,7 @@ def _peel(rep: RepSpec, x: BasisLabel, n: int = 1) -> tuple[str, BasisLabel]:
     word = x.word
     if len(word) >= n:
         return word[:n], BasisLabel(x.component, word[n:], x.node)
-    cycle = rep.components[x.component]
+    cycle = rep[x.component]
     k = n - len(word)
     walk = (cycle[x.node :] + cycle * (k // len(cycle) + 1))[:k]
     return word + walk, BasisLabel(x.component, "", (x.node + k) % len(cycle))
@@ -452,7 +452,7 @@ def _up(rep: RepSpec, x: BasisLabel, n: int) -> BasisLabel:
     """s_n x = t2^(n-1) t1 x."""
     # a cycle vector absorbs at most L of the letters, so a larger n passes
     # the bound: refuse it before building the string
-    if n - len(rep.components[x.component]) > _MAX_WORD_LENGTH - len(x.word):
+    if n - len(rep[x.component]) > _MAX_WORD_LENGTH - len(x.word):
         raise _word_bound_error()
     return _prepend(rep, x, "2" * (n - 1) + "1")
 
@@ -467,7 +467,7 @@ def _down(rep: RepSpec, x: BasisLabel) -> Optional[tuple[int, BasisLabel]]:
     k = word.find("1")
     if k >= 0:
         return k + 1, BasisLabel(x.component, word[k + 1 :], x.node)
-    cycle = rep.components[x.component]
+    cycle = rep[x.component]
     k = cycle.find("1", x.node)
     if k < 0:
         k = cycle.find("1")

@@ -431,7 +431,7 @@ def parse_state(rep: RepSpec, text: str) -> StateVector:
 
 
 def serialize_label(rep: RepSpec, label: BasisLabel, unicode: bool = False) -> str:
-    if not label.word and len(rep.components) == 1:
+    if not label.word and len(rep) == 1:
         if unicode:
             return "Ω" if label.node == 0 else f"Ω_{label.node}"
         return "vac" if label.node == 0 else f"vac({label.node})"
@@ -440,7 +440,7 @@ def serialize_label(rep: RepSpec, label: BasisLabel, unicode: bool = False) -> s
 
 def ket_text(rep: RepSpec, label: BasisLabel) -> str:
     """Explicit ket form, never the vac alias; used in JSON payloads."""
-    prefix = f"{label.component}:" if len(rep.components) > 1 else ""
+    prefix = f"{label.component}:" if len(rep) > 1 else ""
     return f"|{prefix}{label.word};{label.node}>"
 
 

@@ -11,11 +11,11 @@ form is unique: ``==`` is a tuple compare, and no floating point is
 involved anywhere.
 
 Sums and products work on Python ints only.  ``fractions.Fraction`` still
-appears at the edges: ``terms`` and ``rational_part`` return them,
-``from_rational`` accepts them, the public constructor and ``from_json``
-(which reads ``"n/d"`` strings) go through them, and a rational value has
-the hash of its ``Fraction`` (so ``RadicalScalar.from_rational(1)`` and
-``1`` are one set element).
+appears at the edges: ``terms`` returns them, ``from_rational`` accepts
+them, the public constructor and ``from_json`` (which reads ``"n/d"``
+strings) go through them, and a rational value has the hash of its
+``Fraction`` (so ``RadicalScalar.from_rational(1)`` and ``1`` are one set
+element).
 
 Radicands stay small in practice (products of sqrt(m) for the series
 weights), so square-free splitting by trial division is enough; a literal
@@ -181,11 +181,6 @@ class RadicalScalar:
     def is_rational(self) -> bool:
         pairs = self._form[1]
         return not pairs or (len(pairs) == 1 and pairs[0][0] == 1)
-
-    @property
-    def rational_part(self) -> Fraction:
-        den, pairs = self._form
-        return Fraction(pairs[0][1], den) if pairs and pairs[0][0] == 1 else Fraction(0)
 
     def __bool__(self) -> bool:
         return bool(self._form[1])

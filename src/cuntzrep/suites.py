@@ -178,7 +178,7 @@ def _samples(rep: RepSpec, depth: int) -> list[StateVector]:
 
 def _bounds(rep: RepSpec, depth: int) -> tuple[int, int]:
     """The run's support bound and word bound; see Bounds above."""
-    cyc = max(map(len, rep.components))
+    cyc = max(map(len, rep))
     return depth + cyc + 1, depth + 2 * cyc + 2
 
 

@@ -1,7 +1,9 @@
 """Cycle-word representations: validation, label normal form, generator moves."""
 
+import copy
 import itertools
 import pickle
+import re
 
 import pytest
 from hypothesis import given
@@ -18,7 +20,6 @@ from cuntzrep.basis import (
     is_primitive,
     label_sort_key,
     normalize_label,
-    validate_rep,
 )
 
 FOCK = RepSpec.parse("1")
@@ -49,8 +50,41 @@ def test_validate_rejects_bad_components():
         RepSpec.parse("1+22")
 
 
+@pytest.mark.parametrize(
+    "components, message",
+    [
+        ([], "representation needs at least one cycle word"),
+        (["13"], "component 0: cycle word '13' uses letters outside {1,2}"),
+        (["11"], "component 0: cycle word '11' is a power of a shorter word"),
+    ],
+)
+def test_rep_constructor_refuses_bad_components(components, message):
+    with pytest.raises(RepValidationError, match=re.escape(message)):
+        RepSpec(components)
+
+
+def test_rep_is_the_tuple_of_its_cycle_words():
+    # equality, hashing and immutability are the tuple's own
+    for name in ("__eq__", "__hash__", "__setattr__", "__reduce__"):
+        assert name not in vars(RepSpec)
+    rep = RepSpec.parse("1+12")
+    assert rep == ("1", "12") and hash(rep) == hash(("1", "12"))
+    assert rep[1] == "12" and len(rep) == 2
+    assert rep.components == ("1", "12") and type(rep.components) is tuple
+    for twin in (pickle.loads(pickle.dumps(rep)), copy.deepcopy(rep), copy.copy(rep)):
+        assert type(twin) is RepSpec and twin == rep
+    # unpickling goes back through __new__, so a forged payload is refused
+    forged = pickle.dumps(RepSpec(["12"])).replace(b"12", b"11")
+    with pytest.raises(RepValidationError):
+        pickle.loads(forged)
+    for name in ("components", "cycle", "anything"):
+        with pytest.raises(AttributeError):
+            setattr(rep, name, ("2",))
+    assert rep.components == ("1", "12")
+
+
 def test_validate_accepts_direct_sums():
-    rep = validate_rep(["1", "12"])
+    rep = RepSpec(["1", "12"])
     assert rep.components == ("1", "12")
     assert str(rep) == "1+12"
     assert RepSpec.parse("1+12") == rep
@@ -173,7 +207,7 @@ _reps = st.sampled_from([FOCK, WEDGE, TRIPLE, RepSpec.parse("1+12")])
 def rep_and_label(draw):
     rep = draw(_reps)
     component = draw(st.integers(0, len(rep.components) - 1))
-    node = draw(st.integers(0, rep.cycle_len(component) - 1))
+    node = draw(st.integers(0, len(rep[component]) - 1))
     word = "".join(draw(st.lists(st.sampled_from("12"), max_size=6)))
     return rep, normalize_label(rep, component, word, node)
 

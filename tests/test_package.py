@@ -1,4 +1,8 @@
-"""The package namespace is the union of the submodules' exports."""
+"""The package namespace is the union of the submodules' exports, and the README's library examples run."""
+
+from pathlib import Path
+
+import pytest
 
 import cuntzrep
 from cuntzrep import basis, operators, parsing, polynorm, scalars, states, suites
@@ -21,3 +25,19 @@ def test_every_package_export_resolves_to_its_submodule_object():
     for module in SUBMODULES:
         for name in module.__all__:
             assert getattr(cuntzrep, name) is getattr(module, name)
+
+
+def _library_blocks():
+    """The python blocks of the README's "Library" section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return [part.split("```", 1)[0] for part in section.split("```python\n")[1:]]
+
+
+def test_readme_library_section_has_two_blocks():
+    assert len(_library_blocks()) == 2
+
+
+@pytest.mark.parametrize("block", _library_blocks())
+def test_readme_library_block_runs(block):
+    exec(compile(block, "README.md", "exec"), {})

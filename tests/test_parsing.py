@@ -203,7 +203,7 @@ def test_ket_text_is_always_explicit():
 def test_parse_rep_validates():
     from cuntzrep.basis import RepValidationError
 
-    assert parse_rep("112").cycle(0) == "112"
+    assert parse_rep("112")[0] == "112"
     with pytest.raises(RepValidationError):
         parse_rep("1212")
     with pytest.raises(RepValidationError):
