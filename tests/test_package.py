@@ -1,4 +1,5 @@
-"""The package namespace is the union of the submodules' exports, and the README's library examples run."""
+"""The package namespace is the union of the submodules' exports, and the
+README's library examples run."""
 
 from pathlib import Path
 
