@@ -76,7 +76,7 @@ class RepSpec(tuple):
 
     ``rep[c]`` is component c's cycle word.  Equality, hashing and
     immutability are the tuple's, so a rep equals the plain tuple of its
-    words; copy, and pickle from protocol 2 on, rebuild it through
+    words; copy and pickle, on every protocol, rebuild it through
     ``__new__``, which validates.
     """
 
@@ -92,8 +92,8 @@ class RepSpec(tuple):
 
     components = property(tuple)
 
-    def __getnewargs__(self) -> tuple:
-        return (tuple(self),)
+    def __reduce__(self) -> tuple:
+        return type(self), (tuple(self),)
 
     def __repr__(self) -> str:
         return f"RepSpec(components={tuple(self)!r})"

@@ -8,15 +8,17 @@ products, linear combinations, and the named families built from them:
 
 * ``Iso(n)``        the embedded isometries   s_n = t2^(n-1) t1
 * ``Fermion(n)``    the recursive fermions    a_1 = t1 t2*,  a_n = zeta(a_{n-1})
-* ``Psi(p)``        fermions under the half-integer relabeling p/2
 * ``Boson(n)``      the recursive bosons      b_1 = series,  b_n = rho(b_{n-1})
 * ``RangeProj(n)``  the projections           W_n = s_{n+1} s_{n+1}*
-* ``PartialShift(n)`` the fermion products    X_n
 * ``ShiftSeries()`` the summed shift          Y  = sum_n s_{n+1} t2* s_n*
 * ``Cluster(n)``    the cluster operators     F_1 = sum_m sqrt(m) W_m,
                                               F_n = Y rho(F_{n-1})
 * ``Rho(x)``, ``Zeta(x)``   the transformers
                     rho(x) = sum_m s_m x s_m*,  zeta(x) = t1 x t1* - t2 x t2*
+
+Notation is not a kind: ``psi(p)``, the half-integer mode p/2, returns the
+fermion it names, and ``partial_shift(n)`` returns X_n as its product of
+fermions, a_1* a_1 ... a_{n-1}* a_{n-1} a_n* a_{n+1}.
 
 How evaluation works.  Every node but ``LinComb`` sends a basis label to
 at most one label times an exact scalar.  ``apply(e, v)`` lowers e once
@@ -26,7 +28,7 @@ in the same factors take them once per label, and a label that a shared
 factor annihilates prunes every chain below it.  Each edge holds its
 factor's entry, resolved when the plan is built: a word-slice step for t_i
 and s_n, the LRU cache (``KERNEL_CACHE_SIZE`` entries, keyed on the label)
-for a named family, its own plan for X_n, a sum inside a product and the
+for a named family, its own plan for a sum inside a product and the
 argument of rho or zeta.  Plans are memoised on the identity of the
 expression, at most ``_PLAN_CACHE_SIZE`` of them; ``kernel_cache_clear``,
 called by ``cli.main`` on entry, empties both caches.  ``apply`` merges the
@@ -36,8 +38,8 @@ images of v's terms, unsorted, and hands the dict to
 Exactly one of t1*, t2* survives on a label, so each family is a loop of
 word-slice steps (``_down``, ``_peel``, ``_prepend``), with forward and
 adjoint entries in one table.  The oracles use only the vector-level letter
-steps ``states.apply_letter*``, never a plan, the cache or a word-slice
-step, and the series oracle takes its weights from
+steps ``states.apply_letter*``, which no kernel entry takes, never a plan,
+the cache or a word-slice step, and the series oracle takes its weights from
 ``RadicalScalar.sqrt_int``, not from the memoised ``scalars.sqrt_int``.
 """
 
@@ -47,7 +49,8 @@ from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
-# the kernel steps no letter through apply_gen; perfbench/tracer.py patches the name
+# the kernel steps no letter through apply_gen or apply_gen_adjoint, which
+# only the oracles' letter steps use; perfbench/tracer.py patches both names
 from .basis import (
     _MAX_WORD_LENGTH,
     BasisLabel,
@@ -68,10 +71,8 @@ __all__ = [
     "Ident",
     "Iso",
     "Fermion",
-    "Psi",
     "Boson",
     "RangeProj",
-    "PartialShift",
     "ShiftSeries",
     "Cluster",
     "Rho",
@@ -98,7 +99,6 @@ __all__ = [
     "s_star_support",
     "eval_series_b1_raw",
     "range_proj_definition",
-    "partial_shift_definition",
     "KERNEL_CACHE_SIZE",
     "kernel_cache_info",
     "kernel_cache_clear",
@@ -118,8 +118,8 @@ class OperatorExpr(tuple):
     ``least`` index.  The class is the constructor: this ``__new__`` takes
     one unchecked field, and a kind with no field or with arguments to
     check overrides it.  Nodes are immutable, equal and hashed as their
-    tuples (the token keeps kinds apart), and pickle and copy through
-    ``__getnewargs__``.
+    tuples (the token keeps kinds apart), and pickle, on every protocol,
+    and copy back through the class, which checks its arguments again.
     """
 
     __slots__ = ()
@@ -133,8 +133,8 @@ class OperatorExpr(tuple):
     def __new__(cls, arg: object):
         return tuple.__new__(cls, (cls.token, arg))
 
-    def __getnewargs__(self) -> tuple:
-        return self[1:]
+    def __reduce__(self) -> tuple:
+        return type(self), self[1:]
 
     def __repr__(self) -> str:
         args = ", ".join(f"{name}={value!r}" for name, value in zip(self.fields, self[1:]))
@@ -200,18 +200,6 @@ class Zeta(OperatorExpr):
     token, fields = "zeta", ("arg",)
 
 
-class Psi(OperatorExpr):
-    """Fermion indexed by the half-integer numer/2 (numer odd, nonzero)."""
-
-    __slots__ = ()
-    token, fields = "psi", ("numer",)
-
-    def __new__(cls, numer: int):
-        if not isinstance(numer, int) or numer == 0 or numer % 2 == 0:
-            raise ValueError(f"psi index must be an odd half-integer p/2, got numerator {numer!r}")
-        return tuple.__new__(cls, (cls.token, numer))
-
-
 class _Indexed(OperatorExpr):
     """A family member x_n, defined for every integer n >= ``least``."""
 
@@ -245,25 +233,37 @@ class RangeProj(_Indexed):
     token, least = "W", 0
 
 
-class PartialShift(_Indexed):
-    __slots__ = ()
-    token = "X"
-
-
 class Cluster(_Indexed):
     __slots__ = ()
     token = "F"
 
 
-# The lower-case constructors are the classes.
-gen, ident, iso, fermion, psi, boson = Gen, Ident, Iso, Fermion, Psi, Boson
-range_proj, partial_shift, shift_series, cluster = RangeProj, PartialShift, ShiftSeries, Cluster
-rho, zeta = Rho, Zeta
+# The lower-case constructors are the classes; psi and partial_shift, below,
+# are notations that build a Fermion and a Prod.
+gen, ident, iso, fermion, boson = Gen, Ident, Iso, Fermion, Boson
+range_proj, shift_series, cluster, rho, zeta = RangeProj, ShiftSeries, Cluster, Rho, Zeta
 
 
 def psi_fermion_index(numer: int) -> int:
     """Half-integer relabeling: p/2 > 0 maps to a_{p+1}, p/2 < 0 to a_{-p}."""
     return numer + 1 if numer > 0 else -numer
+
+
+def psi(numer: int) -> Fermion:
+    """The fermion named by the half-integer numer/2 (numer odd, nonzero)."""
+    if not isinstance(numer, int) or numer == 0 or numer % 2 == 0:
+        raise ValueError(f"psi index must be an odd half-integer p/2, got numerator {numer!r}")
+    return Fermion(psi_fermion_index(numer))
+
+
+def partial_shift(n: int) -> OperatorExpr:
+    """X_n as written in fermions: a_1* a_1 ... a_{n-1}* a_{n-1} a_n* a_{n+1}."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"X index must be an integer >= 1, got {n!r}")
+    factors: list[OperatorExpr] = []
+    for j in range(1, n):
+        factors.extend((Adj(Fermion(j)), Fermion(j)))
+    return prod(*factors, Adj(Fermion(n)), Fermion(n + 1))
 
 
 def prod(*factors: OperatorExpr) -> OperatorExpr:
@@ -353,19 +353,21 @@ def s_star_support(v: StateVector) -> dict[int, StateVector]:
     return support
 
 
+def _iso_letters(m: int, v: StateVector) -> StateVector:
+    """s_m v through the letter steps: t1, then t2 m - 1 times."""
+    v = apply_letter(v, 1)
+    for _ in range(m - 1):
+        v = apply_letter(v, 2)
+    return v
+
+
 def eval_series_b1_raw(v: StateVector) -> StateVector:
-    """b_1 v summed straight from the defining monomials t2^(m-1) t1 t1* (t2*)^m
-    for every m up to the walk bound, off the kernel: a cross-check oracle."""
+    """b_1 v = sum_m sqrt(m) s_m s_{m+1}* v over the one walk of
+    ``s_star_support``, off the kernel: a cross-check oracle."""
     out = StateVector.zero(v.rep)
-    current = v
-    for m in range(1, _support_bound(v) + 1):
-        current = apply_letter_adjoint(current, 2)
-        if not current:
-            break
-        word = apply_letter(apply_letter_adjoint(current, 1), 1)
-        for _ in range(m - 1):
-            word = apply_letter(word, 2)
-        out = out.combine(RadicalScalar.sqrt_int(m), word)
+    for m, w in sorted(s_star_support(v).items()):
+        if m > 1:
+            out = out.combine(RadicalScalar.sqrt_int(m - 1), _iso_letters(m - 1, w))
     return out
 
 
@@ -381,16 +383,6 @@ def range_proj_definition(n: int) -> OperatorExpr:
     factors: list[OperatorExpr] = [Fermion(n + 1), Adj(Fermion(n + 1))]
     for j in range(n, 0, -1):
         factors.extend((Adj(Fermion(j)), Fermion(j)))
-    return prod(*factors)
-
-
-def partial_shift_definition(n: int) -> OperatorExpr:
-    """X_n as written in fermions: a_1* a_1 ... a_{n-1}* a_{n-1} a_n* a_{n+1}."""
-    PartialShift(n)  # the index check
-    factors: list[OperatorExpr] = []
-    for j in range(1, n):
-        factors.extend((Adj(Fermion(j)), Fermion(j)))
-    factors.extend((Adj(Fermion(n)), Fermion(n + 1)))
     return prod(*factors)
 
 
@@ -477,6 +469,12 @@ def _down(rep: RepSpec, x: BasisLabel) -> Optional[tuple[int, BasisLabel]]:
     return len(word) + k - x.node + 1, BasisLabel(x.component, "", (k + 1) % len(cycle))
 
 
+def _gen_adj(e: Gen, rep: RepSpec, x: BasisLabel) -> Terms:
+    """t_i* x: the one letter whose adjoint survives on x must be i."""
+    letter, y = _peel(rep, x)
+    return ((y, ONE),) if letter == str(e.letter) else ()
+
+
 def _iso_adj(e: Iso, rep: RepSpec, x: BasisLabel) -> Terms:
     """s_n* x: nonzero only when n is the one m with s_m* x != 0."""
     hit = _down(rep, x)
@@ -552,10 +550,7 @@ def _zeta(plan: list, rep: RepSpec, x: BasisLabel) -> Terms:
 # series are b_1 = sum_m sqrt(m) s_m s_{m+1}* (k, d = 1, -1), its adjoint
 # (0, 1), and F_1 = sum_m sqrt(m) s_{m+1} s_{m+1}* (1, 0), self-adjoint.
 _ENTRIES: dict[type, tuple[Callable[..., Terms], Callable[..., Terms]]] = {
-    Gen: (
-        lambda e, rep, x: ((_prepend(rep, x, str(e.letter)), ONE),),
-        lambda e, rep, x: _one(apply_gen_adjoint(rep, e.letter, x)),
-    ),
+    Gen: (lambda e, rep, x: ((_prepend(rep, x, str(e.letter)), ONE),), _gen_adj),
     Iso: (lambda e, rep, x: ((_up(rep, x, e.n), ONE),), _iso_adj),
     Fermion: (_fermion, lambda e, rep, x: _fermion(e, rep, x, "2")),
     Boson: (
@@ -579,10 +574,9 @@ def _act_cached(entry: Callable[..., Terms], e: OperatorExpr, rep: RepSpec, x: B
 
 def _step(e: OperatorExpr) -> Callable[[RepSpec, BasisLabel], Terms]:
     """The entry of one factor, resolved once, as a function of (rep, label):
-    a table entry, through the per-label cache unless a letter word; psi
-    as its fermion; rho and zeta around their argument's plan; X_n, and a
-    sum, a product or a star that adjoint() rewrites inside a product, as
-    their own plans."""
+    a table entry, through the per-label cache unless a letter word; rho and
+    zeta around their argument's plan; a sum, a product or a star that
+    adjoint() rewrites inside a product as its own plan."""
     star = type(e) is Adj
     node = e.arg if star else e
     kind = type(node)
@@ -591,15 +585,10 @@ def _step(e: OperatorExpr) -> Callable[[RepSpec, BasisLabel], Terms]:
         if kind is Gen or kind is Iso:  # cheaper to recompute than to look up
             return partial(entry, node)
         return partial(_act_cached, entry, node)
-    if kind is Psi:
-        a = Fermion(psi_fermion_index(node.numer))
-        return _step(Adj(a) if star else a)
     if kind is Rho or kind is Zeta:
         arg = adjoint(node.arg) if star else node.arg
         return partial(_rho if kind is Rho else _zeta, _build(arg))
-    if kind is PartialShift:
-        node = partial_shift_definition(node.n)
-    elif kind not in (Adj, Prod, LinComb, Ident):
+    if kind not in (Adj, Prod, LinComb, Ident):
         raise TypeError(f"not an operator expression: {e!r}")
     return partial(_act, _build(adjoint(node) if star else node))
 

@@ -38,15 +38,15 @@ from .operators import (
     Ident,
     Iso,
     OperatorExpr,
-    PartialShift,
-    Psi,
     RangeProj,
     Rho,
     ShiftSeries,
     Zeta,
     adj,
     lincomb,
+    partial_shift,
     prod,
+    psi,
 )
 from .scalars import _bounded_radicand, ONE, RadicalScalar, signed_sum_text, sqrt_int
 from .states import StateVector
@@ -81,12 +81,12 @@ _MAX_INDEX = 4096
 # level and exhausts Python's default recursion limit at about 160 levels;
 # at this bound apply on rep 112 and expand run well inside it.
 _MAX_NESTING = 64
-# Operator names, read from the node classes.
+# Operator names, read from the node classes; X(n) and psi(p/2) are notations.
 _ATOMS = {f"{Gen.token}{i}": Gen(i) for i in (1, 2)}
 _ATOMS |= {e.token: e for e in (ShiftSeries(), Ident())}
-_INDEXED = {cls.token: cls for cls in (Iso, Fermion, Boson, RangeProj, PartialShift, Cluster)}
+_INDEXED = {cls.token: cls for cls in (Iso, Fermion, Boson, RangeProj, Cluster)} | {"X": partial_shift}
 _TRANSFORMERS = {cls.token: cls for cls in (Rho, Zeta)}
-_NAMES = ("sqrt", "vac", Psi.token, *_ATOMS, *_INDEXED, *_TRANSFORMERS)
+_NAMES = ("sqrt", "vac", "psi", *_ATOMS, *_INDEXED, *_TRANSFORMERS)
 # One alternation, tried in order at each position: names longest first, so
 # "sqrt" comes before "s"; a group's name is its token kind.
 _TOKEN_RE = re.compile(
@@ -298,7 +298,7 @@ def _parse_psi(p: _Parser) -> OperatorExpr:
         raise ParseError("psi index must be a half-integer p/2", den[2])
     numer = sign * _index(num)
     try:
-        return Psi(numer)
+        return psi(numer)
     except ValueError as exc:
         raise ParseError(str(exc), num[2]) from None
 
@@ -321,7 +321,7 @@ def _parse_primary(p: _Parser) -> Factor:
             e = _ATOMS[text]
         elif text in _INDEXED:
             e = _parse_indexed(p, text)
-        elif text == Psi.token:
+        elif text == "psi":
             e = _parse_psi(p)
         else:
             p.expect("LP", "'('")

@@ -43,15 +43,11 @@ from .operators import (
     Iso,
     LinComb,
     OperatorExpr,
-    PartialShift,
     Prod,
-    Psi,
     RangeProj,
     Rho,
     ShiftSeries,
     Zeta,
-    partial_shift_definition,
-    psi_fermion_index,
     range_proj_definition,
 )
 from .scalars import RadicalScalar, ONE, signed_sum_text
@@ -189,12 +185,8 @@ def monomials(e: OperatorExpr) -> list[Monomial]:
         return [(ONE, "2" * (e.n - 1) + "1", "")]
     if isinstance(e, Fermion):
         return _fermion_monomials(e.n)
-    if isinstance(e, Psi):
-        return _fermion_monomials(psi_fermion_index(e.numer))
     if isinstance(e, RangeProj):
         return monomials(range_proj_definition(e.n))
-    if isinstance(e, PartialShift):
-        return monomials(partial_shift_definition(e.n))
     if isinstance(e, Zeta):
         return _zeta(monomials(e.arg))
     if isinstance(e, (Boson, Cluster, ShiftSeries, Rho)):

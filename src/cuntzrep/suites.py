@@ -45,6 +45,7 @@ from typing import Callable, Iterable, Sequence, Union
 from .basis import BasisLabel, RepSpec, enumerate_basis, label_sort_key
 from .operators import (
     OperatorExpr,
+    _iso_letters,
     adj,
     apply,
     boson,
@@ -68,7 +69,7 @@ from .operators import (
 from .parsing import _MAX_INDEX, serialize_vector
 from .polynorm import poly_normal_form, render_monomials
 from .scalars import ONE, RadicalScalar, sqrt_int
-from .states import StateVector, apply_letter, merge_terms
+from .states import StateVector, merge_terms
 
 __all__ = [
     "CheckReport",
@@ -287,10 +288,7 @@ def _raw_boson(n: int, v: StateVector) -> StateVector:
         return eval_series_b1_raw(v)
     out = StateVector.zero(v.rep)
     for m, w in sorted(s_star_support(v).items()):
-        w = apply_letter(_raw_boson(n - 1, w), 1)
-        for _ in range(m - 1):
-            w = apply_letter(w, 2)
-        out = out + w
+        out = out + _iso_letters(m, _raw_boson(n - 1, w))
     return out
 
 
@@ -563,10 +561,11 @@ def _wedge(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: int
     dual = StateVector.basis(rep, BasisLabel(0, "", 1))
     zero = StateVector.zero(rep)
     t2 = gen(2)
-    # per n: a(2n), a(2n-1), a(2n)*, a(2n-1)*, in the order of the dual-vacuum flags
+    # per n: a(2n) = psi(n-1/2), a(2n-1) = psi(-(n-1/2)), and their stars, in
+    # the order of the dual-vacuum flags; the psi rows reuse the same nodes
     modes = []
     for n in range(1, n_max + 1):
-        even, odd = fermion(2 * n), fermion(2 * n - 1)
+        even, odd = psi(2 * n - 1), psi(1 - 2 * n)
         modes.append((even, odd, adj(even), adj(odd)))
     rows: list[Row] = [("t2 vac = vac(1)", t2, dual)]
     for n, (_, odd, even_adj, _) in enumerate(modes, 1):
@@ -574,8 +573,8 @@ def _wedge(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: int
         rows += [
             (f"a({k}) vac = 0", odd, zero),
             (f"a({2 * n})* vac = 0", even_adj, zero),
-            (f"psi(-{k}/2) vac = 0", psi(-k), zero),
-            (f"psi({k}/2)* vac = 0", adj(psi(k)), zero),
+            (f"psi(-{k}/2) vac = 0", odd, zero),
+            (f"psi({k}/2)* vac = 0", even_adj, zero),
         ]
     report.run([vac], [rows])
     flags = {"even_plain": True, "odd_plain": True, "even_starred": True, "odd_starred": True}

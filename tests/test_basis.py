@@ -64,10 +64,13 @@ def test_rep_constructor_refuses_bad_components(components, message):
 
 
 def test_rep_is_the_tuple_of_its_cycle_words():
-    # equality, hashing and immutability are the tuple's own
-    for name in ("__eq__", "__hash__", "__setattr__", "__reduce__"):
+    # equality, hashing and immutability are the tuple's own; every pickle
+    # protocol rebuilds the rep through the class
+    for name in ("__eq__", "__hash__", "__setattr__"):
         assert name not in vars(RepSpec)
     rep = RepSpec.parse("1+12")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert rep.__reduce_ex__(protocol) == (RepSpec, (("1", "12"),))
     assert rep == ("1", "12") and hash(rep) == hash(("1", "12"))
     assert rep[1] == "12" and len(rep) == 2
     assert rep.components == ("1", "12") and type(rep.components) is tuple

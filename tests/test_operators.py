@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuntzrep import operators
+from cuntzrep import basis, operators
 from cuntzrep.basis import (
     BasisLabel,
     RepSpec,
@@ -33,7 +33,6 @@ from cuntzrep.operators import (
     kernel_cache_info,
     lincomb,
     partial_shift,
-    partial_shift_definition,
     prod,
     psi,
     psi_fermion_index,
@@ -170,6 +169,34 @@ def test_psi_routes_to_fermions():
     assert apply(adjoint(psi(1)), v) == apply(adjoint(fermion(2)), v)
 
 
+def test_notations_build_the_nodes_they_name():
+    assert psi(1) == fermion(2) and type(psi(1)) is operators.Fermion
+    assert psi(-1) == fermion(1)
+    assert partial_shift(2) == prod(adjoint(fermion(1)), fermion(1), adjoint(fermion(2)), fermion(3))
+    assert partial_shift(1) == prod(adjoint(fermion(1)), fermion(2))
+    assert type(partial_shift(1)) is operators.Prod
+    import cuntzrep
+
+    for gone in ("Psi", "PartialShift", "partial_shift_definition"):
+        assert not hasattr(cuntzrep, gone) and not hasattr(operators, gone)
+
+
+def _node_kinds(cls=operators.OperatorExpr):
+    for sub in cls.__subclasses__():
+        if sub.token:  # an abstract base such as _Indexed names no token
+            yield sub
+        yield from _node_kinds(sub)
+
+
+def test_every_node_kind_has_its_own_evaluation():
+    # a kind is a table entry of the kernel, or one the kernel lowers itself
+    lowered = {operators.Adj, operators.Prod, operators.LinComb, operators.Ident,
+               operators.Rho, operators.Zeta}
+    kinds = set(_node_kinds())
+    assert kinds - lowered - set(operators._ENTRIES) == set()
+    assert not lowered & set(operators._ENTRIES)
+
+
 def test_range_projection_values_on_fock():
     vac = fock("")
     assert apply(range_proj(0), vac) == vac
@@ -190,7 +217,7 @@ def test_cluster_series_values_on_fock():
 def test_evaluator_agrees_with_normal_form_action():
     exprs = [
         range_proj_definition(2),
-        partial_shift_definition(2),
+        partial_shift(2),
         zeta(fermion(2)),
         fermion(3),
         prod(fermion(1), adjoint(fermion(1))),
@@ -266,10 +293,8 @@ def test_nodes_and_reps_are_immutable():
         ident(),
         iso(2),
         fermion(3),
-        psi(-3),
         boson(2),
         range_proj(0),
-        partial_shift(2),
         shift_series(),
         cluster(2),
         rho(gen(2)),
@@ -286,6 +311,26 @@ def test_values_survive_pickle_and_deepcopy(value):
         assert twin == value
         assert type(twin) is type(value)
         assert hash(twin) == hash(value)
+
+
+# (value, a byte string of its pickle, the same value forged out of range)
+_FORGERIES = {
+    0: [(WEDGE, b"V12\n", b"V11\n"), (range_proj(3), b"I3\n", b"I-1\n")],
+    1: [(WEDGE, b"X\x02\x00\x00\x0012", b"X\x02\x00\x00\x0011"),
+        (range_proj(3), b"K\x03", b"J\xff\xff\xff\xff")],
+}
+
+
+@pytest.mark.parametrize("protocol", [0, 1])
+@pytest.mark.parametrize("which", [0, 1], ids=["rep", "node"])
+def test_forged_pickles_are_refused(protocol, which):
+    # protocols 0 and 1 would rebuild a plain tuple subclass without __new__
+    value, genuine, forged = _FORGERIES[protocol][which]
+    payload = pickle.dumps(value, protocol=protocol)
+    assert payload.count(genuine) == 1
+    assert pickle.loads(payload) == value
+    with pytest.raises(ValueError):
+        pickle.loads(payload.replace(genuine, forged))
 
 
 _LABELS = enumerate_basis(WEDGE, 3)
@@ -428,6 +473,28 @@ def _family_nodes(n_max: int):
         nodes += [iso(n), fermion(n), psi(2 * n - 1), psi(1 - 2 * n), boson(n), range_proj(n)]
         nodes += [partial_shift(n), cluster(n), rho(boson(n)), zeta(fermion(n))]
     return nodes + [adjoint(e) for e in nodes]
+
+
+def test_kernel_takes_no_stepwise_letter_step(monkeypatch):
+    # the oracles step letters through basis; the kernel must not, or a
+    # fault there could make both sides of a check wrong in the same way
+    nodes = _family_nodes(4) + [gen(1), gen(2), adjoint(gen(1)), adjoint(gen(2))]
+    vectors = [StateVector.basis(rep, x) for rep in _KERNEL_REPS for x in enumerate_basis(rep, 4)]
+    kernel_cache_clear()
+    expected = [[apply(e, v) for v in vectors] for e in nodes]
+    kernel_cache_clear()
+
+    def off_limits(*args):
+        raise AssertionError("the kernel reached a stepwise letter step")
+
+    with monkeypatch.context() as patched:
+        for name in ("apply_gen", "apply_gen_adjoint", "normalize_label"):
+            patched.setattr(basis, name, off_limits)
+        for name in ("apply_gen", "apply_gen_adjoint"):
+            patched.setattr(operators, name, off_limits)
+        images = [[apply(e, v) for v in vectors] for e in nodes]
+    kernel_cache_clear()
+    assert images == expected
 
 
 def test_kernel_family_images_have_at_most_one_term():

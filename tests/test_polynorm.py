@@ -14,7 +14,6 @@ from cuntzrep.operators import (
     Ident,
     Iso,
     LinComb,
-    PartialShift,
     Prod,
     RangeProj,
     Zeta,
@@ -28,7 +27,6 @@ from cuntzrep.operators import (
     iso,
     lincomb,
     partial_shift,
-    partial_shift_definition,
     prod,
     range_proj,
     range_proj_definition,
@@ -181,8 +179,6 @@ def _pairwise_monomials(e):
         return [(c, v, u) for c, u, v in _pairwise_monomials(e.arg)]
     if isinstance(e, RangeProj):
         return _pairwise_monomials(range_proj_definition(e.n))
-    if isinstance(e, PartialShift):
-        return _pairwise_monomials(partial_shift_definition(e.n))
     if isinstance(e, Zeta):
         inner = _pairwise_monomials(e.arg)
         return [(c, "1" + u, "1" + v) for c, u, v in inner] + [

@@ -34,6 +34,8 @@ QUERIES = (
     ("expand", "--expr", "(1 + sqrt(2))*a(3) a(3)* - 3/4*a(1)* a(2) + sqrt(6)*zeta(a(1))"),
     ("expand", "--expr", "sqrt(2)*a(1)* sqrt(3)*a(2) + 1/6*sqrt(6)*a(2) a(1)*", "--depth", "3"),
     ("expand", "--expr", "(sqrt(3) - 1/2)*W(1) + 2/3*sqrt(5)*X(2)"),
+    ("apply", "--rep", "1122", "--expr", "psi(-3/2)* X(2) + sqrt(2)*psi(1/2) - X(1)*", "--state", "|21;2> + 1/2*vac(1) + sqrt(3)*|1122;0>"),
+    ("expand", "--expr", "X(3) psi(-1/2)* + 2/3*psi(3/2)"),
 )
 FORMATS = ((), ("--format", "json"), ("--unicode",))
 
@@ -132,6 +134,18 @@ GOLDEN = {
         (0, "8cc2e3fcfe282bd23d7c2890341d147d800e703df3be12ad963290b673bba1a7"),
     "expand --expr (sqrt(3) - 1/2)*W(1) + 2/3*sqrt(5)*X(2) --unicode":
         (0, "f809979c927fa6342b1f995d07f70c654711a35b78977eecda1e832a1689d658"),
+    "apply --rep 1122 --expr psi(-3/2)* X(2) + sqrt(2)*psi(1/2) - X(1)* --state |21;2> + 1/2*vac(1) + sqrt(3)*|1122;0>":
+        (0, "534b19c26413896d54d2ac2ddede9c79a1a0cd881cea35f4e9c985559b62dede"),
+    "apply --rep 1122 --expr psi(-3/2)* X(2) + sqrt(2)*psi(1/2) - X(1)* --state |21;2> + 1/2*vac(1) + sqrt(3)*|1122;0> --format json":
+        (0, "2ad6fe6bccc3a7d8f45eb8efb2275ca7527ea7e737744585fe4956b44aaeaafd"),
+    "apply --rep 1122 --expr psi(-3/2)* X(2) + sqrt(2)*psi(1/2) - X(1)* --state |21;2> + 1/2*vac(1) + sqrt(3)*|1122;0> --unicode":
+        (0, "e2bbf20f84c8eb6dcefe0a1a533b73875debbbe828eef7da114ba6d404dcc085"),
+    "expand --expr X(3) psi(-1/2)* + 2/3*psi(3/2)":
+        (0, "31a05a928e2ed46aa5f3cc441f73d6c61b313f63167d4765c5b4884afc766225"),
+    "expand --expr X(3) psi(-1/2)* + 2/3*psi(3/2) --format json":
+        (0, "1e5b5d0a05b4cd345e9040182ee17f8110aa3214fbbad23a76586530dd2aeb49"),
+    "expand --expr X(3) psi(-1/2)* + 2/3*psi(3/2) --unicode":
+        (0, "31a05a928e2ed46aa5f3cc441f73d6c61b313f63167d4765c5b4884afc766225"),
 }
 
 
