@@ -9,7 +9,6 @@ products, linear combinations, and the named families built from them:
 * ``Iso(n)``        the embedded isometries   s_n = t2^(n-1) t1
 * ``Fermion(n)``    the recursive fermions    a_1 = t1 t2*,  a_n = zeta(a_{n-1})
 * ``Boson(n)``      the recursive bosons      b_1 = series,  b_n = rho(b_{n-1})
-* ``RangeProj(n)``  the projections           W_n = s_{n+1} s_{n+1}*
 * ``ShiftSeries()`` the summed shift          Y  = sum_n s_{n+1} t2* s_n*
 * ``Cluster(n)``    the cluster operators     F_1 = sum_m sqrt(m) W_m,
                                               F_n = Y rho(F_{n-1})
@@ -17,8 +16,10 @@ products, linear combinations, and the named families built from them:
                     rho(x) = sum_m s_m x s_m*,  zeta(x) = t1 x t1* - t2 x t2*
 
 Notation is not a kind: ``psi(p)``, the half-integer mode p/2, returns the
-fermion it names, and ``partial_shift(n)`` returns X_n as its product of
-fermions, a_1* a_1 ... a_{n-1}* a_{n-1} a_n* a_{n+1}.
+fermion it names, ``partial_shift(n)`` returns X_n as its product of
+fermions, a_1* a_1 ... a_{n-1}* a_{n-1} a_n* a_{n+1}, ``range_proj(n)``
+returns the projection W_n = s_{n+1} s_{n+1}*, and ``ident()`` the empty
+product I.
 
 How evaluation works.  Every node but ``LinComb`` sends a basis label to
 at most one label times an exact scalar.  ``apply(e, v)`` lowers e once
@@ -26,14 +27,14 @@ into a plan: sums are multiplied through into (coefficient, factor chain)
 pairs, and the chains form a trie read right to left, so chains that end
 in the same factors take them once per label, and a label that a shared
 factor annihilates prunes every chain below it.  Each edge holds its
-factor's entry, resolved when the plan is built: a word-slice step for t_i
-and s_n, the LRU cache (``KERNEL_CACHE_SIZE`` entries, keyed on the label)
-for a named family, its own plan for a sum inside a product and the
-argument of rho or zeta.  Plans are memoised on the identity of the
-expression, at most ``_PLAN_CACHE_SIZE`` of them; ``kernel_cache_clear``,
-called by ``cli.main`` on entry, empties both caches.  ``apply`` merges the
-images of v's terms, unsorted, and hands the dict to
-``StateVector._trusted`` as it is.
+factor's entry, resolved when the plan is built: a word-slice step for t_i,
+t_i* and s_n, the LRU cache (``KERNEL_CACHE_SIZE`` entries, keyed on the
+label) for s_n* and a named family, its own plan for a sum inside a
+product and the argument of rho or zeta.  Plans are memoised on the
+identity of the expression, at most ``_PLAN_CACHE_SIZE`` of them;
+``kernel_cache_clear``, called by ``cli.main`` on entry, empties both
+caches.  ``apply`` merges the images of v's terms, unsorted, and hands the
+dict to ``StateVector._trusted`` as it is.
 
 Exactly one of t1*, t2* survives on a label, so each family is a loop of
 word-slice steps (``_down``, ``_peel``, ``_prepend``), with forward and
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 from operator import itemgetter
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 # the kernel steps no letter through apply_gen or apply_gen_adjoint, which
 # only the oracles' letter steps use; perfbench/tracer.py patches both names
@@ -68,11 +69,9 @@ __all__ = [
     "Adj",
     "Prod",
     "LinComb",
-    "Ident",
     "Iso",
     "Fermion",
     "Boson",
-    "RangeProj",
     "ShiftSeries",
     "Cluster",
     "Rho",
@@ -113,13 +112,13 @@ __all__ = [
 class OperatorExpr(tuple):
     """Base of every expression node: the tuple ``(token, *fields)``.
 
-    A subclass names one operator kind once: its parse ``token``, its
-    ``fields`` (read back as properties) and, for an indexed family, its
-    ``least`` index.  The class is the constructor: this ``__new__`` takes
-    one unchecked field, and a kind with no field or with arguments to
-    check overrides it.  Nodes are immutable, equal and hashed as their
-    tuples (the token keeps kinds apart), and pickle, on every protocol,
-    and copy back through the class, which checks its arguments again.
+    A subclass names one operator kind once: its parse ``token`` and its
+    ``fields``, read back as properties.  The class is the constructor:
+    this ``__new__`` takes one unchecked field, and a kind with no field or
+    with arguments to check overrides it.  Nodes are immutable, equal and
+    hashed as their tuples (the token keeps kinds apart), and pickle, on
+    every protocol, and copy back through the class, which checks its
+    arguments again.
     """
 
     __slots__ = ()
@@ -174,14 +173,6 @@ class LinComb(OperatorExpr):
     token, fields = "+", ("parts",)
 
 
-class Ident(OperatorExpr):
-    __slots__ = ()
-    token = "I"
-
-    def __new__(cls):
-        return tuple.__new__(cls, (cls.token,))
-
-
 class ShiftSeries(OperatorExpr):
     __slots__ = ()
     token = "Y"
@@ -201,15 +192,14 @@ class Zeta(OperatorExpr):
 
 
 class _Indexed(OperatorExpr):
-    """A family member x_n, defined for every integer n >= ``least``."""
+    """A family member x_n, defined for every integer n >= 1."""
 
     __slots__ = ()
     fields = ("n",)
-    least = 1
 
     def __new__(cls, n: int):
-        if not isinstance(n, int) or n < cls.least:
-            raise ValueError(f"{cls.token} index must be an integer >= {cls.least}, got {n!r}")
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"{cls.token} index must be an integer >= 1, got {n!r}")
         return tuple.__new__(cls, (cls.token, n))
 
 
@@ -228,20 +218,15 @@ class Boson(_Indexed):
     token = "b"
 
 
-class RangeProj(_Indexed):
-    __slots__ = ()
-    token, least = "W", 0
-
-
 class Cluster(_Indexed):
     __slots__ = ()
     token = "F"
 
 
-# The lower-case constructors are the classes; psi and partial_shift, below,
-# are notations that build a Fermion and a Prod.
-gen, ident, iso, fermion, boson = Gen, Ident, Iso, Fermion, Boson
-range_proj, shift_series, cluster, rho, zeta = RangeProj, ShiftSeries, Cluster, Rho, Zeta
+# The lower-case constructors are the classes; psi, partial_shift, range_proj
+# and ident, below, are notations that build a Fermion or a Prod.
+gen, iso, fermion, boson = Gen, Iso, Fermion, Boson
+shift_series, cluster, rho, zeta = ShiftSeries, Cluster, Rho, Zeta
 
 
 def psi_fermion_index(numer: int) -> int:
@@ -256,19 +241,31 @@ def psi(numer: int) -> Fermion:
     return Fermion(psi_fermion_index(numer))
 
 
+def _occupied(indices: Iterable[int]) -> list[OperatorExpr]:
+    """The factors a_j* a_j for each j of ``indices``, in that order."""
+    return [f for j in indices for f in (Adj(Fermion(j)), Fermion(j))]
+
+
 def partial_shift(n: int) -> OperatorExpr:
     """X_n as written in fermions: a_1* a_1 ... a_{n-1}* a_{n-1} a_n* a_{n+1}."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"X index must be an integer >= 1, got {n!r}")
-    factors: list[OperatorExpr] = []
-    for j in range(1, n):
-        factors.extend((Adj(Fermion(j)), Fermion(j)))
-    return prod(*factors, Adj(Fermion(n)), Fermion(n + 1))
+    return prod(*_occupied(range(1, n)), Adj(Fermion(n)), Fermion(n + 1))
+
+
+def range_proj(n: int) -> OperatorExpr:
+    """W_n = s_{n+1} s_{n+1}*, for n >= 0."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"W index must be an integer >= 0, got {n!r}")
+    return prod(Iso(n + 1), Adj(Iso(n + 1)))
+
+
+def ident() -> OperatorExpr:
+    """I, the empty product."""
+    return prod()
 
 
 def prod(*factors: OperatorExpr) -> OperatorExpr:
-    if not factors:
-        return Ident()
     if len(factors) == 1:
         return factors[0]
     flat: list[OperatorExpr] = []
@@ -294,20 +291,16 @@ def scaled(c: RadicalScalar | int, e: OperatorExpr) -> OperatorExpr:
 # Adjoint normalization
 # ---------------------------------------------------------------------------
 
-_SELF_ADJOINT = (RangeProj, Ident)
-
-
 def adjoint(e: OperatorExpr) -> OperatorExpr:
     """Structural adjoint, normalized so that adjoint(adjoint(e)) == e.
 
     Stars distribute over sums (real scalars), reverse products, cancel in
-    pairs, and stay attached to named nodes; projections, F_1, and the
-    identity are self-adjoint, and rho/zeta commute with the star.
+    pairs, and stay attached to named nodes; F_1 is self-adjoint, and
+    rho/zeta commute with the star.  W_n = s_{n+1} s_{n+1}* and the empty
+    product I reverse into themselves.
     """
     if isinstance(e, Adj):
         return e.arg
-    if isinstance(e, _SELF_ADJOINT):
-        return e
     if isinstance(e, Cluster):
         return e if e.n == 1 else Adj(e)
     if isinstance(e, Prod):
@@ -379,18 +372,15 @@ def eval_series_b1_raw(v: StateVector) -> StateVector:
 
 def range_proj_definition(n: int) -> OperatorExpr:
     """W_n as written in fermions: a_{n+1} a_{n+1}* a_n* a_n ... a_1* a_1."""
-    RangeProj(n)  # the index check
-    factors: list[OperatorExpr] = [Fermion(n + 1), Adj(Fermion(n + 1))]
-    for j in range(n, 0, -1):
-        factors.extend((Adj(Fermion(j)), Fermion(j)))
-    return prod(*factors)
+    range_proj(n)  # the index check
+    return prod(Fermion(n + 1), Adj(Fermion(n + 1)), *_occupied(range(n, 0, -1)))
 
 
 # ---------------------------------------------------------------------------
 # Per-label kernel
 # ---------------------------------------------------------------------------
 
-KERNEL_CACHE_SIZE = 1 << 12  # ~2 MB; closedforms on rep 112 would hold 7.7k, and loses 5% of hits
+KERNEL_CACHE_SIZE = 1 << 12  # ~2 MB; closedforms on rep 112 would hold 8.9k, and loses 6% of hits
 Terms = tuple[tuple[BasisLabel, RadicalScalar], ...]
 _MINUS_ONE = -ONE
 
@@ -557,8 +547,6 @@ _ENTRIES: dict[type, tuple[Callable[..., Terms], Callable[..., Terms]]] = {
         lambda e, rep, x: _rho_tower(e.n, rep, x, 1, -1),
         lambda e, rep, x: _rho_tower(e.n, rep, x, 0, 1),
     ),
-    # W_n = s_{n+1} s_{n+1}*: x itself when s_{n+1}* x survives
-    RangeProj: (lambda e, rep, x: _iso_adj(Iso(e.n + 1), rep, x) and ((x, ONE),),) * 2,
     ShiftSeries: (lambda e, rep, x: _one(_y(rep, x)), lambda e, rep, x: _one(_y_adj(rep, x))),
     Cluster: (  # F_n = Y rho(F_{n-1}),  F_n* = rho(F_{n-1}*) Y*
         lambda e, rep, x: _rho_tower(e.n, rep, x, 1, 0, after=_y),
@@ -574,35 +562,35 @@ def _act_cached(entry: Callable[..., Terms], e: OperatorExpr, rep: RepSpec, x: B
 
 def _step(e: OperatorExpr) -> Callable[[RepSpec, BasisLabel], Terms]:
     """The entry of one factor, resolved once, as a function of (rep, label):
-    a table entry, through the per-label cache unless a letter word; rho and
-    zeta around their argument's plan; a sum, a product or a star that
-    adjoint() rewrites inside a product as its own plan."""
+    a table entry, through the per-label cache but for t_i, t_i* and s_n;
+    rho and zeta around their argument's plan; a sum, a product or a star
+    that adjoint() rewrites inside a product as its own plan."""
     star = type(e) is Adj
     node = e.arg if star else e
     kind = type(node)
     if kind in _ENTRIES:
         entry = _ENTRIES[kind][star]
-        if kind is Gen or kind is Iso:  # cheaper to recompute than to look up
+        # t_i, t_i* and s_n cost less than a lookup; s_n* searches for a 1
+        if kind is Gen or kind is Iso and not star:
             return partial(entry, node)
         return partial(_act_cached, entry, node)
     if kind is Rho or kind is Zeta:
         arg = adjoint(node.arg) if star else node.arg
         return partial(_rho if kind is Rho else _zeta, _build(arg))
-    if kind not in (Adj, Prod, LinComb, Ident):
+    if kind not in (Adj, Prod, LinComb):
         raise TypeError(f"not an operator expression: {e!r}")
     return partial(_act, _build(adjoint(node) if star else node))
 
 
-def _chains(e: OperatorExpr, c: RadicalScalar) -> Iterator[tuple[RadicalScalar, list]]:
-    """(coefficient, factors) for each product of e, sums multiplied through
-    and the identity dropped.  A sum inside a product stays one factor, so a
-    product of k sums is k steps, not 2^k chains."""
+def _chains(e: OperatorExpr, c: RadicalScalar) -> Iterator[tuple[RadicalScalar, tuple]]:
+    """(coefficient, factors) for each product of e, sums multiplied through;
+    the identity is the empty chain.  A sum inside a product stays one
+    factor, so a product of k sums is k steps, not 2^k chains."""
     if type(e) is LinComb:
         for d, part in e.parts:
             yield from _chains(part, _mul(c, d))
     else:
-        factors = e.factors if type(e) is Prod else (e,)
-        yield c, [f for f in factors if type(f) is not Ident]
+        yield c, e.factors if type(e) is Prod else (e,)
 
 
 def _build(e: OperatorExpr) -> list:

@@ -35,18 +35,18 @@ from .operators import (
     Cluster,
     Fermion,
     Gen,
-    Ident,
     Iso,
     OperatorExpr,
-    RangeProj,
     Rho,
     ShiftSeries,
     Zeta,
     adj,
+    ident,
     lincomb,
     partial_shift,
     prod,
     psi,
+    range_proj,
 )
 from .scalars import _bounded_radicand, ONE, RadicalScalar, signed_sum_text, sqrt_int
 from .states import StateVector
@@ -81,10 +81,12 @@ _MAX_INDEX = 4096
 # level and exhausts Python's default recursion limit at about 160 levels;
 # at this bound apply on rep 112 and expand run well inside it.
 _MAX_NESTING = 64
-# Operator names, read from the node classes; X(n) and psi(p/2) are notations.
+# Operator names, read from the node classes; W(n), X(n), I and psi(p/2) are
+# notations.
 _ATOMS = {f"{Gen.token}{i}": Gen(i) for i in (1, 2)}
-_ATOMS |= {e.token: e for e in (ShiftSeries(), Ident())}
-_INDEXED = {cls.token: cls for cls in (Iso, Fermion, Boson, RangeProj, Cluster)} | {"X": partial_shift}
+_ATOMS |= {ShiftSeries.token: ShiftSeries(), "I": ident()}
+_INDEXED = {cls.token: cls for cls in (Iso, Fermion, Boson, Cluster)}
+_INDEXED |= {"W": range_proj, "X": partial_shift}
 _TRANSFORMERS = {cls.token: cls for cls in (Rho, Zeta)}
 _NAMES = ("sqrt", "vac", "psi", *_ATOMS, *_INDEXED, *_TRANSFORMERS)
 # One alternation, tried in order at each position: names longest first, so

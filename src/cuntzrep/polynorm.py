@@ -39,16 +39,13 @@ from .operators import (
     Cluster,
     Fermion,
     Gen,
-    Ident,
     Iso,
     LinComb,
     OperatorExpr,
     Prod,
-    RangeProj,
     Rho,
     ShiftSeries,
     Zeta,
-    range_proj_definition,
 )
 from .scalars import RadicalScalar, ONE, signed_sum_text
 from .states import StateVector, apply_letter, apply_letter_adjoint, merge_terms
@@ -165,9 +162,9 @@ def monomials(e: OperatorExpr) -> list[Monomial]:
         return [(ONE, str(e.letter), "")]
     if isinstance(e, Adj):
         return [(c, v, u) for c, u, v in monomials(e.arg)]
-    if isinstance(e, Ident):
-        return [(ONE, "", "")]
     if isinstance(e, Prod):
+        if not e.factors:  # the identity
+            return [(ONE, "", "")]
         acc = monomials(e.factors[0])
         for f in e.factors[1:]:
             if not acc:
@@ -185,8 +182,6 @@ def monomials(e: OperatorExpr) -> list[Monomial]:
         return [(ONE, "2" * (e.n - 1) + "1", "")]
     if isinstance(e, Fermion):
         return _fermion_monomials(e.n)
-    if isinstance(e, RangeProj):
-        return monomials(range_proj_definition(e.n))
     if isinstance(e, Zeta):
         return _zeta(monomials(e.arg))
     if isinstance(e, (Boson, Cluster, ShiftSeries, Rho)):

@@ -46,6 +46,7 @@ from .basis import BasisLabel, RepSpec, enumerate_basis, label_sort_key
 from .operators import (
     OperatorExpr,
     _iso_letters,
+    _occupied,
     adj,
     apply,
     boson,
@@ -431,26 +432,21 @@ def _main(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: int)
 # ---------------------------------------------------------------------------
 
 
-def _occupation_factors(lo: int, hi: int) -> list[OperatorExpr]:
-    """a(lo)*a(lo) ... a(hi)*a(hi); empty when hi < lo."""
-    return [f for j in range(lo, hi + 1) for f in (adj(fermion(j)), fermion(j))]
-
-
 def _closedforms(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
     support, words = _bounds(rep, depth)
     span = range(1, words + 1)
     first = (
-        (sqrt_int(n), prod(*_occupation_factors(1, n), fermion(n + 1), adj(fermion(n + 1))))
+        (sqrt_int(n), prod(*_occupied(range(1, n + 1)), fermion(n + 1), adj(fermion(n + 1))))
         for n in span
     )
     second = (
         (
             sqrt_int(m),
             prod(
-                *_occupation_factors(1, n - 1),
+                *_occupied(range(1, n)),
                 adj(fermion(n)),
                 fermion(n + 1),
-                *_occupation_factors(n + 2, n + m),
+                *_occupied(range(n + 2, n + m + 1)),
                 fermion(n + m + 1),
                 adj(fermion(n + m + 1)),
             ),
@@ -465,7 +461,7 @@ def _closedforms(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, dept
     for m in range(1, min(3, n_max) + 1):
         terms = []
         for l in range(support + 1):
-            top, occupied = fermion(m + l + 2), _occupation_factors(l + 2, l + 1 + m)
+            top, occupied = fermion(m + l + 2), _occupied(range(l + 2, l + m + 2))
             terms.append((ONE, prod(top, adj(top), *occupied, range_proj(l))))
         rows.append((f"rho(W({m})) = occupation expansion", rho(range_proj(m)), lincomb(*terms)))
     report.run(_samples(rep, depth), [rows])

@@ -345,6 +345,14 @@ def test_wide_fermion_products_expand_in_bounded_time(expr):
     assert done.stdout.count("\n") == 1
 
 
+@pytest.mark.parametrize("n", [16, 100])
+def test_range_projection_expands_as_its_isometry_product(capsys, n):
+    # W(n) is the one monomial s(n+1) s(n+1)*, past the cap of its fermion form
+    want = run(capsys, ["expand", "--expr", f"s({n + 1}) s({n + 1})*"])
+    assert want[0] == 0
+    assert run(capsys, ["expand", "--expr", f"W({n})"]) == want
+
+
 def _nested(opening, inner, depth):
     return opening * depth + inner + ")" * depth
 

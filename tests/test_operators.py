@@ -180,6 +180,15 @@ def test_notations_build_the_nodes_they_name():
         assert not hasattr(cuntzrep, gone) and not hasattr(operators, gone)
 
 
+def test_projection_and_identity_are_products():
+    assert range_proj(2) == prod(iso(3), adjoint(iso(3)))
+    assert adjoint(range_proj(2)) == range_proj(2)
+    assert ident() == prod()
+    assert pickle.loads(pickle.dumps(ident())) == ident()
+    for gone in ("RangeProj", "Ident"):
+        assert not hasattr(cuntzrep, gone) and not hasattr(operators, gone)
+
+
 def _node_kinds(cls=operators.OperatorExpr):
     for sub in cls.__subclasses__():
         if sub.token:  # an abstract base such as _Indexed names no token
@@ -189,8 +198,7 @@ def _node_kinds(cls=operators.OperatorExpr):
 
 def test_every_node_kind_has_its_own_evaluation():
     # a kind is a table entry of the kernel, or one the kernel lowers itself
-    lowered = {operators.Adj, operators.Prod, operators.LinComb, operators.Ident,
-               operators.Rho, operators.Zeta}
+    lowered = {operators.Adj, operators.Prod, operators.LinComb, operators.Rho, operators.Zeta}
     kinds = set(_node_kinds())
     assert kinds - lowered - set(operators._ENTRIES) == set()
     assert not lowered & set(operators._ENTRIES)
@@ -272,7 +280,7 @@ def test_kinds_stay_distinct():
     assert rho(gen(1)) != zeta(gen(1))
     family = [f(3) for f in (iso, fermion, boson, range_proj, partial_shift, cluster)]
     assert len(set(family)) == len(family)
-    assert range_proj(0).n == 0
+    assert range_proj(0) == prod(iso(1), adjoint(iso(1)))
     assert fermion(3) == fermion(3) and hash(fermion(3)) == hash(fermion(3))
 
 
@@ -289,11 +297,9 @@ def test_nodes_and_reps_are_immutable():
         adjoint(fermion(2)),
         prod(gen(1), gen(2)),
         scaled(sqrt_int(2), iso(3)),
-        ident(),
         iso(2),
         fermion(3),
         boson(2),
-        range_proj(0),
         shift_series(),
         cluster(2),
         rho(gen(2)),
@@ -314,9 +320,9 @@ def test_values_survive_pickle_and_deepcopy(value):
 
 # (value, a byte string of its pickle, the same value forged out of range)
 _FORGERIES = {
-    0: [(WEDGE, b"V12\n", b"V11\n"), (range_proj(3), b"I3\n", b"I-1\n")],
+    0: [(WEDGE, b"V12\n", b"V11\n"), (iso(3), b"I3\n", b"I-1\n")],
     1: [(WEDGE, b"X\x02\x00\x00\x0012", b"X\x02\x00\x00\x0011"),
-        (range_proj(3), b"K\x03", b"J\xff\xff\xff\xff")],
+        (iso(3), b"K\x03", b"J\xff\xff\xff\xff")],
 }
 
 

@@ -11,11 +11,9 @@ from cuntzrep.operators import (
     Adj,
     Fermion,
     Gen,
-    Ident,
     Iso,
     LinComb,
     Prod,
-    RangeProj,
     Zeta,
     adjoint,
     apply,
@@ -29,7 +27,6 @@ from cuntzrep.operators import (
     partial_shift,
     prod,
     range_proj,
-    range_proj_definition,
     rho,
     shift_series,
     zeta,
@@ -164,8 +161,6 @@ def _pairwise_monomials(e):
     """Unmerged monomials, composing every pair of every product."""
     if isinstance(e, Gen):
         return [(ONE, str(e.letter), "")]
-    if isinstance(e, Ident):
-        return [(ONE, "", "")]
     if isinstance(e, Iso):
         return [(ONE, "2" * (e.n - 1) + "1", "")]
     if isinstance(e, Fermion):
@@ -177,8 +172,6 @@ def _pairwise_monomials(e):
         return out
     if isinstance(e, Adj):
         return [(c, v, u) for c, u, v in _pairwise_monomials(e.arg)]
-    if isinstance(e, RangeProj):
-        return _pairwise_monomials(range_proj_definition(e.n))
     if isinstance(e, Zeta):
         inner = _pairwise_monomials(e.arg)
         return [(c, "1" + u, "1" + v) for c, u, v in inner] + [
