@@ -22,19 +22,21 @@ returns the projection W_n = s_{n+1} s_{n+1}*, and ``ident()`` the empty
 product I.
 
 How evaluation works.  Every node but ``LinComb`` sends a basis label to
-at most one label times an exact scalar.  ``apply(e, v)`` lowers e once
-into a plan: sums are multiplied through into (coefficient, factor chain)
-pairs, and the chains form a trie read right to left, so chains that end
-in the same factors take them once per label, and a label that a shared
-factor annihilates prunes every chain below it.  Each edge holds its
-factor's entry, resolved when the plan is built: a word-slice step for t_i,
-t_i* and s_n, the LRU cache (``KERNEL_CACHE_SIZE`` entries, keyed on the
-label) for s_n* and a named family, its own plan for a sum inside a
-product and the argument of rho or zeta.  Plans are memoised on the
-identity of the expression, at most ``_PLAN_CACHE_SIZE`` of them;
-``kernel_cache_clear``, called by ``cli.main`` on entry, empties both
-caches.  ``apply`` merges the images of v's terms, unsorted, and hands the
-dict to ``StateVector._trusted`` as it is.
+at most one label times an exact scalar.  A plan (``_build``) lowers one or
+more expressions, its sides: sums are multiplied through into
+(coefficient, factor chain) pairs, and the chains of every side form one
+trie read right to left, so chains that end in the same factors take them
+once per label, and a label that a shared factor annihilates prunes every
+chain below it; ``_walk`` merges each side's images into its own dict.
+Each edge holds its factor's entry, resolved when the plan is built: a
+word-slice step for t_i, t_i* and s_n, the LRU cache (``KERNEL_CACHE_SIZE``
+entries, keyed on the label) for s_n* and a named family, its own plan for
+a sum inside a product and the argument of rho or zeta.  ``apply(e, v)`` is
+the one-side case, its plans memoised on the identity of the expression, at
+most ``_PLAN_CACHE_SIZE`` of them; ``kernel_cache_clear``, called by
+``cli.main`` on entry, empties both caches.  ``apply`` walks v's terms
+unsorted and hands the merged dict to ``StateVector._trusted`` as it is.  A
+suite table is one plan, its sides the table's expressions.
 
 Exactly one of t1*, t2* survives on a label, so each family is a loop of
 word-slice steps (``_down``, ``_peel``, ``_prepend``), with forward and
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 # the kernel steps no letter through apply_gen or apply_gen_adjoint, which
 # only the oracles' letter steps use; perfbench/tracer.py patches both names
@@ -380,7 +382,7 @@ def range_proj_definition(n: int) -> OperatorExpr:
 # Per-label kernel
 # ---------------------------------------------------------------------------
 
-KERNEL_CACHE_SIZE = 1 << 12  # ~2 MB; closedforms on rep 112 would hold 8.9k, and loses 6% of hits
+KERNEL_CACHE_SIZE = 1 << 12  # ~2 MB; closedforms on 112 would hold 8,914: 1,626 hits, not 2,123
 Terms = tuple[tuple[BasisLabel, RadicalScalar], ...]
 _MINUS_ONE = -ONE
 
@@ -576,10 +578,10 @@ def _step(e: OperatorExpr) -> Callable[[RepSpec, BasisLabel], Terms]:
         return partial(_act_cached, entry, node)
     if kind is Rho or kind is Zeta:
         arg = adjoint(node.arg) if star else node.arg
-        return partial(_rho if kind is Rho else _zeta, _build(arg))
+        return partial(_rho if kind is Rho else _zeta, _build((arg,)))
     if kind not in (Adj, Prod, LinComb):
         raise TypeError(f"not an operator expression: {e!r}")
-    return partial(_act, _build(adjoint(node) if star else node))
+    return partial(_act, _build((adjoint(node) if star else node,)))
 
 
 def _chains(e: OperatorExpr, c: RadicalScalar) -> Iterator[tuple[RadicalScalar, tuple]]:
@@ -593,47 +595,51 @@ def _chains(e: OperatorExpr, c: RadicalScalar) -> Iterator[tuple[RadicalScalar, 
         yield c, e.factors if type(e) is Prod else (e,)
 
 
-def _build(e: OperatorExpr) -> list:
-    """The plan of e, in one pass: a trie of its factor chains read right to
-    left, so chains that end in the same factors share those edges.  A node
-    is ``[coefficient or None, {factor: (step, child)}]``, the coefficient
-    the sum of the chains that end there; each distinct factor's step is
-    resolved once."""
-    root: list = [None, {}]
+def _build(exprs: Sequence[OperatorExpr]) -> list:
+    """The plan of the sides ``exprs``, in one pass: a trie of their factor
+    chains read right to left, so chains that end in the same factors share
+    those edges, within a side and across sides.  A node is ``[ends,
+    {factor: (step, child)}]``, ``ends`` mapping a side's slot, its index in
+    ``exprs``, to the sum of the coefficients of its chains that end there;
+    each distinct factor's step is resolved once."""
+    root: list = [{}, {}]
     steps: dict[OperatorExpr, Callable] = {}
-    for c, factors in _chains(e, ONE):
-        node = root
-        for f in reversed(factors):
-            edge = node[1].get(f)
-            if edge is None:
-                step = steps.get(f)
-                if step is None:
-                    step = steps[f] = _step(f)
-                edge = node[1][f] = (step, [None, {}])
-            node = edge[1]
-        total = c if node[0] is None else node[0] + c
-        node[0] = total if total else None
+    for slot, e in enumerate(exprs):
+        for c, factors in _chains(e, ONE):
+            node = root
+            for f in reversed(factors):
+                edge = node[1].get(f)
+                if edge is None:
+                    step = steps.get(f)
+                    if step is None:
+                        step = steps[f] = _step(f)
+                    edge = node[1][f] = (step, [{}, {}])
+                node = edge[1]
+            merge_terms(((slot, c),), node[0])
     return root
 
 
-def _images(plan: list, rep: RepSpec, terms) -> Iterator[tuple[BasisLabel, RadicalScalar]]:
-    """Every chain's image of each (label, scalar) term, unmerged.  A label
-    takes an edge's step once for all the chains below it, and a step that
-    annihilates it prunes them all."""
+def _walk(plan: list, rep: RepSpec, terms, outs: Sequence[dict]) -> Sequence[dict]:
+    """Merge each side's image of the (label, scalar) terms, unsorted, into
+    ``outs[slot]``, and return ``outs``.  A label takes an edge's step once for
+    all chains below it, of any side; a step that annihilates it prunes them all."""
     stack = [(plan, x, c) for x, c in terms]
     while stack:
-        (coeff, edges), x, c = stack.pop()
-        if coeff is not None:
-            yield x, c if coeff is ONE else coeff if c is ONE else c * coeff
+        (ends, edges), x, c = stack.pop()
+        if ends:
+            for slot, coeff in ends.items():
+                d = c if coeff is ONE else coeff if c is ONE else c * coeff
+                merge_terms(((x, d),), outs[slot])
         for step, child in edges.values():
             for z, d in step(rep, x):
                 stack.append((child, z, c if d is ONE else d if c is ONE else c * d))
+    return outs
 
 
 def _act(plan: list, rep: RepSpec, x: BasisLabel) -> Terms:
-    """Image of the basis label x under a plan, as merged (label, scalar)
-    terms: empty when x is annihilated, one term at most without a sum."""
-    return tuple(merge_terms(_images(plan, rep, ((x, ONE),))).items())
+    """Image of the basis label x under a one-side plan, as merged (label,
+    scalar) terms: empty when x is annihilated, one term at most without a sum."""
+    return tuple(_walk(plan, rep, ((x, ONE),), ({},))[0].items())
 
 
 # Plans memoised on the identity of the expression, since hashing a long
@@ -648,7 +654,7 @@ def _plan(e: OperatorExpr) -> list:
     if entry is None:
         if len(_plans) >= _PLAN_CACHE_SIZE:
             del _plans[next(iter(_plans))]
-        entry = _plans[id(e)] = (e, _build(e))
+        entry = _plans[id(e)] = (e, _build((e,)))
     return entry[1]
 
 
@@ -666,4 +672,4 @@ def apply(e: OperatorExpr, v: StateVector) -> StateVector:
     if not v:
         return v
     # unsorted: the sums are exact, and terms() orders the output
-    return StateVector._trusted(v.rep, merge_terms(_images(_plan(e), v.rep, v._terms.items())))
+    return StateVector._trusted(v.rep, _walk(_plan(e), v.rep, v._terms.items(), ({},))[0])

@@ -7,11 +7,11 @@ replayed through the CLI `apply` command.
 
 Tables.  A suite is a table of ``(identity, left, right)`` rows, built
 once per run.  A side is an operator expression: sums are written with
-``lincomb`` and compositions with ``prod``, so one ``apply`` call runs a
-whole side's plan per label.  ``CheckReport.run`` takes the table as
-groups of rows and runs each group on every sample in turn, so the groups
-fix the case order.  A side may also be a literal ``StateVector``, the
-expected ket itself.
+``lincomb`` and compositions with ``prod``.  ``CheckReport.run`` takes the
+table as groups of rows, lowers all its expression sides into one plan, and
+runs each sample through that plan once; the groups fix the case order:
+group, then sample, then row.  A side may also be a literal
+``StateVector``, the expected ket itself.
 
 Bounds.  The infinite sums are cut off at two bounds fixed by the
 representation and the depth alone (``_bounds``), with L the longest
@@ -27,8 +27,9 @@ exactly zero on it, so one table serves every sample.
 Oracles.  A side written ``("eval_series_b1_raw",)`` or ``("_raw_boson", n)``
 names a function of the vector in this module, looked up when the side is
 evaluated; it works on vectors through the letter steps, off the kernel.
-The ``range_proj_definition(n)`` products are applied as whole sides, never
-inside a ``lincomb`` or ``prod``.
+The ``range_proj_definition(n)`` products are the sides
+``("apply", range_proj_definition(n))``: each is applied whole, on its own
+plan, never a slot of the table's plan nor inside a ``lincomb`` or ``prod``.
 
 Two suites run on fixed representations by construction: the all-ones cycle
 (Fock behavior) and the alternating two-cycle (wedge behavior); their
@@ -45,8 +46,10 @@ from typing import Callable, Iterable, Sequence, Union
 from .basis import BasisLabel, RepSpec, enumerate_basis, label_sort_key
 from .operators import (
     OperatorExpr,
+    _build,
     _iso_letters,
     _occupied,
+    _walk,
     adj,
     apply,
     boson,
@@ -124,28 +127,42 @@ class CheckReport:
         }
 
     def run(self, samples: list[StateVector], groups: Iterable[Sequence[Row]]) -> None:
-        """Both sides of every row on every sample, one group after another."""
-        for group in groups:
-            for v in samples:
+        """Both sides of every row on every sample, in the case order group,
+        then sample, then row.  The table's expression sides, each distinct
+        object one slot, are one plan, and each sample runs through it once."""
+        groups = list(groups)
+        sides = (side for group in groups for row in group for side in row[1:])
+        exprs = list({id(side): side for side in sides if isinstance(side, OperatorExpr)}.values())
+        slots = {id(e): slot for slot, e in enumerate(exprs)}
+        plan = _build(exprs)
+        failures: list[list[dict[str, str]]] = [[] for _ in groups]
+        for v in samples:
+            outs = _walk(plan, v.rep, v._terms.items(), [{} for _ in exprs])
+
+            def terms(side: Side) -> dict:
+                # module globals, read at call time: a patched oracle takes effect
+                if type(side) is tuple:
+                    return globals()[side[0]](*side[1:], v)._terms
+                return side._terms if type(side) is StateVector else outs[slots[id(side)]]
+
+            for group, witnesses in zip(groups, failures):
                 for identity, left, right in group:
-                    self.check(identity, v, _side(left, v), _side(right, v))
+                    lhs, rhs = terms(left), terms(right)
+                    if lhs != rhs:
+                        lhs, rhs = (StateVector._trusted(v.rep, t) for t in (lhs, rhs))
+                        witnesses.append(_witness(identity, v, lhs, rhs))
+        self.cases += len(samples) * sum(map(len, groups))
+        self.failures += [witness for witnesses in failures for witness in witnesses]
 
     def check(self, identity: str, source: Witness, left: Witness, right: Witness) -> None:
         """One case; a witness is serialized only when the case fails."""
         self.cases += 1
         if left != right:
-            self.failures.append(
-                {"identity": identity, "input": _text(source), "left": _text(left), "right": _text(right)}
-            )
+            self.failures.append(_witness(identity, source, left, right))
 
 
-def _side(side: Side, v: StateVector) -> StateVector:
-    # module globals, read at call time: a patched apply or oracle takes effect
-    if type(side) is tuple:
-        return globals()[side[0]](*side[1:], v)
-    if type(side) is StateVector:
-        return side
-    return apply(side, v)
+def _witness(identity: str, source: Witness, left: Witness, right: Witness) -> dict[str, str]:
+    return {"identity": identity, "input": _text(source), "left": _text(left), "right": _text(right)}
 
 
 def _text(x: Witness) -> str:
@@ -314,7 +331,7 @@ def _wfamily(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: i
     rows: list[Row] = [("sum of W(m) = I", resolution, _I)]
     for n in range(0, n_max + 1):
         rows.append((f"W({n})W({n}) = W({n})", prod(w[n], w[n]), w[n]))
-        rows.append((f"W({n}) = fermion product form", w[n], range_proj_definition(n)))
+        rows.append((f"W({n}) = fermion product form", w[n], ("apply", range_proj_definition(n))))
         rows += [
             (f"W({n})W({m}) = 0", prod(w[n], w[m]), _ZERO) for m in range(0, m_max + 1) if m != n
         ]
@@ -347,7 +364,8 @@ def _lemma23(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: i
     ]
     for n in range(0, n_max + 1):
         s = iso(n + 1)
-        rows.append((f"W({n}) = s({n + 1})s({n + 1})*", range_proj_definition(n), prod(s, adj(s))))
+        definition = ("apply", range_proj_definition(n))
+        rows.append((f"W({n}) = s({n + 1})s({n + 1})*", definition, prod(s, adj(s))))
     for n in range(1, n_max + 1):
         s, x = iso(n), prod(t2_adj, partial_shift(n))
         rows.append((f"s({n})t2*s({n})* = t2* X({n})", prod(s, t2_adj, adj(s)), x))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cuntzrep
-from cuntzrep import basis, operators, states
+from cuntzrep import basis, operators, states, suites
 from cuntzrep.basis import (
     BasisLabel,
     RepSpec,
@@ -455,14 +455,15 @@ def test_plan_shares_right_hand_suffixes():
         (sqrt_int(2), prod(fermion(2), *shared)),
         (-ONE, prod(fermion(1), *shared)),
     )
-    root = operators._build(e)
+    # a second side shares the trie: its chain ends where e's a(2) part does
+    root = operators._build((e, prod(fermion(2), *shared)))
     assert list(root[1]) == [adjoint(fermion(3))]
     ((_, below),) = root[1].values()
     assert list(below[1]) == [fermion(3)]
     ((_, fork),) = below[1].values()
     assert set(fork[1]) == {fermion(1), fermion(2)}
-    assert fork[1][fermion(1)][1][0] is None  # the two a(1) parts cancel
-    assert fork[1][fermion(2)][1][0] == sqrt_int(2)
+    assert fork[1][fermion(1)][1][0] == {}  # the two a(1) parts cancel
+    assert fork[1][fermion(2)][1][0] == {0: sqrt_int(2), 1: ONE}
 
 
 @settings(max_examples=60, deadline=None)
@@ -540,10 +541,10 @@ def test_plans_are_memoised_on_the_identity_of_the_expression(monkeypatch):
     kernel_cache_clear()
     built = []
     build = operators._build
-    monkeypatch.setattr(operators, "_build", lambda e: built.append(e) or build(e))
+    monkeypatch.setattr(operators, "_build", lambda exprs: built.append(exprs) or build(exprs))
     e, twin, v = prod(gen(1), fermion(2)), prod(gen(1), fermion(2)), fock("2")
     assert apply(e, v) == apply(e, v) == apply(twin, v)
-    assert built == [e, twin] and built[1] is twin
+    assert built == [(e,), (twin,)] and built[1][0] is twin
     kernel_cache_clear()
     assert not operators._plans
     apply(e, v)
@@ -574,7 +575,7 @@ def test_oracles_never_touch_the_cache(monkeypatch):
         raise AssertionError("an oracle reached a plan or a word-slice step of the kernel")
 
     with monkeypatch.context() as patched:
-        for helper in ("_prepend", "_peel", "_up", "_down", "_build", "_plan", "_images"):
+        for helper in ("_prepend", "_peel", "_up", "_down", "_build", "_plan", "_walk"):
             patched.setattr(operators, helper, off_limits)
         oracles = {
             boson(1): eval_series_b1_raw(v),
@@ -584,6 +585,36 @@ def test_oracles_never_touch_the_cache(monkeypatch):
     info = kernel_cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
     assert oracles == kernel
+
+    # no oracle side of a suite table, nor a range_proj_definition product,
+    # is ever a slot of the table's plan
+    plans, sides, definitions = [], [], []
+    build, run, definition = suites._build, suites.CheckReport.run, suites.range_proj_definition
+
+    def recording_run(report, samples, groups):
+        groups = list(groups)
+        sides.extend(side for group in groups for row in group for side in row[1:])
+        run(report, samples, groups)
+
+    def recording_definition(n):
+        definitions.append(definition(n))
+        return definitions[-1]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(suites, "_build", lambda exprs: plans.append(exprs) or build(exprs))
+        patched.setattr(suites.CheckReport, "run", recording_run)
+        patched.setattr(suites, "range_proj_definition", recording_definition)
+        for name in suites.SUITE_NAMES:
+            suites.run_suite(name, WEDGE, n_max=2, m_max=2, depth=2)
+    oracle_sides = [side for side in sides if type(side) is tuple]
+    assert {side[0] for side in oracle_sides} == {"eval_series_b1_raw", "_raw_boson", "apply"}
+    assert {id(side[1]) for side in oracle_sides if side[0] == "apply"} == set(map(id, definitions))
+    # each plan takes each distinct side object once
+    assert all(len(plan) == len(set(map(id, plan))) for plan in plans)
+    slots = [side for plan in plans for side in plan]
+    slot_ids = set(map(id, slots))
+    for oracle in oracle_sides + definitions:
+        assert id(oracle) not in slot_ids and oracle not in slots, oracle
 
 
 # -- word-slice letter steps against the stepwise basis moves ----------------

@@ -6,7 +6,7 @@ import pytest
 
 from cuntzrep import suites
 from cuntzrep.basis import BasisLabel, RepSpec
-from cuntzrep.operators import _support_bound, gen, s_star_support
+from cuntzrep.operators import _support_bound, adj, apply, boson, cluster, gen, prod, s_star_support
 from cuntzrep.parsing import serialize_vector
 from cuntzrep.scalars import RadicalScalar
 from cuntzrep.states import StateVector
@@ -76,6 +76,67 @@ def test_all_twos_cycle_failures_keep_their_order():
         ("wfamily", "sum of W(m) = I", MIXED),
         ("rho", "sum of s(n)s(n)* = I", "vac"),
         ("rho", "sum of s(n)s(n)* = I", MIXED),
+    ]
+
+
+def _per_side_run(report, samples, groups):
+    """The reference case loop: group, then sample, then row, with one
+    ``apply`` call per expression side."""
+
+    def side(s, v):
+        if type(s) is tuple:
+            return getattr(suites, s[0])(*s[1:], v)
+        return s if type(s) is StateVector else apply(s, v)
+
+    for group in groups:
+        for v in samples:
+            for identity, left, right in group:
+                report.check(identity, v, side(left, v), side(right, v))
+
+
+@pytest.mark.parametrize("rep", [FOCK, WEDGE, ALLTWO, BOTH], ids=str)
+def test_table_plans_match_the_per_side_loop(monkeypatch, rep):
+    planned = [run_suite(name, rep, **SMALL).to_json() for name in SUITE_NAMES]
+    with monkeypatch.context() as patched:
+        patched.setattr(CheckReport, "run", _per_side_run)
+        reference = [run_suite(name, rep, **SMALL).to_json() for name in SUITE_NAMES]
+    assert planned == reference
+    failing = [report["suite"] for report in planned if report["failures"]]
+    assert failing == (["ccr", "wfamily", "rho"] if rep == ALLTWO else [])
+
+
+def test_table_plan_failures_keep_group_sample_row_order():
+    # a false table, b(n) = t1* F(n), fails across both groups and most samples
+    groups = [
+        (
+            (f"b({n}) = t1* F({n})", boson(n), prod(adj(gen(1)), cluster(n))),
+            (f"b({n})* = F({n})* t1", adj(boson(n)), prod(adj(cluster(n)), gen(1))),
+        )
+        for n in (1, 2)
+    ]
+    samples = suites._samples(FOCK, 2)
+    planned, reference = (CheckReport("identity", "1", {}) for _ in range(2))
+    planned.run(samples, groups)
+    _per_side_run(reference, samples, groups)
+    assert planned.to_json() == reference.to_json()
+    mixed = serialize_vector(samples[-1])
+    b1, b1_adj, b2, b2_adj = (row[0] for group in groups for row in group)
+    assert [(f["identity"], f["input"]) for f in planned.failures] == [
+        (b1_adj, "vac"),
+        (b1, "|2;0>"),
+        (b1_adj, "|2;0>"),
+        (b1_adj, "|12;0>"),
+        (b1, "|22;0>"),
+        (b1_adj, "|22;0>"),
+        (b1, mixed),
+        (b1_adj, mixed),
+        (b2_adj, "vac"),
+        (b2_adj, "|2;0>"),
+        (b2, "|12;0>"),
+        (b2_adj, "|12;0>"),
+        (b2_adj, "|22;0>"),
+        (b2, mixed),
+        (b2_adj, mixed),
     ]
 
 
