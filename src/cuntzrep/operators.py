@@ -29,25 +29,30 @@ trie read right to left, so chains that end in the same factors take them
 once per label, and a label that a shared factor annihilates prunes every
 chain below it; ``_walk`` merges each side's images into its own dict.
 Each edge holds its factor's entry, resolved when the plan is built: a
-word-slice step for t_i, t_i* and s_n, the LRU cache (``KERNEL_CACHE_SIZE``
-entries, keyed on the label) for s_n* and a named family, its own plan for
-a sum inside a product and the argument of rho or zeta.  ``apply(e, v)`` is
-the one-side case, its plans memoised on the identity of the expression, at
-most ``_PLAN_CACHE_SIZE`` of them; ``kernel_cache_clear``, called by
-``cli.main`` on entry, empties both caches.  ``apply`` walks v's terms
-unsorted and hands the merged dict to ``StateVector._trusted`` as it is.  A
-suite table is one plan, its sides the table's expressions.
+word-slice step for t_i, t_i* and s_n, the level memo for b_n, F_n and
+their adjoints, the LRU cache (``KERNEL_CACHE_SIZE`` entries, keyed on the
+label) for s_n*, a_n and Y, its own plan for a sum inside a product and the
+argument of rho or zeta.  ``apply(e, v)`` is the one-side case, its plans
+memoised on the identity of the expression, at most ``_PLAN_CACHE_SIZE`` of
+them; ``kernel_cache_clear``, called by ``cli.main`` on entry, empties the
+plans, the cache and the memo, whose hits, misses and sizes
+``kernel_cache_info`` adds up.  ``apply`` walks v's terms unsorted and hands
+the merged dict to ``StateVector._trusted`` as it is.  A suite table is one
+plan, its sides the table's expressions.
 
 Exactly one of t1*, t2* survives on a label, so each family is a loop of
 word-slice steps (``_down``, ``_peel``, ``_prepend``), with forward and
-adjoint entries in one table.  The oracles use only the vector-level letter
-steps ``states.apply_letter*``, which no kernel entry takes, never a plan,
-the cache or a word-slice step, and the series oracle takes its weights from
-``RadicalScalar.sqrt_int``, not from the memoised ``scalars.sqrt_int``.
+adjoint entries in one table; a rho tower's level n on a label is level
+n - 1 on the label that s_m* leaves, memoised (``_tower``).  The oracles use
+only the vector-level letter steps ``states.apply_letter*``, which no kernel
+entry takes, never a plan, the caches or a word-slice step, and the series
+oracle takes its weights from ``RadicalScalar.sqrt_int``, not from the
+memoised ``scalars.sqrt_int``.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -325,7 +330,7 @@ adj = adjoint
 def _support_bound(v: StateVector) -> int:
     # After the word is consumed the label walks the cycle with period L,
     # so a 1-edge either appears within |word| + L steps or never does.
-    return max((len(x.word) + len(v.rep[x.component]) + 1 for x in v.labels()), default=0)
+    return max((len(x.word) + len(v.rep[x.component]) + 1 for x in v._terms), default=0)
 
 
 def s_star_support(v: StateVector) -> dict[int, StateVector]:
@@ -360,7 +365,7 @@ def eval_series_b1_raw(v: StateVector) -> StateVector:
     """b_1 v = sum_m sqrt(m) s_m s_{m+1}* v over the one walk of
     ``s_star_support``, off the kernel: a cross-check oracle."""
     out = StateVector.zero(v.rep)
-    for m, w in sorted(s_star_support(v).items()):
+    for m, w in s_star_support(v).items():  # m ascending, as the walk fills it
         if m > 1:
             out = out.combine(RadicalScalar.sqrt_int(m - 1), _iso_letters(m - 1, w))
     return out
@@ -382,7 +387,7 @@ def range_proj_definition(n: int) -> OperatorExpr:
 # Per-label kernel
 # ---------------------------------------------------------------------------
 
-KERNEL_CACHE_SIZE = 1 << 12  # ~2 MB; closedforms on 112 would hold 8,914: 1,626 hits, not 2,123
+KERNEL_CACHE_SIZE = 1 << 12  # per cache, ~2 MB; closedforms on 112: 8,722 images, 1,634 hits (2,115 unbounded)
 Terms = tuple[tuple[BasisLabel, RadicalScalar], ...]
 _MINUS_ONE = -ONE
 
@@ -500,28 +505,43 @@ def _fermion(e: Fermion, rep: RepSpec, x: BasisLabel, flip: str = "1") -> Terms:
     return ((_prepend(rep, x, letters[:-1] + flip), sign),)
 
 
-def _rho_tower(n: int, rep: RepSpec, x: BasisLabel, k: int, d: int, before=None, after=None):
+# The rho towers' levels, memoised on (tower, level, rep, label): an LRU of
+# at most KERNEL_CACHE_SIZE images, with its own hit and miss counts.
+_levels: OrderedDict = OrderedDict()
+_level_counts = [0, 0]
+
+
+def _tower(n: int, rep: RepSpec, x: BasisLabel, tower: str, k: int, d: int, before=None, after=None) -> Terms:
     """x_n = after rho(x_{n-1}) before, down to the series
-    x_1 = sum_{j > k} sqrt(j - k) s_{j+d} s_j*, unrolled: each level and the
-    series take the one s_m* that survives, and the s_m go back on in reverse."""
-    ms = []
-    for level in range(n, 0, -1):
-        x = before(rep, x) if before and level > 1 else x
-        hit = _down(rep, x) if x is not None else None
-        if hit is None:
-            return ()
-        m, x = hit
-        ms.append(m)
-    j = ms.pop()
-    if j <= k:
-        return ()
-    x = _up(rep, x, j + d)
-    for m in reversed(ms):
-        x = _up(rep, x, m)
-        x = after(rep, x) if after else x
-        if x is None:
-            return ()
-    return ((x, sqrt_int(j - k)),)
+    x_1 = sum_{j > k} sqrt(j - k) s_{j+d} s_j*, one level at a time: each level
+    takes the one s_m* that survives, down to a level memoised on its label
+    or to the series, and the s_m go back on in reverse, memoising each level."""
+    levels, walk = _levels, []
+    while True:
+        key = (tower, n, rep, x)
+        image = levels.get(key)
+        if image is not None:
+            _level_counts[0] += 1
+            levels.move_to_end(key)
+            break
+        y = before(rep, x) if before and n > 1 else x
+        hit = _down(rep, y) if y is not None else None
+        if hit is None or n == 1:
+            image = () if hit is None or hit[0] <= k else ((_up(rep, hit[1], hit[0] + d), sqrt_int(hit[0] - k)),)
+            walk.append((key, 0))
+            break
+        walk.append((key, hit[0]))
+        n, x = n - 1, hit[1]
+    _level_counts[1] += len(walk)
+    for key, m in reversed(walk):
+        if image and m:
+            z = _up(rep, image[0][0], m)
+            z = after(rep, z) if after else z
+            image = () if z is None else ((z, image[0][1]),)
+        levels[key] = image
+        if len(levels) > KERNEL_CACHE_SIZE:
+            levels.popitem(last=False)
+    return image
 
 
 def _rho(plan: list, rep: RepSpec, x: BasisLabel) -> Terms:
@@ -546,13 +566,13 @@ _ENTRIES: dict[type, tuple[Callable[..., Terms], Callable[..., Terms]]] = {
     Iso: (lambda e, rep, x: ((_up(rep, x, e.n), ONE),), _iso_adj),
     Fermion: (_fermion, lambda e, rep, x: _fermion(e, rep, x, "2")),
     Boson: (
-        lambda e, rep, x: _rho_tower(e.n, rep, x, 1, -1),
-        lambda e, rep, x: _rho_tower(e.n, rep, x, 0, 1),
+        lambda e, rep, x: _tower(e.n, rep, x, "b", 1, -1),
+        lambda e, rep, x: _tower(e.n, rep, x, "b*", 0, 1),
     ),
     ShiftSeries: (lambda e, rep, x: _one(_y(rep, x)), lambda e, rep, x: _one(_y_adj(rep, x))),
     Cluster: (  # F_n = Y rho(F_{n-1}),  F_n* = rho(F_{n-1}*) Y*
-        lambda e, rep, x: _rho_tower(e.n, rep, x, 1, 0, after=_y),
-        lambda e, rep, x: _rho_tower(e.n, rep, x, 1, 0, before=_y_adj),
+        lambda e, rep, x: _tower(e.n, rep, x, "F", 1, 0, after=_y),
+        lambda e, rep, x: _tower(e.n, rep, x, "F*", 1, 0, before=_y_adj),
     ),
 }
 
@@ -572,8 +592,9 @@ def _step(e: OperatorExpr) -> Callable[[RepSpec, BasisLabel], Terms]:
     kind = type(node)
     if kind in _ENTRIES:
         entry = _ENTRIES[kind][star]
-        # t_i, t_i* and s_n cost less than a lookup; s_n* searches for a 1
-        if kind is Gen or kind is Iso and not star:
+        # t_i, t_i* and s_n cost less than a lookup; the towers memoise their
+        # levels; s_n* searches for a 1
+        if kind is Gen or kind is Boson or kind is Cluster or kind is Iso and not star:
             return partial(entry, node)
         return partial(_act_cached, entry, node)
     if kind is Rho or kind is Zeta:
@@ -658,13 +679,19 @@ def _plan(e: OperatorExpr) -> list:
     return entry[1]
 
 
-kernel_cache_info = _act_cached.cache_info
+def kernel_cache_info():
+    """The hits, misses, bounds and sizes of the per-label cache and the level memo, added."""
+    info = _act_cached.cache_info()
+    return info._replace(hits=info.hits + _level_counts[0], misses=info.misses + _level_counts[1],
+                         maxsize=info.maxsize + KERNEL_CACHE_SIZE, currsize=info.currsize + len(_levels))
 
 
 def kernel_cache_clear() -> None:
-    """Empty the plan memo and the per-label cache."""
+    """Empty the plan memo, the per-label cache and the level memo."""
     _plans.clear()
     _act_cached.cache_clear()
+    _levels.clear()
+    _level_counts[:] = [0, 0]
 
 
 def apply(e: OperatorExpr, v: StateVector) -> StateVector:

@@ -159,11 +159,12 @@ class StateVector:
 
 
 def apply_letter(v: StateVector, i: int) -> StateVector:
-    """t_i v, label by label."""
-    return StateVector(v.rep, ((apply_gen(v.rep, i, label), c) for label, c in v.terms()))
+    """t_i v, label by label; t_i is injective on labels, so no two images merge."""
+    return StateVector._trusted(v.rep, {apply_gen(v.rep, i, x): c for x, c in v._terms.items()})
 
 
 def apply_letter_adjoint(v: StateVector, i: int) -> StateVector:
-    """t_i* v, label by label; annihilated labels drop out."""
-    images = ((apply_gen_adjoint(v.rep, i, label), c) for label, c in v.terms())
-    return StateVector(v.rep, [(x, c) for x, c in images if x is not None])
+    """t_i* v, label by label; annihilated labels drop out, and t_i* is
+    injective on the rest."""
+    images = ((apply_gen_adjoint(v.rep, i, x), c) for x, c in v._terms.items())
+    return StateVector._trusted(v.rep, {x: c for x, c in images if x is not None})

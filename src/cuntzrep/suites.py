@@ -305,7 +305,7 @@ def _raw_boson(n: int, v: StateVector) -> StateVector:
     if n == 1:
         return eval_series_b1_raw(v)
     out = StateVector.zero(v.rep)
-    for m, w in sorted(s_star_support(v).items()):
+    for m, w in s_star_support(v).items():
         out = out + _iso_letters(m, _raw_boson(n - 1, w))
     return out
 

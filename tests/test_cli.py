@@ -1,5 +1,6 @@
 """Command line behavior, exit codes, and output stability."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -233,12 +234,20 @@ def test_cli_import_leaves_dataclasses_out():
     assert (done.returncode, done.stdout) == (0, "False\n")
 
 
-@pytest.mark.parametrize("expr", ["a(3000)", "F(400)"])
+@pytest.mark.parametrize("expr", ["a(3000)", "F(400)", "b(4096)", "F(4096)*"])
 def test_deep_index_exits_zero_without_traceback(expr):
     done = fresh_cli(["apply", "--rep", "1", "--expr", expr, "--state", "vac"])
     assert done.returncode == 0
     assert done.stdout == "0\n"
     assert "Traceback" not in done.stderr
+
+
+def test_deep_tower_builds_its_long_word_without_traceback():
+    # b(4096)* vac is one label of 4096 letters, built through 4096 levels
+    done = fresh_cli(["apply", "--rep", "1", "--expr", "b(4096)*", "--state", "vac"])
+    assert (done.returncode, done.stderr) == (0, "")
+    digest = hashlib.sha256(done.stdout.encode()).hexdigest()
+    assert digest == "aa8ffa153f56586aba658124d3ceed4ff31687d54cfb117151777e60fe24d765"
 
 
 _PRIME_ROOT = "sqrt(1000000000000000000000000000057)"  # a prime: trial division runs for hours

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from cuntzrep.basis import (
 )
 from cuntzrep.cli import main
 from cuntzrep.operators import (
+    Boson,
     _act,
     _plan,
     adjoint,
@@ -564,6 +566,49 @@ def test_plan_memo_stays_within_its_bound():
     kernel_cache_clear()
 
 
+_TOWERS = [e for n in range(1, 7) for e in (boson(n), cluster(n)) for e in (e, adjoint(e))]
+
+
+@pytest.mark.parametrize("bound", [None, 3])
+def test_tower_levels_memoised_in_any_order_match_cold_evaluation(monkeypatch, bound):
+    from cuntzrep.suites import _raw_boson
+
+    if bound is not None:  # a walk of up to six levels then evicts as it goes
+        monkeypatch.setattr(operators, "KERNEL_CACHE_SIZE", bound)
+    cases = [(e, StateVector.basis(rep, x)) for rep in _KERNEL_REPS for x in enumerate_basis(rep, 4)
+             for e in _TOWERS]
+    cold = {}
+    for e, v in cases:
+        kernel_cache_clear()
+        cold[e, v] = apply(e, v)
+    random.Random(19).shuffle(cases)
+    kernel_cache_clear()
+    for e, v in cases:
+        assert apply(e, v) == cold[e, v], (e, v)
+        assert len(operators._levels) <= operators.KERNEL_CACHE_SIZE
+    # the b(n) oracles, and the paper's b(n) = t2* F(n) and b(n)* = F(n)* t2
+    for e, v in cases:
+        if type(e) is Boson:
+            assert cold[e, v] == (_raw_boson(e.n, v) if e.n > 1 else eval_series_b1_raw(v)), (e, v)
+            assert apply(adjoint(gen(2)), cold[cluster(e.n), v]) == cold[e, v], (e, v)
+            assert apply(adjoint(cluster(e.n)), apply(gen(2), v)) == cold[adjoint(e), v], (e, v)
+    kernel_cache_clear()
+
+
+def test_kernel_cache_info_counts_the_level_memo():
+    kernel_cache_clear()
+    v = fock("1212")
+    apply(boson(3), v)  # s_1* peels one 1 per level: three levels, three misses
+    info = kernel_cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 3, 3) == (0, 3, len(operators._levels))
+    apply(boson(4), fock("11212"))  # level 3 is on 1212 already: one miss, one hit
+    info = kernel_cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 4, 4)
+    assert info.maxsize == 2 * operators.KERNEL_CACHE_SIZE
+    kernel_cache_clear()
+    assert kernel_cache_info()[:2] == (0, 0) and not operators._levels
+
+
 def test_oracles_never_touch_the_cache(monkeypatch):
     from cuntzrep.suites import _raw_boson
 
@@ -575,7 +620,7 @@ def test_oracles_never_touch_the_cache(monkeypatch):
         raise AssertionError("an oracle reached a plan or a word-slice step of the kernel")
 
     with monkeypatch.context() as patched:
-        for helper in ("_prepend", "_peel", "_up", "_down", "_build", "_plan", "_walk"):
+        for helper in ("_prepend", "_peel", "_up", "_down", "_tower", "_build", "_plan", "_walk"):
             patched.setattr(operators, helper, off_limits)
         oracles = {
             boson(1): eval_series_b1_raw(v),
@@ -584,6 +629,7 @@ def test_oracles_never_touch_the_cache(monkeypatch):
         }
     info = kernel_cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    assert operators._level_counts == [0, 0] and not operators._levels  # the level memo too
     assert oracles == kernel
 
     # no oracle side of a suite table, nor a range_proj_definition product,
