@@ -41,7 +41,8 @@ _FAILURE_PRINT_CAP = 10
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser, by name."""
     # Built on the first main() call and reused: parse_args keeps no state
     # between calls, and building costs about 1 ms, most of a short query.
     parser = argparse.ArgumentParser(
@@ -80,7 +81,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p_list = subcommand("list-basis", "enumerate basis labels up to a depth")
     p_list.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
 
-    return parser
+    return parser, sub.choices
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _parse_argv(argv: Optional[list[str]]) -> argparse.Namespace:
+    """Parse a command line once.  When its first word names a subcommand,
+    the rest goes straight to that subcommand's parser, which is all the
+    top-level parser would do with it after a pass of its own; leftovers
+    are reported by the top-level parser, as its parse_args reports them.
+    Any other command line (none, --help, an unknown subcommand, an option
+    first) goes through the top-level parser."""
+    parser, subparsers = _build_parsers()
+    argv = sys.argv[1:] if argv is None else argv
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _run_apply(args: argparse.Namespace) -> int:
@@ -162,7 +185,7 @@ _DISPATCH = {
 def main(argv: Optional[list[str]] = None) -> int:
     kernel_cache_clear()  # each invocation starts cold, like a fresh process
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_argv(argv)
     for name, value in vars(args).items():
         if isinstance(value, list):  # argparse drops a lone "--" value, leaving []
             parser.error(f"argument --{name.replace('_', '-')}: expected one argument")

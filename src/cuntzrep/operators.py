@@ -43,16 +43,17 @@ plan, its sides the table's expressions.
 Exactly one of t1*, t2* survives on a label, so each family is a loop of
 word-slice steps (``_down``, ``_peel``, ``_prepend``), with forward and
 adjoint entries in one table; a rho tower's level n on a label is level
-n - 1 on the label that s_m* leaves, memoised (``_tower``).  The oracles use
-only the vector-level letter steps ``states.apply_letter*``, which no kernel
-entry takes, never a plan, the caches or a word-slice step, and the series
-oracle takes its weights from ``RadicalScalar.sqrt_int``, not from the
-memoised ``scalars.sqrt_int``.
+n - 1 on the label that s_m* leaves, memoised (``_tower``): the first
+``KERNEL_CACHE_SIZE`` levels stored are kept, and later ones go to two
+small generations of recent levels.  The oracles use only the vector-level
+letter steps ``states.apply_letter*``, which no kernel entry takes, never a
+plan, the caches or a word-slice step, and the series oracle takes its
+weights from ``RadicalScalar.sqrt_int``, not from the memoised
+``scalars.sqrt_int``.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -505,9 +506,18 @@ def _fermion(e: Fermion, rep: RepSpec, x: BasisLabel, flip: str = "1") -> Terms:
     return ((_prepend(rep, x, letters[:-1] + flip), sign),)
 
 
-# The rho towers' levels, memoised on (tower, level, rep, label): an LRU of
-# at most KERNEL_CACHE_SIZE images, with its own hit and miss counts.
-_levels: OrderedDict = OrderedDict()
+# The rho towers' levels, memoised on (tower, level, rep, label), with their
+# own hit and miss counts.  The first KERNEL_CACHE_SIZE levels stored are kept
+# until the memo is cleared: the suites take short labels first, and those are
+# the labels a tower walks down to, so they are the ones reused (an LRU evicts
+# them on a deep run and sends each walk down to the series).  Later levels go
+# to two recent generations of at most _RECENT_SIZE levels each, the older
+# dropped when the newer fills: a sweep over n takes level n - 1 from a walk a
+# few dozen stores back, and without it each b(n) of a long sweep walks down
+# to the last level kept, n steps.
+_levels: dict = {}
+_recent = [{}, {}]  # the newer generation first
+_RECENT_SIZE = 512
 _level_counts = [0, 0]
 
 
@@ -516,13 +526,14 @@ def _tower(n: int, rep: RepSpec, x: BasisLabel, tower: str, k: int, d: int, befo
     x_1 = sum_{j > k} sqrt(j - k) s_{j+d} s_j*, one level at a time: each level
     takes the one s_m* that survives, down to a level memoised on its label
     or to the series, and the s_m go back on in reverse, memoising each level."""
-    levels, walk = _levels, []
+    levels, recent, walk = _levels, _recent, []
     while True:
         key = (tower, n, rep, x)
         image = levels.get(key)
+        if image is None and recent[0]:  # empty until the kept levels fill
+            image = recent[0].get(key, recent[1].get(key))
         if image is not None:
             _level_counts[0] += 1
-            levels.move_to_end(key)
             break
         y = before(rep, x) if before and n > 1 else x
         hit = _down(rep, y) if y is not None else None
@@ -538,9 +549,12 @@ def _tower(n: int, rep: RepSpec, x: BasisLabel, tower: str, k: int, d: int, befo
             z = _up(rep, image[0][0], m)
             z = after(rep, z) if after else z
             image = () if z is None else ((z, image[0][1]),)
-        levels[key] = image
-        if len(levels) > KERNEL_CACHE_SIZE:
-            levels.popitem(last=False)
+        if len(levels) < KERNEL_CACHE_SIZE:
+            levels[key] = image
+        else:
+            if len(recent[0]) >= _RECENT_SIZE:
+                recent[:] = [{}, recent[0]]
+            recent[0][key] = image
     return image
 
 
@@ -683,7 +697,8 @@ def kernel_cache_info():
     """The hits, misses, bounds and sizes of the per-label cache and the level memo, added."""
     info = _act_cached.cache_info()
     return info._replace(hits=info.hits + _level_counts[0], misses=info.misses + _level_counts[1],
-                         maxsize=info.maxsize + KERNEL_CACHE_SIZE, currsize=info.currsize + len(_levels))
+                         maxsize=info.maxsize + KERNEL_CACHE_SIZE + 2 * _RECENT_SIZE,
+                         currsize=info.currsize + len(_levels) + sum(map(len, _recent)))
 
 
 def kernel_cache_clear() -> None:
@@ -691,6 +706,7 @@ def kernel_cache_clear() -> None:
     _plans.clear()
     _act_cached.cache_clear()
     _levels.clear()
+    _recent[:] = [{}, {}]
     _level_counts[:] = [0, 0]
 
 

@@ -13,7 +13,7 @@ import pytest
 
 import cuntzrep
 from cuntzrep.basis import RepSpec
-from cuntzrep.cli import main
+from cuntzrep.cli import _build_parser, _parse_argv, main
 from cuntzrep.parsing import parse_state, vector_from_json
 from cuntzrep.suites import SUITE_NAMES
 
@@ -165,14 +165,83 @@ def test_lone_double_dash_value_is_a_usage_error(capsys, argv):
         (["check", "--rep", "1", "--suite", "main", "--unicode"], "--unicode"),
     ],
 )
-def test_option_the_subcommand_does_not_read_is_a_usage_error(capsys, argv, option):
+def test_option_the_subcommand_does_not_read_is_a_usage_error(capsys, monkeypatch, argv, option):
+    monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         main(argv)
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
-    assert captured.err.startswith("usage: cuntzrep")
-    assert captured.err.endswith(f"error: unrecognized arguments: {option}\n")
+    # the top-level usage, not the subcommand's, as argparse reports leftovers
+    assert captured.err == (
+        "usage: cuntzrep [-h] {apply,expand,check,list-basis} ...\n"
+        f"cuntzrep: error: unrecognized arguments: {option}\n"
+    )
+
+
+_APPLY = ["apply", "--rep", "1", "--expr", "t1", "--state", "vac"]
+
+# command lines whose first word names a subcommand take the direct path;
+# the rest show that every other command line still takes the top-level one
+_ARGV_BATTERY = [
+    ["apply", "--rep", "12", "--expr", "b(1)*", "--state", "vac", "--format", "json"],
+    ["apply", "--rep=12", "--expr=b(1)*", "--state=vac", "--format=text", "--unicode"],
+    ["expand", "--expr", "a(2)", "--depth", "3", "--format", "json"],
+    ["expand", "--expr=a(2)", "--depth=3", "--unicode"],
+    ["check", "--rep", "1", "--suite", "main", "--n-max", "2", "--m-max", "3", "--depth", "2"],
+    ["check", "--rep=1", "--suite=all", "--n-max=2", "--m-max=3", "--depth=2", "--format=json"],
+    ["list-basis", "--rep", "1+12", "--depth", "2", "--format", "json"],
+    ["list-basis", "--rep=1+12", "--depth=2", "--unicode"],
+    ["apply", "--re", "1", "--ex", "t1", "--st", "vac", "--f", "json"],
+    ["check", "--re=1", "--su", "main", "--n", "2"],
+    ["--help"],
+    ["-h"],
+    ["apply", "--help"],
+    ["check", "-h"],
+    ["list-basis", "--rep", "1", "--he"],
+    [],
+    ["nope"],
+    ["nope", "--rep", "1"],
+    ["-h", "apply"],
+    ["--rep", "1", "apply", "--expr", "t1", "--state", "vac"],
+    [*_APPLY, "--nope"],
+    [*_APPLY, "extra"],
+    ["expand", "--rep", "nonsense", "--expr", "a(1)"],
+    ["check", "--rep", "1", "--suite", "main", "--unicode"],
+    ["apply", "--rep", "1", "--expr", "t1"],
+    ["check", "--suite", "main"],
+    ["list-basis"],
+    [*_APPLY, "--format", "xml"],
+    ["expand", "--expr", "a(1)", "--depth", "two"],
+    ["check", "--rep", "1", "--suite", "main", "--n-max=1.5"],
+    ["expand", "--expr", "t1", "--depth=--"],
+    ["apply", "--rep", "1", "--expr=--", "--state", "vac"],
+    ["apply", "--rep", "1", "--expr", "--", "--state", "vac"],
+    [*_APPLY, "--"],
+    [*_APPLY, "--", "extra"],
+    ["apply", "--rep", "1", "--expr", "t1", "--", "--state", "vac"],
+    ["--", "expand", "--expr", "t1"],
+    [*_APPLY, "--unicode", "--format", "json"],
+    ["expand", "--expr", "t1", "--format=json", "--unicode"],
+]
+
+
+def _parse_outcome(capsys, parse, *args):
+    """The Namespace a parse returns, or its exit code, stdout and stderr."""
+    try:
+        return parse(*args)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _ARGV_BATTERY, ids=lambda argv: " ".join(argv) or "(none)")
+def test_direct_subcommand_parse_matches_the_top_level_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage text wrap to the terminal width
+    expected = _parse_outcome(capsys, _build_parser().parse_args, list(argv))
+    assert _parse_outcome(capsys, _parse_argv, list(argv)) == expected
+    monkeypatch.setattr(sys, "argv", ["cuntzrep", *argv])  # the console script's path
+    assert _parse_outcome(capsys, _parse_argv, None) == expected
 
 
 @pytest.mark.parametrize(

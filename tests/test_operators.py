@@ -573,7 +573,7 @@ _TOWERS = [e for n in range(1, 7) for e in (boson(n), cluster(n)) for e in (e, a
 def test_tower_levels_memoised_in_any_order_match_cold_evaluation(monkeypatch, bound):
     from cuntzrep.suites import _raw_boson
 
-    if bound is not None:  # a walk of up to six levels then evicts as it goes
+    if bound is not None:  # the kept levels fill in a walk or two; the rest go to the recent ones
         monkeypatch.setattr(operators, "KERNEL_CACHE_SIZE", bound)
     cases = [(e, StateVector.basis(rep, x)) for rep in _KERNEL_REPS for x in enumerate_basis(rep, 4)
              for e in _TOWERS]
@@ -586,12 +586,52 @@ def test_tower_levels_memoised_in_any_order_match_cold_evaluation(monkeypatch, b
     for e, v in cases:
         assert apply(e, v) == cold[e, v], (e, v)
         assert len(operators._levels) <= operators.KERNEL_CACHE_SIZE
+        assert max(map(len, operators._recent)) <= operators._RECENT_SIZE
     # the b(n) oracles, and the paper's b(n) = t2* F(n) and b(n)* = F(n)* t2
     for e, v in cases:
         if type(e) is Boson:
             assert cold[e, v] == (_raw_boson(e.n, v) if e.n > 1 else eval_series_b1_raw(v)), (e, v)
             assert apply(adjoint(gen(2)), cold[cluster(e.n), v]) == cold[e, v], (e, v)
             assert apply(adjoint(cluster(e.n)), apply(gen(2), v)) == cold[adjoint(e), v], (e, v)
+    kernel_cache_clear()
+
+
+def test_full_level_memo_keeps_its_first_levels(monkeypatch):
+    monkeypatch.setattr(operators, "KERNEL_CACHE_SIZE", 3)
+    monkeypatch.setattr(operators, "_RECENT_SIZE", 2)
+    cases = [(boson(3), fock("1212")), (cluster(2), fock("22")), (adjoint(boson(4)), fock("2")),
+             (boson(4), fock("11212"))]
+    cold = {}
+    for e, v in cases:
+        kernel_cache_clear()
+        cold[e, v] = apply(e, v)
+    kernel_cache_clear()
+    assert apply(*cases[0]) == cold[cases[0]]  # three levels fill the kept memo
+    first = list(operators._levels)
+    assert len(first) == 3 and operators._level_counts == [0, 3]
+    for e, v in cases:
+        assert apply(e, v) == cold[e, v], (e, v)
+        assert list(operators._levels) == first
+        assert max(map(len, operators._recent)) <= 2
+    # the first case again and b(4) on 11212 meet level 3 on 1212; F(2) on 22
+    # and b(4)* on 2 miss every level, down to the series
+    assert operators._level_counts == [2, 3 + 2 + 4 + 1]
+    # b(4)* on 2, the last level stored, is in the newer recent generation
+    assert apply(*cases[2]) == cold[cases[2]]
+    assert operators._level_counts == [3, 10]
+    kernel_cache_clear()
+
+
+def test_sweep_over_n_takes_one_level_per_n_once_the_kept_levels_fill(monkeypatch):
+    # b(n) on the vacuum of rep 1 is level n - 1 on the vacuum again, stored
+    # by b(n - 1) just before, and no longer among the kept levels
+    monkeypatch.setattr(operators, "KERNEL_CACHE_SIZE", 3)
+    kernel_cache_clear()
+    images = [apply(boson(n), fock("")) for n in range(1, 301)]
+    assert operators._level_counts == [299, 300]
+    for n in (1, 4, 300):
+        kernel_cache_clear()
+        assert images[n - 1] == apply(boson(n), fock(""))
     kernel_cache_clear()
 
 
@@ -604,7 +644,7 @@ def test_kernel_cache_info_counts_the_level_memo():
     apply(boson(4), fock("11212"))  # level 3 is on 1212 already: one miss, one hit
     info = kernel_cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 4, 4)
-    assert info.maxsize == 2 * operators.KERNEL_CACHE_SIZE
+    assert info.maxsize == 2 * operators.KERNEL_CACHE_SIZE + 2 * operators._RECENT_SIZE
     kernel_cache_clear()
     assert kernel_cache_info()[:2] == (0, 0) and not operators._levels
 
