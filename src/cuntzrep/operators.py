@@ -29,27 +29,25 @@ trie read right to left, so chains that end in the same factors take them
 once per label, and a label that a shared factor annihilates prunes every
 chain below it; ``_walk`` merges each side's images into its own dict.
 Each edge holds its factor's entry, resolved when the plan is built: a
-word-slice step for t_i, t_i* and s_n, the level memo for b_n, F_n and
-their adjoints, the LRU cache (``KERNEL_CACHE_SIZE`` entries, keyed on the
-label) for s_n*, a_n and Y, its own plan for a sum inside a product and the
-argument of rho or zeta.  ``apply(e, v)`` is the one-side case, its plans
-memoised on the identity of the expression, at most ``_PLAN_CACHE_SIZE`` of
-them; ``kernel_cache_clear``, called by ``cli.main`` on entry, empties the
-plans, the cache and the memo, whose hits, misses and sizes
-``kernel_cache_info`` adds up.  ``apply`` walks v's terms unsorted and hands
-the merged dict to ``StateVector._trusted`` as it is.  A suite table is one
-plan, its sides the table's expressions.
+word-slice step for t_i, t_i* and s_n, the LRU cache (``KERNEL_CACHE_SIZE``
+entries, keyed on the label) for every other named node, its own plan for a
+sum inside a product and the argument of rho or zeta.  ``apply(e, v)`` is
+the one-side case, its plans memoised on the identity of the expression, at
+most ``_PLAN_CACHE_SIZE`` of them; ``kernel_cache_clear``, called by
+``cli.main`` on entry, empties the plans and the cache, whose hits, misses
+and size ``kernel_cache_info`` reports.  ``apply`` walks v's terms unsorted
+and hands the merged dict to ``StateVector._trusted`` as it is.  A suite
+table is one plan, its sides the table's expressions.
 
 Exactly one of t1*, t2* survives on a label, so each family is a loop of
 word-slice steps (``_down``, ``_peel``, ``_prepend``), with forward and
-adjoint entries in one table; a rho tower's level n on a label is level
-n - 1 on the label that s_m* leaves, memoised (``_tower``): the first
-``KERNEL_CACHE_SIZE`` levels stored are kept, and later ones go to two
-small generations of recent levels.  The oracles use only the vector-level
-letter steps ``states.apply_letter*``, which no kernel entry takes, never a
-plan, the caches or a word-slice step, and the series oracle takes its
-weights from ``RadicalScalar.sqrt_int``, not from the memoised
-``scalars.sqrt_int``.
+adjoint entries in one table.  A label's letters split into s-blocks, runs
+2^(m-1) 1, and a rho tower moves at most two of them: b_n, F_n and their
+adjoints are one closed form each (``_block``, ``_tower``), with no state.
+The oracles use only the vector-level letter steps
+``states.apply_letter*``, which no kernel entry takes, never a plan, the
+cache or a word-slice step, and the series oracle takes its weights from
+``RadicalScalar.sqrt_int``, not from the memoised ``scalars.sqrt_int``.
 """
 
 from __future__ import annotations
@@ -388,7 +386,7 @@ def range_proj_definition(n: int) -> OperatorExpr:
 # Per-label kernel
 # ---------------------------------------------------------------------------
 
-KERNEL_CACHE_SIZE = 1 << 12  # per cache, ~2 MB; closedforms on 112: 8,722 images, 1,634 hits (2,115 unbounded)
+KERNEL_CACHE_SIZE = 1 << 12  # ~2 MB; closedforms on 112: 8,914 images, 1,626 hits (2,123 unbounded)
 Terms = tuple[tuple[BasisLabel, RadicalScalar], ...]
 _MINUS_ONE = -ONE
 
@@ -506,56 +504,46 @@ def _fermion(e: Fermion, rep: RepSpec, x: BasisLabel, flip: str = "1") -> Terms:
     return ((_prepend(rep, x, letters[:-1] + flip), sign),)
 
 
-# The rho towers' levels, memoised on (tower, level, rep, label), with their
-# own hit and miss counts.  The first KERNEL_CACHE_SIZE levels stored are kept
-# until the memo is cleared: the suites take short labels first, and those are
-# the labels a tower walks down to, so they are the ones reused (an LRU evicts
-# them on a deep run and sends each walk down to the series).  Later levels go
-# to two recent generations of at most _RECENT_SIZE levels each, the older
-# dropped when the newer fills: a sweep over n takes level n - 1 from a walk a
-# few dozen stores back, and without it each b(n) of a long sweep walks down
-# to the last level kept, n steps.
-_levels: dict = {}
-_recent = [{}, {}]  # the newer generation first
-_RECENT_SIZE = 512
-_level_counts = [0, 0]
+def _block(rep: RepSpec, x: BasisLabel, n: int) -> Optional[tuple[str, int, BasisLabel]]:
+    """x's letters split into s-blocks, runs 2^(m-1) 1: the letters of blocks
+    1 to n - 1, the length m of block n, and the label after it; None when
+    x has fewer than n blocks, its letters ending in 2s.  Past the word,
+    whole cycle periods are counted, not walked."""
+    word = x.word
+    parts = word.split("1", n)
+    if len(parts) > n:  # block n ends in the word
+        letters, stop = word, len(word) - len(parts[n])
+        rest = BasisLabel(x.component, word[stop:], x.node)
+    else:
+        cycle = rep[x.component]
+        per = cycle.count("1")
+        if not per:
+            return None
+        walk = cycle[x.node :] + cycle[: x.node]
+        q, t = divmod(n - len(parts), per)  # block n ends at the (t + 1)-th 1 of period q
+        end = (q + 1) * len(walk) - len(walk.split("1", t + 1)[-1])
+        letters, stop = word + walk * (q + 1), len(word) + end
+        rest = BasisLabel(x.component, "", (x.node + end) % len(cycle))
+    start = letters.rfind("1", 0, stop - 1) + 1
+    return letters[:start], stop - start, rest
 
 
-def _tower(n: int, rep: RepSpec, x: BasisLabel, tower: str, k: int, d: int, before=None, after=None) -> Terms:
-    """x_n = after rho(x_{n-1}) before, down to the series
-    x_1 = sum_{j > k} sqrt(j - k) s_{j+d} s_j*, one level at a time: each level
-    takes the one s_m* that survives, down to a level memoised on its label
-    or to the series, and the s_m go back on in reverse, memoising each level."""
-    levels, recent, walk = _levels, _recent, []
-    while True:
-        key = (tower, n, rep, x)
-        image = levels.get(key)
-        if image is None and recent[0]:  # empty until the kept levels fill
-            image = recent[0].get(key, recent[1].get(key))
-        if image is not None:
-            _level_counts[0] += 1
-            break
-        y = before(rep, x) if before and n > 1 else x
-        hit = _down(rep, y) if y is not None else None
-        if hit is None or n == 1:
-            image = () if hit is None or hit[0] <= k else ((_up(rep, hit[1], hit[0] + d), sqrt_int(hit[0] - k)),)
-            walk.append((key, 0))
-            break
-        walk.append((key, hit[0]))
-        n, x = n - 1, hit[1]
-    _level_counts[1] += len(walk)
-    for key, m in reversed(walk):
-        if image and m:
-            z = _up(rep, image[0][0], m)
-            z = after(rep, z) if after else z
-            image = () if z is None else ((z, image[0][1]),)
-        if len(levels) < KERNEL_CACHE_SIZE:
-            levels[key] = image
-        else:
-            if len(recent[0]) >= _RECENT_SIZE:
-                recent[:] = [{}, recent[0]]
-            recent[0][key] = image
-    return image
+def _tower(rep: RepSpec, x: BasisLabel, n: int, d: int, lead: int = 0) -> Terms:
+    """A rho tower in closed form: block n of x gains (d = 1) or loses (d =
+    -1) a 2, times the square root of the smaller of its lengths before and
+    after, and block 1 gains (lead = 1) or loses (lead = -1) a 2 as well."""
+    found = _block(rep, x, n)
+    if found is None or found[1] + d < 1:
+        return ()
+    prefix, m, rest = found
+    letters = prefix + "2" * (m + d - 1) + "1"
+    if lead < 0:
+        if letters[0] != "2":
+            return ()
+        letters = letters[1:]
+    elif lead:
+        letters = "2" + letters
+    return ((_prepend(rep, rest, letters), sqrt_int(min(m, m + d))),)
 
 
 def _rho(plan: list, rep: RepSpec, x: BasisLabel) -> Terms:
@@ -572,21 +560,19 @@ def _zeta(plan: list, rep: RepSpec, x: BasisLabel) -> Terms:
 
 
 # Node type -> (forward entry, adjoint entry); an entry maps (node, rep,
-# label) to the image terms of the node, or of its adjoint.  The rho towers'
-# series are b_1 = sum_m sqrt(m) s_m s_{m+1}* (k, d = 1, -1), its adjoint
-# (0, 1), and F_1 = sum_m sqrt(m) s_{m+1} s_{m+1}* (1, 0), self-adjoint.
+# label) to the image terms of the node, or of its adjoint.  The rho towers
+# move at most two s-blocks (see ``_tower``): b_n takes a 2 off block n, b_n*
+# puts one on, F_n moves one from block n to block 1, F_n* from block 1 to
+# block n, and F_1, self-adjoint, moves one from block 1 to itself.
 _ENTRIES: dict[type, tuple[Callable[..., Terms], Callable[..., Terms]]] = {
     Gen: (lambda e, rep, x: ((_prepend(rep, x, str(e.letter)), ONE),), _gen_adj),
     Iso: (lambda e, rep, x: ((_up(rep, x, e.n), ONE),), _iso_adj),
     Fermion: (_fermion, lambda e, rep, x: _fermion(e, rep, x, "2")),
-    Boson: (
-        lambda e, rep, x: _tower(e.n, rep, x, "b", 1, -1),
-        lambda e, rep, x: _tower(e.n, rep, x, "b*", 0, 1),
-    ),
+    Boson: (lambda e, rep, x: _tower(rep, x, e.n, -1), lambda e, rep, x: _tower(rep, x, e.n, 1)),
     ShiftSeries: (lambda e, rep, x: _one(_y(rep, x)), lambda e, rep, x: _one(_y_adj(rep, x))),
-    Cluster: (  # F_n = Y rho(F_{n-1}),  F_n* = rho(F_{n-1}*) Y*
-        lambda e, rep, x: _tower(e.n, rep, x, "F", 1, 0, after=_y),
-        lambda e, rep, x: _tower(e.n, rep, x, "F*", 1, 0, before=_y_adj),
+    Cluster: (
+        lambda e, rep, x: _tower(rep, x, e.n, -1, 1),
+        lambda e, rep, x: _tower(rep, x, e.n, 1, -1) if e.n > 1 else _tower(rep, x, 1, -1, 1),
     ),
 }
 
@@ -606,9 +592,8 @@ def _step(e: OperatorExpr) -> Callable[[RepSpec, BasisLabel], Terms]:
     kind = type(node)
     if kind in _ENTRIES:
         entry = _ENTRIES[kind][star]
-        # t_i, t_i* and s_n cost less than a lookup; the towers memoise their
-        # levels; s_n* searches for a 1
-        if kind is Gen or kind is Boson or kind is Cluster or kind is Iso and not star:
+        # t_i, t_i* and s_n cost less than a lookup
+        if kind is Gen or kind is Iso and not star:
             return partial(entry, node)
         return partial(_act_cached, entry, node)
     if kind is Rho or kind is Zeta:
@@ -694,20 +679,14 @@ def _plan(e: OperatorExpr) -> list:
 
 
 def kernel_cache_info():
-    """The hits, misses, bounds and sizes of the per-label cache and the level memo, added."""
-    info = _act_cached.cache_info()
-    return info._replace(hits=info.hits + _level_counts[0], misses=info.misses + _level_counts[1],
-                         maxsize=info.maxsize + KERNEL_CACHE_SIZE + 2 * _RECENT_SIZE,
-                         currsize=info.currsize + len(_levels) + sum(map(len, _recent)))
+    """The hits, misses, bound and size of the per-label cache."""
+    return _act_cached.cache_info()
 
 
 def kernel_cache_clear() -> None:
-    """Empty the plan memo, the per-label cache and the level memo."""
+    """Empty the plan memo and the per-label cache."""
     _plans.clear()
     _act_cached.cache_clear()
-    _levels.clear()
-    _recent[:] = [{}, {}]
-    _level_counts[:] = [0, 0]
 
 
 def apply(e: OperatorExpr, v: StateVector) -> StateVector:

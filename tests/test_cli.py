@@ -312,11 +312,20 @@ def test_deep_index_exits_zero_without_traceback(expr):
 
 
 def test_deep_tower_builds_its_long_word_without_traceback():
-    # b(4096)* vac is one label of 4096 letters, built through 4096 levels
+    # b(4096)* vac is one label of 4096 letters: 4095 blocks 1, then block
+    # 4096 gains a 2, all put on in one concatenation
     done = fresh_cli(["apply", "--rep", "1", "--expr", "b(4096)*", "--state", "vac"])
     assert (done.returncode, done.stderr) == (0, "")
     digest = hashlib.sha256(done.stdout.encode()).hexdigest()
     assert digest == "aa8ffa153f56586aba658124d3ceed4ff31687d54cfb117151777e60fe24d765"
+
+
+def test_deep_tower_past_the_word_bound_exits_two():
+    # on rep 122 the blocks of vac are 1, 221, 221, ...: block 4096 ends
+    # 3 * 4095 + 1 letters in, past the bound of 8192
+    done = fresh_cli(["apply", "--rep", "122", "--expr", "b(4096)*", "--state", "vac"])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: a basis word would pass the bound of 8192 letters\n"
 
 
 _PRIME_ROOT = "sqrt(1000000000000000000000000000057)"  # a prime: trial division runs for hours

@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +21,8 @@ from cuntzrep.basis import (
 )
 from cuntzrep.cli import main
 from cuntzrep.operators import (
-    Boson,
     _act,
+    _iso_letters,
     _plan,
     adjoint,
     apply,
@@ -566,87 +567,149 @@ def test_plan_memo_stays_within_its_bound():
     kernel_cache_clear()
 
 
-_TOWERS = [e for n in range(1, 7) for e in (boson(n), cluster(n)) for e in (e, adjoint(e))]
+# -- the rho towers against their defining series and recursions --------------
+#
+# Built only from s_star_support and the letter steps, off the kernel: b_1* =
+# sum_m sqrt(m) s_{m+1} s_m*, F_1 = sum_m sqrt(m) s_{m+1} s_{m+1}*, Y = sum_m
+# s_{m+1} t2* s_m*, Y* = sum_m s_m t2 s_{m+1}*, rho(x) = sum_m s_m x s_m*, and
+# b_n* = rho(b_{n-1}*), F_n = Y rho(F_{n-1}), F_n* = rho(F_{n-1}*) Y*.  b_n is
+# the ccr suite's oracle, _raw_boson.
 
 
-@pytest.mark.parametrize("bound", [None, 3])
-def test_tower_levels_memoised_in_any_order_match_cold_evaluation(monkeypatch, bound):
-    from cuntzrep.suites import _raw_boson
+def _series(v, term):
+    """sum over the m with s_m* v != 0 of term(m, s_m* v)."""
+    out = StateVector.zero(v.rep)
+    for m, w in s_star_support(v).items():
+        out = out + term(m, w)
+    return out
 
-    if bound is not None:  # the kept levels fill in a walk or two; the rest go to the recent ones
-        monkeypatch.setattr(operators, "KERNEL_CACHE_SIZE", bound)
-    cases = [(e, StateVector.basis(rep, x)) for rep in _KERNEL_REPS for x in enumerate_basis(rep, 4)
-             for e in _TOWERS]
-    cold = {}
-    for e, v in cases:
-        kernel_cache_clear()
-        cold[e, v] = apply(e, v)
-    random.Random(19).shuffle(cases)
+
+def _ref_rho(x, v):
+    return _series(v, lambda m, w: _iso_letters(m, x(w)))
+
+
+def _ref_y(v):
+    return _series(v, lambda m, w: _iso_letters(m + 1, states.apply_letter_adjoint(w, 2)))
+
+
+def _ref_y_adj(v):
+    zero = StateVector.zero(v.rep)
+    return _series(v, lambda m, w: _iso_letters(m - 1, states.apply_letter(w, 2)) if m > 1 else zero)
+
+
+def _ref_boson_adj(n, v):
+    if n == 1:
+        return _series(v, lambda m, w: _iso_letters(m + 1, w).scale(RadicalScalar.sqrt_int(m)))
+    return _ref_rho(lambda w: _ref_boson_adj(n - 1, w), v)
+
+
+def _ref_cluster(n, v):
+    if n == 1:
+        zero = StateVector.zero(v.rep)
+        weighed = lambda m, w: _iso_letters(m, w).scale(RadicalScalar.sqrt_int(m - 1)) if m > 1 else zero
+        return _series(v, weighed)
+    return _ref_y(_ref_rho(lambda w: _ref_cluster(n - 1, w), v))
+
+
+def _ref_cluster_adj(n, v):
+    if n == 1:
+        return _ref_cluster(1, v)
+    return _ref_rho(lambda w: _ref_cluster_adj(n - 1, w), _ref_y_adj(v))
+
+
+def _ref_towers(n):
+    """(tower node, its reference evaluator) for b_n, F_n and their adjoints."""
+    return [
+        (boson(n), partial(suites._raw_boson, n)),
+        (adjoint(boson(n)), partial(_ref_boson_adj, n)),
+        (cluster(n), partial(_ref_cluster, n)),
+        # Adj, not adjoint: F_1* stays starred and takes the adjoint entry
+        (operators.Adj(cluster(n)), partial(_ref_cluster_adj, n)),
+    ]
+
+
+def _outcome(f, *args):
+    """f's value, or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+_TOWER_REPS = [RepSpec.parse(text) for text in ("1", "12", "112", "2", "1+12", "1122", "21", "1112122")]
+
+
+def test_towers_match_their_series_references_to_depth_five():
+    pairs = [(shift_series(), _ref_y), (adjoint(shift_series()), _ref_y_adj)]
+    pairs += [pair for n in range(1, 7) for pair in _ref_towers(n)]
     kernel_cache_clear()
-    for e, v in cases:
-        assert apply(e, v) == cold[e, v], (e, v)
-        assert len(operators._levels) <= operators.KERNEL_CACHE_SIZE
-        assert max(map(len, operators._recent)) <= operators._RECENT_SIZE
-    # the b(n) oracles, and the paper's b(n) = t2* F(n) and b(n)* = F(n)* t2
-    for e, v in cases:
-        if type(e) is Boson:
-            assert cold[e, v] == (_raw_boson(e.n, v) if e.n > 1 else eval_series_b1_raw(v)), (e, v)
-            assert apply(adjoint(gen(2)), cold[cluster(e.n), v]) == cold[e, v], (e, v)
-            assert apply(adjoint(cluster(e.n)), apply(gen(2), v)) == cold[adjoint(e), v], (e, v)
+    for rep in _TOWER_REPS:
+        for v in suites._samples(rep, 5):  # every label to depth 5, and the mixed sample
+            for e, ref in pairs:
+                assert apply(e, v) == ref(v), (rep, e, v)
     kernel_cache_clear()
 
 
-def test_full_level_memo_keeps_its_first_levels(monkeypatch):
-    monkeypatch.setattr(operators, "KERNEL_CACHE_SIZE", 3)
-    monkeypatch.setattr(operators, "_RECENT_SIZE", 2)
-    cases = [(boson(3), fock("1212")), (cluster(2), fock("22")), (adjoint(boson(4)), fock("2")),
-             (boson(4), fock("11212"))]
-    cold = {}
-    for e, v in cases:
-        kernel_cache_clear()
-        cold[e, v] = apply(e, v)
-    kernel_cache_clear()
-    assert apply(*cases[0]) == cold[cases[0]]  # three levels fill the kept memo
-    first = list(operators._levels)
-    assert len(first) == 3 and operators._level_counts == [0, 3]
-    for e, v in cases:
-        assert apply(e, v) == cold[e, v], (e, v)
-        assert list(operators._levels) == first
-        assert max(map(len, operators._recent)) <= 2
-    # the first case again and b(4) on 11212 meet level 3 on 1212; F(2) on 22
-    # and b(4)* on 2 miss every level, down to the series
-    assert operators._level_counts == [2, 3 + 2 + 4 + 1]
-    # b(4)* on 2, the last level stored, is in the newer recent generation
-    assert apply(*cases[2]) == cold[cases[2]]
-    assert operators._level_counts == [3, 10]
-    kernel_cache_clear()
+def _nested(n, base, step):
+    """base, then n - 1 times x -> step(x)."""
+    for _ in range(n - 1):
+        base = step(base)
+    return base
 
 
-def test_sweep_over_n_takes_one_level_per_n_once_the_kept_levels_fill(monkeypatch):
-    # b(n) on the vacuum of rep 1 is level n - 1 on the vacuum again, stored
-    # by b(n - 1) just before, and no longer among the kept levels
-    monkeypatch.setattr(operators, "KERNEL_CACHE_SIZE", 3)
+def test_towers_match_their_nested_definitions():
+    # rho^(n-1)(b_1) and Y rho(F_{n-1}), unrolled to b_1 and F_1, and their
+    # adjoints, through the plans' rho and Y steps
     kernel_cache_clear()
-    images = [apply(boson(n), fock("")) for n in range(1, 301)]
-    assert operators._level_counts == [299, 300]
-    for n in (1, 4, 300):
-        kernel_cache_clear()
-        assert images[n - 1] == apply(boson(n), fock(""))
+    for n in range(1, 8):
+        b = _nested(n, boson(1), rho)
+        f = _nested(n, cluster(1), lambda x: prod(shift_series(), rho(x)))
+        pairs = [(boson(n), b), (adjoint(boson(n)), adjoint(b))]
+        pairs += [(cluster(n), f), (adjoint(cluster(n)), adjoint(f))]
+        for rep in _TOWER_REPS:
+            for v in suites._samples(rep, 4):
+                images = {e: apply(e, v) for e, _ in pairs}
+                for e, nested in pairs:
+                    assert images[e] == apply(nested, v), (rep, e, v)
+                # the paper's b(n) = t2* F(n), and b(n)* = F(n)* t2
+                assert apply(adjoint(gen(2)), images[cluster(n)]) == images[boson(n)], (rep, n, v)
+                assert apply(adjoint(cluster(n)), apply(gen(2), v)) == images[adjoint(boson(n))], (rep, n, v)
     kernel_cache_clear()
 
 
-def test_kernel_cache_info_counts_the_level_memo():
+def test_towers_near_the_word_bound_raise_as_their_references_do():
+    # words within 30 letters of the bound: a tower that takes the word past
+    # it raises the letter steps' ValueError, and no other does
+    bound = basis._MAX_WORD_LENGTH
+    rng = random.Random(21)
+    outcomes = set()
+    kernel_cache_clear()
+    for rep in (FOCK, WEDGE, RepSpec.parse("122")):
+        words = ["".join(rng.choice("12") for _ in range(bound - short)) for short in (0, 1, 2, 7, 30)]
+        if len(rep[0]) == 3:  # a word of 2s, whose first block runs on into the cycle
+            words.append("2" * (bound - 3))
+        for word in words:
+            v = StateVector.basis(rep, normalize_label(rep, 0, word, 0))
+            for n in (1, 2, 3):
+                for e, ref in _ref_towers(n)[1:]:
+                    got = _outcome(apply, e, v)
+                    assert got == _outcome(ref, v), (rep, e, len(word))
+                    outcomes.add(type(got))
+    assert outcomes == {str, StateVector}
+    kernel_cache_clear()
+
+
+def test_kernel_cache_info_is_the_per_label_cache():
     kernel_cache_clear()
     v = fock("1212")
-    apply(boson(3), v)  # s_1* peels one 1 per level: three levels, three misses
+    apply(boson(3), v)
+    apply(cluster(2), v)
+    apply(boson(3), v)  # each tower image is one entry of the per-label cache
     info = kernel_cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 3, 3) == (0, 3, len(operators._levels))
-    apply(boson(4), fock("11212"))  # level 3 is on 1212 already: one miss, one hit
-    info = kernel_cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 4, 4)
-    assert info.maxsize == 2 * operators.KERNEL_CACHE_SIZE + 2 * operators._RECENT_SIZE
+    assert info == operators._act_cached.cache_info()
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (1, 2, operators.KERNEL_CACHE_SIZE, 2)
     kernel_cache_clear()
-    assert kernel_cache_info()[:2] == (0, 0) and not operators._levels
+    assert kernel_cache_info()[:2] == (0, 0)
 
 
 def test_oracles_never_touch_the_cache(monkeypatch):
@@ -660,7 +723,7 @@ def test_oracles_never_touch_the_cache(monkeypatch):
         raise AssertionError("an oracle reached a plan or a word-slice step of the kernel")
 
     with monkeypatch.context() as patched:
-        for helper in ("_prepend", "_peel", "_up", "_down", "_tower", "_build", "_plan", "_walk"):
+        for helper in ("_prepend", "_peel", "_up", "_down", "_block", "_tower", "_build", "_plan", "_walk"):
             patched.setattr(operators, helper, off_limits)
         oracles = {
             boson(1): eval_series_b1_raw(v),
@@ -669,7 +732,6 @@ def test_oracles_never_touch_the_cache(monkeypatch):
         }
     info = kernel_cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
-    assert operators._level_counts == [0, 0] and not operators._levels  # the level memo too
     assert oracles == kernel
 
     # no oracle side of a suite table, nor a range_proj_definition product,
