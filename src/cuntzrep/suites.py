@@ -24,9 +24,11 @@ fermion index is where its first (second) letter 1 lies, within
 ``|word| + 2L`` letters.  The terms a shallower sample does not need are
 exactly zero on it, so one table serves every sample.
 
-Oracles.  A side written ``("eval_series_b1_raw",)`` or ``("_raw_boson", n)``
-names a function of the vector in this module, looked up when the side is
-evaluated; it works on vectors through the letter steps, off the kernel.
+Oracles.  A side written ``("_raw_boson", n, memo)`` names a function of the
+vector in this module, looked up when the side is evaluated; it works on
+vectors through the letter steps, off the kernel.  ``memo`` is a dict that
+``_ccr`` makes for its run alone, so the b(n-1) values the recursion needs are
+each computed once per vector per run; it is not the kernel's cache.
 The ``range_proj_definition(n)`` products are the sides
 ``("apply", range_proj_definition(n))``: each is applied whole, on its own
 plan, never a slot of the table's plan nor inside a ``lincomb`` or ``prod``.
@@ -298,22 +300,32 @@ def _car(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: int) 
 # ---------------------------------------------------------------------------
 
 
-def _raw_boson(n: int, v: StateVector) -> StateVector:
-    """Boson action built only from the literal word series and the
-    recursion sum, bypassing the engine's evaluator shortcuts: s_m acts as
-    the letter steps t2^(m-1) t1, off the kernel."""
-    if n == 1:
-        return eval_series_b1_raw(v)
-    out = StateVector.zero(v.rep)
-    for m, w in s_star_support(v).items():
-        out = out + _iso_letters(m, _raw_boson(n - 1, w))
+def _raw_boson(n: int, memo: dict[tuple, StateVector], v: StateVector) -> StateVector:
+    """b(n) v from the literal word series b(1) and the recursion
+    b(n) = rho(b(n-1)) = sum_m s_m b(n-1) s_m*, bypassing the engine's
+    evaluator shortcuts: s_m acts as the letter steps t2^(m-1) t1, off the
+    kernel.  ``memo`` is the caller's, keyed on the rep, n and the vector's
+    terms, and holds only finished values; a value in it is shared, so no
+    one may mutate its ``_terms``."""
+    key = (v.rep, n, frozenset(v._terms.items()))
+    out = memo.get(key)
+    if out is None:
+        if n == 1:
+            out = eval_series_b1_raw(v)
+        else:
+            out = StateVector.zero(v.rep)
+            for m, w in s_star_support(v).items():
+                out = out + _iso_letters(m, _raw_boson(n - 1, memo, w))
+        memo[key] = out
     return out
 
 
 def _ccr(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
-    rows = [("b(1) evaluator = literal word series", boson(1), ("eval_series_b1_raw",))]
+    # one oracle memo per run: row n reads the b(n-1) values of its shorter samples
+    memo: dict[tuple, StateVector] = {}
+    rows = [("b(1) evaluator = literal word series", boson(1), ("_raw_boson", 1, memo))]
     rows += [
-        (f"b({n}) evaluator = recursion over literal series", boson(n), ("_raw_boson", n))
+        (f"b({n}) evaluator = recursion over literal series", boson(n), ("_raw_boson", n, memo))
         for n in range(2, n_max + 1)
     ]
     report.run(_samples(rep, depth), [rows, *_pair_relations("b", boson, -1, n_max, m_max)])

@@ -572,8 +572,9 @@ def test_plan_memo_stays_within_its_bound():
 # Built only from s_star_support and the letter steps, off the kernel: b_1* =
 # sum_m sqrt(m) s_{m+1} s_m*, F_1 = sum_m sqrt(m) s_{m+1} s_{m+1}*, Y = sum_m
 # s_{m+1} t2* s_m*, Y* = sum_m s_m t2 s_{m+1}*, rho(x) = sum_m s_m x s_m*, and
-# b_n* = rho(b_{n-1}*), F_n = Y rho(F_{n-1}), F_n* = rho(F_{n-1}*) Y*.  b_n is
-# the ccr suite's oracle, _raw_boson.
+# b_n* = rho(b_{n-1}*), F_n = Y rho(F_{n-1}), F_n* = rho(F_{n-1}*) Y*, and
+# b_n = rho(b_{n-1}) from the literal series b_1, the ccr suite's oracle
+# without its memo.
 
 
 def _series(v, term):
@@ -595,6 +596,17 @@ def _ref_y(v):
 def _ref_y_adj(v):
     zero = StateVector.zero(v.rep)
     return _series(v, lambda m, w: _iso_letters(m - 1, states.apply_letter(w, 2)) if m > 1 else zero)
+
+
+def _ref_zeta(x, v):
+    plus, minus = (states.apply_letter(x(states.apply_letter_adjoint(v, i)), i) for i in (1, 2))
+    return plus - minus
+
+
+def _ref_boson(n, v):
+    if n == 1:
+        return eval_series_b1_raw(v)
+    return _ref_rho(lambda w: _ref_boson(n - 1, w), v)
 
 
 def _ref_boson_adj(n, v):
@@ -620,7 +632,7 @@ def _ref_cluster_adj(n, v):
 def _ref_towers(n):
     """(tower node, its reference evaluator) for b_n, F_n and their adjoints."""
     return [
-        (boson(n), partial(suites._raw_boson, n)),
+        (boson(n), partial(_ref_boson, n)),
         (adjoint(boson(n)), partial(_ref_boson_adj, n)),
         (cluster(n), partial(_ref_cluster, n)),
         # Adj, not adjoint: F_1* stays starred and takes the adjoint entry
@@ -645,6 +657,52 @@ def test_towers_match_their_series_references_to_depth_five():
     kernel_cache_clear()
     for rep in _TOWER_REPS:
         for v in suites._samples(rep, 5):  # every label to depth 5, and the mixed sample
+            for e, ref in pairs:
+                assert apply(e, v) == ref(v), (rep, e, v)
+    kernel_cache_clear()
+
+
+def test_memoised_boson_oracle_matches_its_recursion():
+    # one memo per rep, shared by every sample and every n, as a ccr run
+    # shares it; its values are shared too, so nothing may mutate their _terms
+    for rep in _TOWER_REPS:
+        memo = {}
+        for v in suites._samples(rep, 5):  # every label to depth 5, and the mixed sample
+            for n in range(1, 7):
+                assert suites._raw_boson(n, memo, v) == _ref_boson(n, v), (rep, n, v)
+
+
+def test_boson_oracle_memo_keys_on_the_representation():
+    # vac is the same BasisLabel on reps 1 and 12, and b_2 vac is 0 on one of
+    # them only: a memo that forgot the rep would hand one rep the other's value
+    vac = BasisLabel(0, "", 0)
+    for reps in ((FOCK, WEDGE), (WEDGE, FOCK)):
+        memo = {}
+        for n in (1, 2, 3):
+            for rep in reps:
+                v = StateVector.basis(rep, vac)
+                assert suites._raw_boson(n, memo, v) == _ref_boson(n, v), (rep, n)
+    assert not _ref_boson(2, StateVector.basis(FOCK, vac)) and _ref_boson(2, StateVector.basis(WEDGE, vac))
+
+
+def test_rho_and_zeta_match_their_series_references():
+    # x and its action off the kernel: a polynomial through its normal form,
+    # a series through its reference above
+    polys = [gen(1), adjoint(gen(2)), fermion(1), fermion(3), adjoint(fermion(2)), range_proj(2),
+             prod(fermion(2), adjoint(fermion(1)))]
+    xs = [(x, partial(apply_normal_form, poly_normal_form(x))) for x in polys]
+    xs += [(boson(2), partial(_ref_boson, 2)), (cluster(1), partial(_ref_cluster, 1))]
+    xs.append((shift_series(), _ref_y))
+    pairs = []
+    for x, ref in xs:
+        pairs += [
+            (rho(x), partial(_ref_rho, ref)),
+            (zeta(x), partial(_ref_zeta, ref)),
+            (rho(zeta(x)), partial(_ref_rho, partial(_ref_zeta, ref))),
+        ]
+    kernel_cache_clear()
+    for rep in _TOWER_REPS:
+        for v in suites._samples(rep, 5 if max(map(len, rep)) <= 3 else 4):
             for e, ref in pairs:
                 assert apply(e, v) == ref(v), (rep, e, v)
     kernel_cache_clear()
@@ -725,11 +783,15 @@ def test_oracles_never_touch_the_cache(monkeypatch):
     with monkeypatch.context() as patched:
         for helper in ("_prepend", "_peel", "_up", "_down", "_block", "_tower", "_build", "_plan", "_walk"):
             patched.setattr(operators, helper, off_limits)
+        memo = {}
         oracles = {
             boson(1): eval_series_b1_raw(v),
-            boson(3): _raw_boson(3, v),
+            boson(3): _raw_boson(3, memo, v),
             range_proj(2): apply_normal_form(poly_normal_form(range_proj_definition(2)), v),
         }
+        # the second call is a memo hit: the same vector, and nothing stored
+        stored = dict(memo)
+        assert _raw_boson(3, memo, v) is oracles[boson(3)] and memo == stored
     info = kernel_cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
     assert oracles == kernel
@@ -755,7 +817,7 @@ def test_oracles_never_touch_the_cache(monkeypatch):
         for name in suites.SUITE_NAMES:
             suites.run_suite(name, WEDGE, n_max=2, m_max=2, depth=2)
     oracle_sides = [side for side in sides if type(side) is tuple]
-    assert {side[0] for side in oracle_sides} == {"eval_series_b1_raw", "_raw_boson", "apply"}
+    assert {side[0] for side in oracle_sides} == {"_raw_boson", "apply"}
     assert {id(side[1]) for side in oracle_sides if side[0] == "apply"} == set(map(id, definitions))
     # each plan takes each distinct side object once
     assert all(len(plan) == len(set(map(id, plan))) for plan in plans)
