@@ -32,12 +32,12 @@ Each edge holds its factor's entry, resolved when the plan is built: a
 word-slice step for t_i, t_i* and s_n, the LRU cache (``KERNEL_CACHE_SIZE``
 entries, keyed on the label) for every other named node, its own plan for a
 sum inside a product and the argument of rho or zeta.  ``apply(e, v)`` is
-the one-side case, its plans memoised on the identity of the expression, at
-most ``_PLAN_CACHE_SIZE`` of them; ``kernel_cache_clear``, called by
-``cli.main`` on entry, empties the plans and the cache, whose hits, misses
-and size ``kernel_cache_info`` reports.  ``apply`` walks v's terms unsorted
-and hands the merged dict to ``StateVector._trusted`` as it is.  A suite
-table is one plan, its sides the table's expressions.
+the one-side case: it builds its plan on each call, so a loop that applies
+the same expressions many times builds their plan once itself, as a suite
+table does, its sides the table's expressions.  ``kernel_cache_clear``,
+called by ``cli.main`` on entry, empties the cache, whose hits, misses and
+size ``kernel_cache_info`` reports.  ``apply`` walks v's terms unsorted and
+hands the merged dict to ``StateVector._trusted`` as it is.
 
 Exactly one of t1*, t2* survives on a label, so each family is a loop of
 word-slice steps (``_down``, ``_peel``, ``_prepend``), with forward and
@@ -662,30 +662,13 @@ def _act(plan: list, rep: RepSpec, x: BasisLabel) -> Terms:
     return tuple(_walk(plan, rep, ((x, ONE),), ({},))[0].items())
 
 
-# Plans memoised on the identity of the expression, since hashing a long
-# sum per call costs more than its plan saves.  An entry keeps its
-# expression alive, so the id is not reused; the oldest entry goes first.
-_PLAN_CACHE_SIZE = 256
-_plans: dict[int, tuple[OperatorExpr, list]] = {}
-
-
-def _plan(e: OperatorExpr) -> list:
-    entry = _plans.get(id(e))
-    if entry is None:
-        if len(_plans) >= _PLAN_CACHE_SIZE:
-            del _plans[next(iter(_plans))]
-        entry = _plans[id(e)] = (e, _build((e,)))
-    return entry[1]
-
-
 def kernel_cache_info():
     """The hits, misses, bound and size of the per-label cache."""
     return _act_cached.cache_info()
 
 
 def kernel_cache_clear() -> None:
-    """Empty the plan memo and the per-label cache."""
-    _plans.clear()
+    """Empty the per-label cache."""
     _act_cached.cache_clear()
 
 
@@ -694,4 +677,4 @@ def apply(e: OperatorExpr, v: StateVector) -> StateVector:
     if not v:
         return v
     # unsorted: the sums are exact, and terms() orders the output
-    return StateVector._trusted(v.rep, _walk(_plan(e), v.rep, v._terms.items(), ({},))[0])
+    return StateVector._trusted(v.rep, _walk(_build((e,)), v.rep, v._terms.items(), ({},))[0])

@@ -27,11 +27,11 @@ exactly zero on it, so one table serves every sample.
 Oracles.  A side written ``("_raw_boson", n, memo)`` names a function of the
 vector in this module, looked up when the side is evaluated; it works on
 vectors through the letter steps, off the kernel.  ``memo`` is a dict that
-``_ccr`` makes for its run alone, so the b(n-1) values the recursion needs are
-each computed once per vector per run; it is not the kernel's cache.
-The ``range_proj_definition(n)`` products are the sides
-``("apply", range_proj_definition(n))``: each is applied whole, on its own
-plan, never a slot of the table's plan nor inside a ``lincomb`` or ``prod``.
+``_ccr`` makes for its run alone, so the b(n-1) values the recursion needs,
+and each vector's ``s_star_support`` walk, are computed once per vector per
+run; it is not the kernel's cache.  The ``range_proj_definition(n)`` products
+are the sides ``("apply", range_proj_definition(n))``: ``run`` lowers a
+table's ``apply`` sides into a plan of their own, never the table's.
 
 Two suites run on fixed representations by construction: the all-ones cycle
 (Fock behavior) and the alternating two-cycle (wedge behavior); their
@@ -93,7 +93,8 @@ DEFAULT_M_MAX = 4
 DEFAULT_DEPTH = 5
 
 # A side is an operator expression, an expected vector, or an oracle: the
-# name of a function of the vector in this module, then its leading arguments.
+# name of a function of the vector in this module, then its leading arguments;
+# ("apply", e) is e on a plan of the table's oracle sides alone.
 Side = Union[OperatorExpr, StateVector, tuple]
 Row = tuple[str, Side, Side]
 # A case's input and sides: vectors, a pair of vectors, or text already rendered.
@@ -130,20 +131,25 @@ class CheckReport:
 
     def run(self, samples: list[StateVector], groups: Iterable[Sequence[Row]]) -> None:
         """Both sides of every row on every sample, in the case order group,
-        then sample, then row.  The table's expression sides, each distinct
-        object one slot, are one plan, and each sample runs through it once."""
+        then sample, then row.  The table's expression sides are one plan, its
+        ``apply`` oracle sides another, and each sample runs through each once."""
         groups = list(groups)
-        sides = (side for group in groups for row in group for side in row[1:])
+        sides = [side for group in groups for row in group for side in row[1:]]
         exprs = list({id(side): side for side in sides if isinstance(side, OperatorExpr)}.values())
-        slots = {id(e): slot for slot, e in enumerate(exprs)}
-        plan = _build(exprs)
+        applies = list({id(s[1]): s[1] for s in sides if type(s) is tuple and s[0] == "apply"}.values())
+        slots, oracle_slots = ({id(e): slot for slot, e in enumerate(group)} for group in (exprs, applies))
+        # the oracle sides never share the table's trie, and a table with none walks no second plan
+        plan, oracle_plan = _build(exprs), applies and _build(applies)
         failures: list[list[dict[str, str]]] = [[] for _ in groups]
         for v in samples:
             outs = _walk(plan, v.rep, v._terms.items(), [{} for _ in exprs])
+            applied = oracle_plan and _walk(oracle_plan, v.rep, v._terms.items(), [{} for _ in applies])
 
             def terms(side: Side) -> dict:
-                # module globals, read at call time: a patched oracle takes effect
                 if type(side) is tuple:
+                    if side[0] == "apply":
+                        return applied[oracle_slots[id(side[1])]]
+                    # module globals, read at call time: a patched oracle takes effect
                     return globals()[side[0]](*side[1:], v)._terms
                 return side._terms if type(side) is StateVector else outs[slots[id(side)]]
 
@@ -300,21 +306,24 @@ def _car(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: int) 
 # ---------------------------------------------------------------------------
 
 
-def _raw_boson(n: int, memo: dict[tuple, StateVector], v: StateVector) -> StateVector:
+def _raw_boson(n: int, memo: dict[tuple, object], v: StateVector) -> StateVector:
     """b(n) v from the literal word series b(1) and the recursion
     b(n) = rho(b(n-1)) = sum_m s_m b(n-1) s_m*, bypassing the engine's
     evaluator shortcuts: s_m acts as the letter steps t2^(m-1) t1, off the
     kernel.  ``memo`` is the caller's, keyed on the rep, n and the vector's
-    terms, and holds only finished values; a value in it is shared, so no
-    one may mutate its ``_terms``."""
+    terms, and holds only finished values: b(n) v, and under n = None the
+    vector's ``s_star_support`` walk; they are shared, so no one may mutate them."""
     key = (v.rep, n, frozenset(v._terms.items()))
     out = memo.get(key)
     if out is None:
         if n == 1:
             out = eval_series_b1_raw(v)
         else:
+            walk = (v.rep, None, key[2])
+            if walk not in memo:
+                memo[walk] = s_star_support(v)
             out = StateVector.zero(v.rep)
-            for m, w in s_star_support(v).items():
+            for m, w in memo[walk].items():
                 out = out + _iso_letters(m, _raw_boson(n - 1, memo, w))
         memo[key] = out
     return out
@@ -322,7 +331,7 @@ def _raw_boson(n: int, memo: dict[tuple, StateVector], v: StateVector) -> StateV
 
 def _ccr(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
     # one oracle memo per run: row n reads the b(n-1) values of its shorter samples
-    memo: dict[tuple, StateVector] = {}
+    memo: dict[tuple, object] = {}
     rows = [("b(1) evaluator = literal word series", boson(1), ("_raw_boson", 1, memo))]
     rows += [
         (f"b({n}) evaluator = recursion over literal series", boson(n), ("_raw_boson", n, memo))
@@ -349,13 +358,19 @@ def _wfamily(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: i
         ]
     report.run(_samples(rep, depth), [rows])
     basis_vecs = [StateVector.basis(rep, lab) for lab in enumerate_basis(rep, depth)]
-    pairs = list(zip(basis_vecs, basis_vecs[1:]))
-    if len(basis_vecs) > 2:
-        pairs.append((basis_vecs[0], basis_vecs[-1]))
-    for x, y in pairs:
+    # each basis vector walks one plan of W(0..n_max) once and keeps its nonzero images
+    plan, zero = _build(w[: n_max + 1]), StateVector.zero(rep)
+    walked = []
+    for x in basis_vecs:
+        outs = _walk(plan, rep, x._terms.items(), [{} for _ in range(n_max + 1)])
+        walked.append((x, {n: StateVector._trusted(rep, t) for n, t in enumerate(outs) if t}))
+    pairs = list(zip(walked, walked[1:]))
+    if len(walked) > 2:
+        pairs.append((walked[0], walked[-1]))
+    for (x, wx), (y, wy) in pairs:
         for n in range(0, n_max + 1):
-            lhs = apply(w[n], x).inner(y)
-            rhs = x.inner(apply(w[n], y))
+            lhs = wx.get(n, zero).inner(y)
+            rhs = x.inner(wy.get(n, zero))
             report.check(
                 f"W({n}) symmetric in the basis pairing",
                 (x, y),

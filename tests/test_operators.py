@@ -22,8 +22,8 @@ from cuntzrep.basis import (
 from cuntzrep.cli import main
 from cuntzrep.operators import (
     _act,
+    _build,
     _iso_letters,
-    _plan,
     adjoint,
     apply,
     boson,
@@ -511,7 +511,7 @@ def test_kernel_family_images_have_at_most_one_term():
     for rep in _KERNEL_REPS:
         for label in enumerate_basis(rep, 6):
             for e in nodes:
-                assert len(_act(_plan(e), rep, label)) <= 1, (e, rep, label)
+                assert len(_act(_build((e,)), rep, label)) <= 1, (e, rep, label)
 
 
 def test_kernel_cache_key_includes_the_representation():
@@ -534,37 +534,10 @@ def test_kernel_cache_key_includes_the_representation():
 
 def test_cli_main_starts_with_an_empty_cache(capsys):
     apply(cluster(3), fock("22"))
-    assert kernel_cache_info().currsize > 0 and operators._plans
+    assert kernel_cache_info().currsize > 0
     assert main(["list-basis", "--rep", "1", "--depth", "0"]) == 0
     capsys.readouterr()
-    assert kernel_cache_info().currsize == 0 and not operators._plans
-
-
-def test_plans_are_memoised_on_the_identity_of_the_expression(monkeypatch):
-    kernel_cache_clear()
-    built = []
-    build = operators._build
-    monkeypatch.setattr(operators, "_build", lambda exprs: built.append(exprs) or build(exprs))
-    e, twin, v = prod(gen(1), fermion(2)), prod(gen(1), fermion(2)), fock("2")
-    assert apply(e, v) == apply(e, v) == apply(twin, v)
-    assert built == [(e,), (twin,)] and built[1][0] is twin
-    kernel_cache_clear()
-    assert not operators._plans
-    apply(e, v)
-    assert len(built) == 3
-
-
-def test_plan_memo_stays_within_its_bound():
-    kernel_cache_clear()
-    bound = operators._PLAN_CACHE_SIZE
-    v = fock("2")
-    exprs = [prod(gen(1), iso(n)) for n in range(1, bound + 21)]
-    for e in exprs:
-        apply(e, v)
-        assert len(operators._plans) <= bound
-    # the oldest went first, and each entry keeps its expression
-    assert [e for e, _ in operators._plans.values()] == exprs[-bound:]
-    kernel_cache_clear()
+    assert kernel_cache_info().currsize == 0
 
 
 # -- the rho towers against their defining series and recursions --------------
@@ -781,7 +754,7 @@ def test_oracles_never_touch_the_cache(monkeypatch):
         raise AssertionError("an oracle reached a plan or a word-slice step of the kernel")
 
     with monkeypatch.context() as patched:
-        for helper in ("_prepend", "_peel", "_up", "_down", "_block", "_tower", "_build", "_plan", "_walk"):
+        for helper in ("_prepend", "_peel", "_up", "_down", "_block", "_tower", "_build", "_walk"):
             patched.setattr(operators, helper, off_limits)
         memo = {}
         oracles = {
@@ -796,8 +769,8 @@ def test_oracles_never_touch_the_cache(monkeypatch):
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
     assert oracles == kernel
 
-    # no oracle side of a suite table, nor a range_proj_definition product,
-    # is ever a slot of the table's plan
+    # no plan mixes a range_proj_definition product with a side that is not
+    # an oracle, and no other oracle side is ever a slot of a plan
     plans, sides, definitions = [], [], []
     build, run, definition = suites._build, suites.CheckReport.run, suites.range_proj_definition
 
@@ -821,7 +794,12 @@ def test_oracles_never_touch_the_cache(monkeypatch):
     assert {id(side[1]) for side in oracle_sides if side[0] == "apply"} == set(map(id, definitions))
     # each plan takes each distinct side object once
     assert all(len(plan) == len(set(map(id, plan))) for plan in plans)
-    slots = [side for plan in plans for side in plan]
+    definition_ids = set(map(id, definitions))
+    planned = [definition_ids & set(map(id, plan)) for plan in plans]
+    # a plan that takes a definition takes nothing else, and each definition is planned
+    assert all(len(hit) in (0, len(plan)) for hit, plan in zip(planned, plans))
+    assert set().union(*planned) == definition_ids
+    slots = [side for hit, plan in zip(planned, plans) if not hit for side in plan]
     slot_ids = set(map(id, slots))
     for oracle in oracle_sides + definitions:
         assert id(oracle) not in slot_ids and oracle not in slots, oracle

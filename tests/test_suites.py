@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cuntzrep import suites
+from cuntzrep import operators, suites
 from cuntzrep.basis import BasisLabel, RepSpec
 from cuntzrep.operators import _support_bound, adj, apply, boson, cluster, gen, prod, s_star_support
 from cuntzrep.parsing import serialize_vector
@@ -165,6 +165,31 @@ def test_closedforms_builds_its_table_once_per_run(monkeypatch):
     assert double_cases > single_cases
 
 
+@pytest.mark.parametrize("suite", ["wfamily", "lemma23"])
+def test_definitions_are_lowered_into_one_plan_per_run(monkeypatch, suite):
+    # a plan per definition would be built again for every sample once
+    # there are too many of them to keep
+    definitions, plans = [], []
+    definition, build = suites.range_proj_definition, operators._build
+
+    def recording_definition(n):
+        definitions.append(definition(n))
+        return definitions[-1]
+
+    def recording_build(exprs):
+        plans.append(exprs)
+        return build(exprs)
+
+    monkeypatch.setattr(suites, "range_proj_definition", recording_definition)
+    for owner in (operators, suites):
+        monkeypatch.setattr(owner, "_build", recording_build)
+    report = run_suite(suite, FOCK, n_max=12, m_max=2, depth=3)
+    assert report.passed, report.failures[:3]
+    ids = set(map(id, definitions))
+    assert len(ids) == 13
+    assert [set(map(id, plan)) for plan in plans if ids & set(map(id, plan))] == [ids]
+
+
 @pytest.mark.parametrize("rep", ["1", "12", "112", "2", "1+12", "1122", "1112122"])
 def test_run_bounds_cover_every_sample(rep):
     # No s(m)* survives on a sample past the support bound, which also
@@ -178,21 +203,6 @@ def test_run_bounds_cover_every_sample(rep):
             assert max(s_star_support(v), default=0) <= support
             assert _support_bound(v) <= support
             assert v.depth() + 2 * cyc + 2 <= words
-
-
-@pytest.mark.parametrize("suite", SUITE_NAMES)
-def test_apply_gets_each_expression_as_one_object(monkeypatch, suite):
-    # plans are memoised on identity, so an equal expression built again is lowered again
-    objects = {}
-    apply = suites.apply
-
-    def recording(e, v):
-        objects.setdefault(e, {})[id(e)] = e
-        return apply(e, v)
-
-    monkeypatch.setattr(suites, "apply", recording)
-    run_suite(suite, TRIPLE)
-    assert sum(len(same) - 1 for same in objects.values()) == 0
 
 
 def test_all_twos_cycle_still_satisfies_main_identity():
