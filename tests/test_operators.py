@@ -540,6 +540,18 @@ def test_cli_main_starts_with_an_empty_cache(capsys):
     assert kernel_cache_info().currsize == 0
 
 
+def test_apply_lowers_its_expression_on_every_call(monkeypatch):
+    # apply keeps no plan between calls: the same object and an equal one
+    # built again are each lowered afresh, to the same image
+    built = []
+    build = operators._build
+    monkeypatch.setattr(operators, "_build", lambda exprs: built.append(exprs) or build(exprs))
+    e, twin, v = prod(gen(1), fermion(2)), prod(gen(1), fermion(2)), fock("2")
+    assert apply(e, v) == apply(e, v) == apply(twin, v)
+    assert built == [(e,), (e,), (twin,)]
+    assert built[0][0] is built[1][0] is e and built[2][0] is twin
+
+
 # -- the rho towers against their defining series and recursions --------------
 #
 # Built only from s_star_support and the letter steps, off the kernel: b_1* =

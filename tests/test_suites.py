@@ -190,6 +190,28 @@ def test_definitions_are_lowered_into_one_plan_per_run(monkeypatch, suite):
     assert [set(map(id, plan)) for plan in plans if ids & set(map(id, plan))] == [ids]
 
 
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_suite_plans_grow_neither_with_samples_nor_with_n(monkeypatch, suite):
+    # a suite lowers its tables once per run: twice the labels, or a larger
+    # n_max, builds no more plans than the smallest run
+    builds = []
+    build = suites._build
+
+    def counted(exprs):
+        builds.append(len(exprs))
+        return build(exprs)
+
+    monkeypatch.setattr(suites, "_build", counted)
+    counts = []
+    for rep, n_max in ((FOCK, 3), (RepSpec.parse("1+1"), 3), (FOCK, 6)):
+        builds.clear()
+        report = run_suite(suite, rep, n_max=n_max, m_max=3, depth=3)
+        assert report.passed, report.failures[:3]
+        counts.append(len(builds))
+    assert 1 <= counts[0] <= 3
+    assert counts == [counts[0]] * 3
+
+
 @pytest.mark.parametrize("rep", ["1", "12", "112", "2", "1+12", "1122", "1112122"])
 def test_run_bounds_cover_every_sample(rep):
     # No s(m)* survives on a sample past the support bound, which also
