@@ -21,30 +21,35 @@ fermions, a_1* a_1 ... a_{n-1}* a_{n-1} a_n* a_{n+1}, ``range_proj(n)``
 returns the projection W_n = s_{n+1} s_{n+1}*, and ``ident()`` the empty
 product I.
 
-How evaluation works.  Every node but ``LinComb`` sends a basis label to
-at most one label times an exact scalar.  A plan (``_build``) lowers one or
-more expressions, its sides: sums are multiplied through into
-(coefficient, factor chain) pairs, and the chains of every side form one
-trie read right to left, so chains that end in the same factors take them
-once per label, and a label that a shared factor annihilates prunes every
-chain below it; ``_walk`` merges each side's images into its own dict.
-Each edge holds its factor's entry, resolved when the plan is built: a
-word-slice step for t_i, t_i* and s_n, the LRU cache (``KERNEL_CACHE_SIZE``
-entries, keyed on the label) for every other named node, its own plan for a
-sum inside a product and the argument of rho or zeta.  ``apply(e, v)`` is
-the one-side case: it builds its plan on each call, so a loop that applies
-the same expressions many times builds their plan once itself, as a suite
-table does, its sides the table's expressions.  ``kernel_cache_clear``,
-called by ``cli.main`` on entry, empties the cache, whose hits, misses and
-size ``kernel_cache_info`` reports.  ``apply`` walks v's terms unsorted and
-hands the merged dict to ``StateVector._trusted`` as it is.
+How evaluation works.  Every node but ``LinComb`` sends a basis label to at
+most one label times an exact scalar.  A plan (``_build``) lowers one or
+more expressions, its sides: sums are multiplied through into (coefficient,
+factor chain) pairs, and the chains of every side form one trie read right
+to left, so chains that end in the same factors take them once per label,
+and a label that a shared factor annihilates prunes every chain below it;
+``_walk`` merges each chain end in place into its side's dict: pop, add,
+drop a zero.  Each edge holds its factor's entry, resolved when the plan is
+built: a word-slice step for t_i, t_i* and s_n, the LRU cache
+(``KERNEL_CACHE_SIZE`` entries, keyed on the label) for every other named
+node, its own plan for a sum inside a product and the argument of rho or
+zeta.  ``apply(e, v)`` is the one-side case: it builds its plan on each
+call, so a loop that applies the same expressions many times builds their
+plan once itself, as a suite table does, its sides the table's expressions.
+``kernel_cache_clear``, called by ``cli.main`` on entry, empties the cache,
+whose hits, misses and size ``kernel_cache_info`` reports.  ``apply`` walks
+v's terms unsorted and hands the merged dict to ``StateVector._trusted`` as
+it is.
 
 Exactly one of t1*, t2* survives on a label, so each family is a loop of
 word-slice steps (``_down``, ``_peel``, ``_prepend``), with forward and
-adjoint entries in one table.  A label's letters split into s-blocks, runs
-2^(m-1) 1, and a rho tower moves at most two of them: b_n, F_n and their
-adjoints are one closed form each (``_block``, ``_tower``), with no state.
-The oracles use only the vector-level letter steps
+adjoint entries in one table, and each entry writes its image in one edit.
+A label's letters split into s-blocks, runs 2^(m-1) 1, and a rho tower
+moves at most two of them: b_n, F_n and their adjoints are one closed form
+each (``_tower``), with no state.  a_n flips letter n in place when it lies
+in the word short of its last letter, and a tower rewrites its blocks in
+place when block n ends in the word, each by one slice-and-join on the same
+node; otherwise ``_prepend`` puts the letters back on and strips those that
+walk the cycle back.  The oracles use only the vector-level letter steps
 ``states.apply_letter*``, which no kernel entry takes, never a plan, the
 cache or a word-slice step, and the series oracle takes its weights from
 ``RadicalScalar.sqrt_int``, not from the memoised ``scalars.sqrt_int``.
@@ -389,6 +394,8 @@ def range_proj_definition(n: int) -> OperatorExpr:
 KERNEL_CACHE_SIZE = 1 << 12  # ~2 MB; closedforms on 112: 8,914 images, 1,626 hits (2,123 unbounded)
 Terms = tuple[tuple[BasisLabel, RadicalScalar], ...]
 _MINUS_ONE = -ONE
+# kernel labels skip the NamedTuple's Python-level __new__
+_tuple_new = tuple.__new__
 
 
 def _one(label: Optional[BasisLabel]) -> Terms:
@@ -421,7 +428,7 @@ def _prepend(rep: RepSpec, x: BasisLabel, letters: str) -> BasisLabel:
         word = letters[:end]
     if len(word) > _MAX_WORD_LENGTH:
         raise _word_bound_error()
-    return BasisLabel(x.component, word, node)
+    return _tuple_new(BasisLabel, (x.component, word, node))
 
 
 def _peel(rep: RepSpec, x: BasisLabel, n: int = 1) -> tuple[str, BasisLabel]:
@@ -429,11 +436,11 @@ def _peel(rep: RepSpec, x: BasisLabel, n: int = 1) -> tuple[str, BasisLabel]:
     what they leave: the word's first n letters, then the cycle walk."""
     word = x.word
     if len(word) >= n:
-        return word[:n], BasisLabel(x.component, word[n:], x.node)
+        return word[:n], _tuple_new(BasisLabel, (x.component, word[n:], x.node))
     cycle = rep[x.component]
     k = n - len(word)
     walk = (cycle[x.node :] + cycle * (k // len(cycle) + 1))[:k]
-    return word + walk, BasisLabel(x.component, "", (x.node + k) % len(cycle))
+    return word + walk, _tuple_new(BasisLabel, (x.component, "", (x.node + k) % len(cycle)))
 
 
 def _up(rep: RepSpec, x: BasisLabel, n: int) -> BasisLabel:
@@ -454,7 +461,7 @@ def _down(rep: RepSpec, x: BasisLabel) -> Optional[tuple[int, BasisLabel]]:
     word = x.word
     k = word.find("1")
     if k >= 0:
-        return k + 1, BasisLabel(x.component, word[k + 1 :], x.node)
+        return k + 1, _tuple_new(BasisLabel, (x.component, word[k + 1 :], x.node))
     cycle = rep[x.component]
     k = cycle.find("1", x.node)
     if k < 0:
@@ -462,7 +469,7 @@ def _down(rep: RepSpec, x: BasisLabel) -> Optional[tuple[int, BasisLabel]]:
         if k < 0:
             return None
         k += len(cycle)
-    return len(word) + k - x.node + 1, BasisLabel(x.component, "", (k + 1) % len(cycle))
+    return len(word) + k - x.node + 1, _tuple_new(BasisLabel, (x.component, "", (k + 1) % len(cycle)))
 
 
 def _gen_adj(e: Gen, rep: RepSpec, x: BasisLabel) -> Terms:
@@ -494,56 +501,55 @@ def _y_adj(rep: RepSpec, x: BasisLabel) -> Optional[BasisLabel]:
 
 def _fermion(e: Fermion, rep: RepSpec, x: BasisLabel, flip: str = "1") -> Terms:
     """a_n x (flip "1") or a_n* x (flip "2"): zeta^(n-1) of a_1 = t1 t2* (a_1* =
-    t2 t1*) peels n letters.  The last must not be ``flip`` and becomes it,
-    each 2 among the others flips the sign, and they go back on at once."""
+    t2 t1*) reads n letters.  The last must not be ``flip`` and becomes it,
+    and each 2 among the others flips the sign.  Letter n inside the word,
+    short of its last letter, is flipped in place; else the n letters are
+    peeled and go back on at once."""
     n = e.n
-    letters, x = _peel(rep, x, n)
-    if letters[-1] == flip:
+    letters, rest = (x.word, None) if n < len(x.word) else _peel(rep, x, n)
+    if letters[n - 1] == flip:
         return ()
     sign = _MINUS_ONE if letters.count("2", 0, n - 1) % 2 else ONE
-    return ((_prepend(rep, x, letters[:-1] + flip), sign),)
+    if rest is None:
+        return ((_tuple_new(BasisLabel, (x.component, letters[: n - 1] + flip + letters[n:], x.node)), sign),)
+    return ((_prepend(rep, rest, letters[:-1] + flip), sign),)
 
 
-def _block(rep: RepSpec, x: BasisLabel, n: int) -> Optional[tuple[str, int, BasisLabel]]:
-    """x's letters split into s-blocks, runs 2^(m-1) 1: the letters of blocks
-    1 to n - 1, the length m of block n, and the label after it; None when
-    x has fewer than n blocks, its letters ending in 2s.  Past the word,
-    whole cycle periods are counted, not walked."""
-    word = x.word
+def _tower(rep: RepSpec, x: BasisLabel, n: int, d: int, lead: int = 0) -> Terms:
+    """A rho tower in closed form.  x's letters split into s-blocks, runs
+    2^(m-1) 1: block n gains (d = 1) or loses (d = -1) a 2, times the square
+    root of the smaller of its lengths before and after, and block 1 gains
+    (lead = 1) or, before block n (n >= 2), loses (lead = -1) a 2 as well;
+    zero when x has fewer than n blocks, its letters ending in 2s.  When
+    block n ends in the word, the image is one edit of the word on the same
+    node: it keeps its last letter, so it stays normal.  Past the word,
+    whole cycle periods are counted, not walked, and ``_prepend`` puts the
+    edited letters on the cycle vector after block n."""
+    word, node = x.word, x.node
     parts = word.split("1", n)
     if len(parts) > n:  # block n ends in the word
         letters, stop = word, len(word) - len(parts[n])
-        rest = BasisLabel(x.component, word[stop:], x.node)
     else:
         cycle = rep[x.component]
         per = cycle.count("1")
         if not per:
-            return None
-        walk = cycle[x.node :] + cycle[: x.node]
+            return ()
+        walk = cycle[node:] + cycle[:node]
         q, t = divmod(n - len(parts), per)  # block n ends at the (t + 1)-th 1 of period q
         end = (q + 1) * len(walk) - len(walk.split("1", t + 1)[-1])
-        letters, stop = word + walk * (q + 1), len(word) + end
-        rest = BasisLabel(x.component, "", (x.node + end) % len(cycle))
+        letters, stop, node = word + walk * (q + 1), len(word) + end, (node + end) % len(cycle)
     start = letters.rfind("1", 0, stop - 1) + 1
-    return letters[:start], stop - start, rest
-
-
-def _tower(rep: RepSpec, x: BasisLabel, n: int, d: int, lead: int = 0) -> Terms:
-    """A rho tower in closed form: block n of x gains (d = 1) or loses (d =
-    -1) a 2, times the square root of the smaller of its lengths before and
-    after, and block 1 gains (lead = 1) or loses (lead = -1) a 2 as well."""
-    found = _block(rep, x, n)
-    if found is None or found[1] + d < 1:
+    m = stop - start
+    if m + d < 1 or lead < 0 and letters[0] != "2":
         return ()
-    prefix, m, rest = found
-    letters = prefix + "2" * (m + d - 1) + "1"
-    if lead < 0:
-        if letters[0] != "2":
-            return ()
-        letters = letters[1:]
-    elif lead:
-        letters = "2" + letters
-    return ((_prepend(rep, rest, letters), sqrt_int(min(m, m + d))),)
+    # word[stop:] is what follows block n in the word, empty past the word
+    image = "".join(("2" if lead > 0 else "", letters[lead < 0 : start], "2" * (m + d - 1), "1", word[stop:]))
+    c = sqrt_int(min(m, m + d))
+    if stop > len(word):
+        return ((_prepend(rep, _tuple_new(BasisLabel, (x.component, "", node)), image), c),)
+    if len(image) > _MAX_WORD_LENGTH:
+        raise _word_bound_error()
+    return ((_tuple_new(BasisLabel, (x.component, image, node)), c),)
 
 
 def _rho(plan: list, rep: RepSpec, x: BasisLabel) -> Terms:
@@ -649,7 +655,13 @@ def _walk(plan: list, rep: RepSpec, terms, outs: Sequence[dict]) -> Sequence[dic
         if ends:
             for slot, coeff in ends.items():
                 d = c if coeff is ONE else coeff if c is ONE else c * coeff
-                merge_terms(((x, d),), outs[slot])
+                out = outs[slot]
+                # pop, add, drop a zero; d, a product of nonzero scalars, is not zero
+                total = out.pop(x, None)
+                if total is None:
+                    out[x] = d
+                elif total := total + d:
+                    out[x] = total
         for step, child in edges.values():
             for z, d in step(rep, x):
                 stack.append((child, z, c if d is ONE else d if c is ONE else c * d))

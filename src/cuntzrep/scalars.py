@@ -240,11 +240,16 @@ class RadicalScalar:
         den2, b = other._form
         # sqrt(d1)*sqrt(d2) = g*sqrt((d1/g)*(d2/g)) with g = gcd(d1, d2); both
         # factors are square-free and coprime, so the product is square-free.
-        if len(a) == 1 and len(b) == 1:
+        if len(a) == 1 and len(b) == 1:  # one term: its gcd divided out here
             (d1, n1), (d2, n2) = a[0], b[0]
             g = gcd(d1, d2)
-            rad = (d1 // g) * (d2 // g)
-            return RadicalScalar._canonical((den * den2, ((rad, n1 * n2 * g),)))
+            rad, n, den = (d1 // g) * (d2 // g), n1 * n2 * g, den * den2
+            if den != 1:
+                g = gcd(den, n)
+                n, den = n // g, den // g
+            out = _new(RadicalScalar)
+            _set(out, "_form", (den, ((rad, n),)))
+            return out
         acc: dict[int, int] = {}
         for d1, n1 in a:
             for d2, n2 in b:

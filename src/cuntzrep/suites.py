@@ -11,7 +11,9 @@ once per run.  A side is an operator expression: sums are written with
 table as groups of rows, lowers all its expression sides into one plan, and
 runs each sample through that plan once; the groups fix the case order:
 group, then sample, then row.  A side may also be a literal
-``StateVector``, the expected ket itself.
+``StateVector``, the expected ket itself.  Each side is resolved once per
+table to a reader, an index into a sample's side values, so a case is two
+list reads and one compare.
 
 Bounds.  The infinite sums are cut off at two bounds fixed by the
 representation and the depth alone (``_bounds``), with L the longest
@@ -132,32 +134,33 @@ class CheckReport:
     def run(self, samples: list[StateVector], groups: Iterable[Sequence[Row]]) -> None:
         """Both sides of every row on every sample, in the case order group,
         then sample, then row.  The table's expression sides are one plan, its
-        ``apply`` oracle sides another, and each sample runs through each once."""
+        ``apply`` oracle sides another, and each sample runs through each once.
+        Each side is resolved once per table to its reader, an index into a
+        sample's side values: the plan's slots, then the oracle plan's, the
+        expected vectors and the oracle calls."""
         groups = list(groups)
-        sides = [side for group in groups for row in group for side in row[1:]]
-        exprs = list({id(side): side for side in sides if isinstance(side, OperatorExpr)}.values())
-        applies = list({id(s[1]): s[1] for s in sides if type(s) is tuple and s[0] == "apply"}.values())
-        slots, oracle_slots = ({id(e): slot for slot, e in enumerate(group)} for group in (exprs, applies))
+        sides = list({id(side): side for group in groups for row in group for side in row[1:]}.values())
+        exprs = [side for side in sides if isinstance(side, OperatorExpr)]
+        applies = [side for side in sides if type(side) is tuple and side[0] == "apply"]
+        vectors = [side for side in sides if type(side) is StateVector]
+        oracles = [side for side in sides if type(side) is tuple and side[0] != "apply"]
+        reader = {id(side): k for k, side in enumerate(exprs + applies + vectors + oracles)}
+        tables = [[(name, reader[id(left)], reader[id(right)]) for name, left, right in group] for group in groups]
+        fixed = [side._terms for side in vectors]
         # the oracle sides never share the table's trie, and a table with none walks no second plan
-        plan, oracle_plan = _build(exprs), applies and _build(applies)
+        plan, oracle_plan = _build(exprs), applies and _build([side[1] for side in applies])
         failures: list[list[dict[str, str]]] = [[] for _ in groups]
         for v in samples:
-            outs = _walk(plan, v.rep, v._terms.items(), [{} for _ in exprs])
-            applied = oracle_plan and _walk(oracle_plan, v.rep, v._terms.items(), [{} for _ in applies])
-
-            def terms(side: Side) -> dict:
-                if type(side) is tuple:
-                    if side[0] == "apply":
-                        return applied[oracle_slots[id(side[1])]]
-                    # module globals, read at call time: a patched oracle takes effect
-                    return globals()[side[0]](*side[1:], v)._terms
-                return side._terms if type(side) is StateVector else outs[slots[id(side)]]
-
-            for group, witnesses in zip(groups, failures):
-                for identity, left, right in group:
-                    lhs, rhs = terms(left), terms(right)
-                    if lhs != rhs:
-                        lhs, rhs = (StateVector._trusted(v.rep, t) for t in (lhs, rhs))
+            values = _walk(plan, v.rep, v._terms.items(), [{} for _ in exprs])
+            if oracle_plan:
+                values += _walk(oracle_plan, v.rep, v._terms.items(), [{} for _ in applies])
+            values += fixed
+            # module globals, read at call time: a patched oracle takes effect
+            values += [globals()[oracle](*args, v)._terms for oracle, *args in oracles]
+            for rows, witnesses in zip(tables, failures):
+                for identity, left, right in rows:
+                    if values[left] != values[right]:
+                        lhs, rhs = (StateVector._trusted(v.rep, values[k]) for k in (left, right))
                         witnesses.append(_witness(identity, v, lhs, rhs))
         self.cases += len(samples) * sum(map(len, groups))
         self.failures += [witness for witnesses in failures for witness in witnesses]
@@ -536,8 +539,9 @@ def _exact_rank(vectors: list[StateVector]) -> list[int]:
     return ranks
 
 
-# The span rank is exact elimination over every boson word: about 1.3 s at
-# depth 18 (1597 words), and growing about threefold per two degrees.
+# The span rank is exact elimination over every boson word: about 0.11 s at
+# depth 18 (1597 words) on a 2-core x86-64 machine with CPython 3.11, and
+# growing about 2.5-fold per two degrees.
 _MAX_FOCK_WORDS = 2048
 
 
@@ -582,13 +586,11 @@ def _fock(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: int)
             (f"b({n})* vac = |{word};0>", raising[n], ket),
         ]
     report.run([vac], [rows])
-    # span growth of boson monomials on the vacuum, recorded not asserted
-    vectors: list[StateVector] = []
-    for parts in words:
-        w = vac
-        for idx in reversed(parts):
-            w = apply(raising[idx], w)
-        vectors.append(w)
+    # span growth of boson monomials on the vacuum, recorded not asserted:
+    # every word is one side of one plan, walked once from the vacuum
+    monomials = [prod(*(raising[idx] for idx in parts)) for parts in words]
+    outs = _walk(_build(monomials), rep, vac._terms.items(), [{} for _ in monomials])
+    vectors = [StateVector._trusted(rep, terms) for terms in outs]
     ranks = _exact_rank(vectors)
     report.cases += len(vectors)
     dims = {

@@ -766,7 +766,7 @@ def test_oracles_never_touch_the_cache(monkeypatch):
         raise AssertionError("an oracle reached a plan or a word-slice step of the kernel")
 
     with monkeypatch.context() as patched:
-        for helper in ("_prepend", "_peel", "_up", "_down", "_block", "_tower", "_build", "_walk"):
+        for helper in ("_prepend", "_peel", "_up", "_down", "_fermion", "_tower", "_build", "_walk"):
             patched.setattr(operators, helper, off_limits)
         memo = {}
         oracles = {
@@ -947,3 +947,69 @@ def test_down_finds_nothing_on_the_all_2_cycle():
     assert apply(iso(3), StateVector.basis(rep, BasisLabel(0, "", 0))) == StateVector.basis(
         rep, BasisLabel(0, "221", 0)
     )
+
+
+# -- the one-edit kernel entries against the letter steps and the references --
+
+
+def _stepwise_fermion(rep, x, n, flip):
+    """a(n) x (flip "1") or a(n)* x (flip "2") through the letter steps: peel
+    n letters, flip the last, put them back; each 2 before it flips the sign."""
+    letters, rest = _stepwise_peel(rep, x, n)
+    if letters[-1] == flip:
+        return ()
+    sign = -ONE if letters[:-1].count("2") % 2 else ONE
+    return ((_stepwise_prepend(rep, rest, letters[:-1] + flip), sign),)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step_labels(), st.integers(1, 12), st.integers(-1, 1))
+def test_fermion_entries_match_letter_steps(label, n, near):
+    # letter n inside the word and short of its last letter is flipped in
+    # place; at the last letter, or past the word, the letters are peeled
+    rep, x = label
+    for k in {n, max(1, len(x.word) + near)}:
+        for flip in "12":
+            got = _outcome(operators._fermion, fermion(k), rep, x, flip)
+            assert got == _outcome(_stepwise_fermion, rep, x, k, flip), (rep, x, k, flip)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_step_labels(min_len=_BOUND - 30, max_len=_BOUND), st.integers(1, 12))
+def test_fermion_entries_near_the_word_bound_match_letter_steps(label, n):
+    rep, x = label
+    for flip in "12":
+        got = _outcome(operators._fermion, fermion(n), rep, x, flip)
+        assert got == _outcome(_stepwise_fermion, rep, x, n, flip), (rep, x, n, flip)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_step_labels(), st.integers(1, 6))
+def test_tower_entries_match_their_references(label, n):
+    # n, the block that ends at x's last 1 (the word's last letter, when it
+    # ends in 1) and the first block that ends in the cycle
+    rep, x = label
+    v = StateVector.basis(rep, x)
+    ones = x.word.count("1")
+    for e, ref in [pair for k in sorted({n, ones, ones + 1} - {0}) for pair in _ref_towers(k)]:
+        assert _outcome(apply, e, v) == _outcome(ref, v), (rep, x, e)
+    kernel_cache_clear()
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.sampled_from(_STEP_REPS), st.text("12", max_size=3), st.sampled_from([0, 1]))
+def test_tower_entries_near_the_word_bound_match_their_references(rep, tail, short):
+    # a long run of 2s, a 1, the tail and a last letter that keeps the word
+    # normal, `short` letters below the bound: b(n)* passes it or lands on it
+    # where block n ends in the word, at or before its end, and in the cycle;
+    # b(n)* and F(n)* put a 2 on block n (each reference walks the long block,
+    # about 0.2 s)
+    last = "2" if rep[0][-1] == "1" else "1"
+    word = "1" + tail + last
+    x = BasisLabel(0, "2" * (_BOUND - short - len(word)) + word, 0)
+    assert normalize_label(rep, 0, x.word, 0) == x
+    v = StateVector.basis(rep, x)
+    ones = word.count("1")
+    for e, ref in [pair for k in (ones, ones + 1) for pair in _ref_towers(k)[1::2]]:
+        assert _outcome(apply, e, v) == _outcome(ref, v), (rep, word, short, e)
+    kernel_cache_clear()
