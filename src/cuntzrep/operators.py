@@ -71,7 +71,7 @@ from .basis import (
     apply_gen,
     apply_gen_adjoint,
 )
-from .scalars import RadicalScalar, ONE, sqrt_int
+from .scalars import MINUS_ONE, ONE, RadicalScalar, sqrt_int
 from .states import StateVector, apply_letter, apply_letter_adjoint, merge_terms
 
 __all__ = [
@@ -393,7 +393,6 @@ def range_proj_definition(n: int) -> OperatorExpr:
 
 KERNEL_CACHE_SIZE = 1 << 12  # ~2 MB; closedforms on 112: 8,914 images, 1,626 hits (2,123 unbounded)
 Terms = tuple[tuple[BasisLabel, RadicalScalar], ...]
-_MINUS_ONE = -ONE
 # kernel labels skip the NamedTuple's Python-level __new__
 _tuple_new = tuple.__new__
 
@@ -509,7 +508,7 @@ def _fermion(e: Fermion, rep: RepSpec, x: BasisLabel, flip: str = "1") -> Terms:
     letters, rest = (x.word, None) if n < len(x.word) else _peel(rep, x, n)
     if letters[n - 1] == flip:
         return ()
-    sign = _MINUS_ONE if letters.count("2", 0, n - 1) % 2 else ONE
+    sign = MINUS_ONE if letters.count("2", 0, n - 1) % 2 else ONE
     if rest is None:
         return ((_tuple_new(BasisLabel, (x.component, letters[: n - 1] + flip + letters[n:], x.node)), sign),)
     return ((_prepend(rep, rest, letters[:-1] + flip), sign),)

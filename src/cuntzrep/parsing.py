@@ -11,12 +11,17 @@ State vectors are sums of ``coeff*|u;k>`` terms; ``vac`` and ``vac(k)``
 alias the cycle vectors of component 0, and ``|c:u;k>`` names component c.
 Parsed labels are normalized, so any spelling of a vector is accepted.
 
-Every grammar shares one tokenizer, a single regular expression that
-matches a ket, a number, a name or a punctuation mark at each position, and
-two routines: ``_signed_terms`` parses ``[-] term (('+' | '-') term)*`` for
-operator sums, scalar sums and states alike, and ``_product`` parses the
-juxtaposed factors of a term.  Parentheses and ``rho(``/``zeta(`` nest at
-most 64 deep (``_MAX_NESTING``); deeper input is a ParseError at the opening,
+Every grammar shares one tokenizer, one regular expression run once over
+the text by ``finditer``.  A well-formed literal is one token whose groups
+hold its numbers and their columns: a ket, an indexed name ``a(n)``, a
+rational ``p`` or ``p/q``, a root ``sqrt(m)``, whitespace allowed inside.
+The parser reads the token kinds by index; it reads the pieces of a
+malformed literal (``a(3/2)``, ``sqrt()``, ``2/``) one by one, only to
+report the first wrong one.  Every grammar also shares two routines:
+``_signed_terms`` parses ``[-] term (('+' | '-') term)*`` for operator
+sums, scalar sums and states alike, and ``_product`` parses the juxtaposed
+factors of a term.  Parentheses and ``rho(``/``zeta(`` nest at most 64
+deep (``_MAX_NESTING``); deeper input is a ParseError at the opening,
 because parsing, evaluating or hashing a deeper tree would exhaust Python's
 recursion limit.
 """
@@ -26,7 +31,6 @@ from __future__ import annotations
 import functools
 import operator
 import re
-from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .basis import BasisLabel, RepSpec, normalize_label
@@ -48,8 +52,8 @@ from .operators import (
     psi,
     range_proj,
 )
-from .scalars import _bounded_radicand, ONE, RadicalScalar, signed_sum_text, sqrt_int
-from .states import StateVector
+from .scalars import MINUS_ONE, ONE, RadicalScalar, _bounded_radicand, signed_sum_text, sqrt_int
+from .states import StateVector, merge_terms
 
 __all__ = [
     "ParseError",
@@ -88,77 +92,74 @@ _ATOMS |= {ShiftSeries.token: ShiftSeries(), "I": ident()}
 _INDEXED = {cls.token: cls for cls in (Iso, Fermion, Boson, Cluster)}
 _INDEXED |= {"W": range_proj, "X": partial_shift}
 _TRANSFORMERS = {cls.token: cls for cls in (Rho, Zeta)}
-_NAMES = ("sqrt", "vac", "psi", *_ATOMS, *_INDEXED, *_TRANSFORMERS)
-# One alternation, tried in order at each position: names longest first, so
-# "sqrt" comes before "s"; a group's name is its token kind.
+_NAMES = ("psi", *_ATOMS, *_INDEXED, *_TRANSFORMERS)
+# One alternation, tried in order at each position; an upper-case group's
+# name is its token kind.  Punctuation, the commonest, goes first.  A
+# well-formed literal is one token whose groups hold its numbers: a ket, a
+# root sqrt(m), an indexed name with its index, a rational p or p/q.  A
+# malformed one falls through to its pieces (SQRT, NAME, RAT, LP, ...) for
+# the parser to report.  Names go longest first, so "sqrt" comes before "s";
+# BAD is any other character.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<KET>\|(?:(\d+):)?([12]*);(\d+)>)|(?P<NUM>\d+)"
+    r"\s*(?:(?P<LP>\()|(?P<RP>\))|(?P<STAR>\*)|(?P<DOT>\.)|(?P<PLUS>\+)|(?P<MINUS>-)|(?P<SLASH>/)"
+    r"|(?P<KET>\|(?:(?P<component>\d+):)?(?P<word>[12]*);(?P<node>\d+)>)"
+    r"|(?P<ROOT>sqrt\s*\(\s*(?P<radicand>\d+)\s*\))"
+    rf"|(?P<INDEXED>(?P<family>{'|'.join(_INDEXED)})\s*\(\s*(?P<index>\d+)\s*\))"
+    r"|(?P<RAT>(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?)|(?P<SQRT>sqrt)|(?P<VAC>vac)"
     rf"|(?P<NAME>{'|'.join(sorted(_NAMES, key=len, reverse=True))})"
-    r"|(?P<LP>\()|(?P<RP>\))|(?P<STAR>\*)|(?P<DOT>\.)|(?P<PLUS>\+)|(?P<MINUS>-)|(?P<SLASH>/)"
-    r"|(?P<EOF>\Z))"
+    r"|(?P<EOF>\Z)|(?P<BAD>\S))"
 )
-_MINUS_ONE = -ONE
-
-Token = tuple[str, object, int]
-
-
-def _check_digits(digits: str, pos: int) -> None:
-    if len(digits) > _MAX_DIGITS:
-        raise ParseError(f"integer literal has more than {_MAX_DIGITS} digits", pos)
+# The groups that hold numbers; a token's own come in text order.
+_NUMBERS = ("component", "node", "radicand", "index", "num", "den")
 
 
-def _tokenize(text: str) -> list[Token]:
-    """Tokens as (kind, value, position); a ket's value is (component, word, node)."""
-    tokens: list[Token] = []
-    i = 0
-    while True:
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            i = len(text) - len(text[i:].lstrip())
-            if text[i] == "|":
-                raise ParseError("malformed label, expected |u;k> or |c:u;k>", i)
-            raise ParseError(f"unexpected character {text[i]!r}", i)
-        kind = m.lastgroup or ""
-        pos = m.start(kind)
-        value: object = m.group(kind)
-        if kind == "KET":
-            component, word, node = m.group(2, 3, 4)
-            _check_digits(component or "", m.start(2))
-            _check_digits(node, m.start(4))
-            value = (int(component or 0), word, int(node))
-        elif kind == "NUM":
-            _check_digits(m.group(kind), pos)
-        tokens.append((kind, value, pos))
-        if kind == "EOF":
-            return tokens
-        i = m.end()
+def _tokenize(text: str) -> tuple[list[str], list[re.Match[str]]]:
+    """The kinds of the tokens and their matches, to the first EOF (a second,
+    empty one follows an EOF that takes trailing whitespace).
+
+    A lexical error, the first in the text, is a ParseError: a character
+    that starts no token, or a number of more than ``_MAX_DIGITS`` digits
+    (none fits in a text as short as that bound).
+    """
+    tokens = list(_TOKEN_RE.finditer(text))
+    kinds = [m.lastgroup for m in tokens]
+    if len(text) > _MAX_DIGITS or "BAD" in kinds:
+        for kind, m in zip(kinds, tokens):
+            if kind == "BAD":
+                i = m.start(kind)
+                if text[i] == "|":
+                    raise ParseError("malformed label, expected |u;k> or |c:u;k>", i)
+                raise ParseError(f"unexpected character {text[i]!r}", i)
+            for group in _NUMBERS:
+                if len(m.group(group) or "") > _MAX_DIGITS:
+                    raise ParseError(
+                        f"integer literal has more than {_MAX_DIGITS} digits", m.start(group)
+                    )
+    return kinds, tokens
 
 
 class _Parser:
+    """The token kinds and matches, and a read index ``i`` into them."""
+
     def __init__(self, text: str, rep: Optional[RepSpec] = None) -> None:
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.text = text
+        self.kinds, self.tokens = _tokenize(text)
+        self.i = 0
         self.depth = 0
         self.rep = rep
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def column(self, i: int) -> int:
+        return self.tokens[i].start(self.kinds[i])
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {what}", tok[2])
-        return tok
+    def expect(self, kind: str, what: str) -> None:
+        i = self.i
+        if self.kinds[i] != kind:
+            raise ParseError(f"expected {what}", self.column(i))
+        self.i = i + 1
 
     def finish(self, message: str) -> None:
-        kind, _, pos = self.peek()
-        if kind != "EOF":
-            raise ParseError(message, pos)
+        if self.kinds[self.i] != "EOF":
+            raise ParseError(message, self.column(self.i))
 
     def group(self, opening: int, inner: Callable[["_Parser"], object]) -> object:
         """``inner`` then ')', one level deeper than the opening at ``opening``."""
@@ -170,97 +171,120 @@ class _Parser:
         self.expect("RP", "')'")
         return value
 
-    # -- shared scalar pieces -------------------------------------------
-
-    def parse_rational(self) -> int | Fraction:
-        tok = self.expect("NUM", "a number")
-        if self.peek()[0] != "SLASH":
-            return int(tok[1])
-        self.next()
-        den = self.expect("NUM", "a denominator")
-        if int(den[1]) == 0:
-            raise ParseError("zero denominator", den[2])
-        return Fraction(int(tok[1]), int(den[1]))
-
-    def parse_scalar(self) -> RadicalScalar:
-        """A literal p/q or sqrt(m), then any stars (a real scalar is self-adjoint)."""
-        kind, text, pos = self.peek()
-        if kind == "NUM":
-            value = RadicalScalar.from_rational(self.parse_rational())
-        elif text == "sqrt":
-            self.next()
-            self.expect("LP", "'('")
-            num = self.expect("NUM", "a positive integer radicand")
-            self.expect("RP", "')'")
-            try:
-                value = sqrt_int(_bounded_radicand(int(num[1])))
-            except ValueError as exc:
-                raise ParseError(str(exc), num[2]) from None
-        else:
-            raise ParseError("expected a scalar", pos)
-        self.skip_stars()
-        return value
+    def integer(self, what: str) -> tuple[int, int]:
+        """A number without '/', then ')': (value, column).  Only ``vac(k)``
+        and a malformed literal (``a(``, ``sqrt()``) read a number this way."""
+        i = self.i
+        if self.kinds[i] != "RAT":
+            raise ParseError(f"expected {what}", self.column(i))
+        m = self.tokens[i]
+        if m.group("den") is not None:
+            raise ParseError("expected ')'", self.text.index("/", m.end("num")))
+        self.i = i + 1
+        self.expect("RP", "')'")
+        return int(m.group("num")), m.start("num")
 
     def skip_stars(self) -> None:
-        while self.peek()[0] == "STAR":
-            self.next()
+        kinds = self.kinds
+        while kinds[self.i] == "STAR":
+            self.i += 1
 
 
 # ---------------------------------------------------------------------------
-# Sums and products, shared by every grammar
+# Scalar literals, sums and products, shared by every grammar
 # ---------------------------------------------------------------------------
 
 Factor = Union[RadicalScalar, OperatorExpr, BasisLabel]
 
+# Token kinds that start a scalar factor, and an operator factor.
+_SCALAR_STARTS = frozenset({"RAT", "ROOT", "SQRT", "LP"})
+_FACTOR_STARTS = _SCALAR_STARTS | {"INDEXED", "NAME"}
 
-def _starts_scalar(p: _Parser) -> bool:
-    kind, text, _ = p.peek()
-    return kind == "NUM" or kind == "LP" or text == "sqrt"
+
+def _root(radicand: int, column: int) -> RadicalScalar:
+    try:
+        return sqrt_int(_bounded_radicand(radicand))
+    except ValueError as exc:
+        raise ParseError(str(exc), column) from None
 
 
-def _signed_terms(p: _Parser, term: Callable[[_Parser], object]) -> list[tuple[bool, object]]:
-    """``[-] term (('+' | '-') term)*`` as (negated, term) pairs."""
-    negated = p.peek()[0] == "MINUS"
-    if negated:
-        p.next()
+def _parse_scalar(p: _Parser) -> RadicalScalar:
+    """A literal p/q or sqrt(m), then any stars (a real scalar is self-adjoint)."""
+    i = p.i
+    kind = p.kinds[i]
+    m = p.tokens[i]
+    p.i = i + 1
+    if kind == "RAT":
+        num, den = m.group("num", "den")
+        if den is None:
+            if p.kinds[i + 1] == "SLASH":  # a '/' with no number after it
+                raise ParseError("expected a denominator", p.column(i + 2))
+            den = 1
+        else:
+            den = int(den)
+            if not den:
+                raise ParseError("zero denominator", m.start("den"))
+        num = int(num)
+        value = RadicalScalar._canonical((den, ((1, num),)) if num else (1, ()))
+    elif kind == "ROOT":
+        value = _root(int(m.group("radicand")), m.start("radicand"))
+    elif kind == "SQRT":  # not of the form sqrt(m)
+        p.expect("LP", "'('")
+        value = _root(*p.integer("a positive integer radicand"))
+    else:
+        raise ParseError("expected a scalar", p.column(i))
+    p.skip_stars()
+    return value
+
+
+def _signed_terms(
+    p: _Parser, factor: Callable[[_Parser], Factor], juxtaposed: frozenset[str]
+) -> list[tuple[bool, Optional[RadicalScalar], list[Factor]]]:
+    """``[-] product (('+' | '-') product)*`` as (negated, *product) triples."""
+    kinds = p.kinds
+    negated = kinds[p.i] == "MINUS"
+    p.i += negated
     out = []
     while True:
-        out.append((negated, term(p)))
-        kind = p.peek()[0]
+        out.append((negated, *_product(p, factor, juxtaposed)))
+        kind = kinds[p.i]
         if kind != "PLUS" and kind != "MINUS":
             return out
-        p.next()
+        p.i += 1
         negated = kind == "MINUS"
 
 
 def _product(
-    p: _Parser, factor: Callable[[_Parser], Factor], juxtaposed: Callable[[_Parser], bool]
+    p: _Parser, factor: Callable[[_Parser], Factor], juxtaposed: frozenset[str]
 ) -> tuple[Optional[RadicalScalar], list[Factor]]:
-    """``factor (['.'] factor)*``; a factor without '.' must satisfy ``juxtaposed``.
+    """``factor (['.'] factor)*``; a factor without '.' must start with a
+    token of a kind in ``juxtaposed``.
 
     Returns the product of the scalar factors (None when there is none; a
     lone scalar is not multiplied) and the other factors in order.  A basis
     label is the last factor of a state term, so it ends the product.
     """
+    kinds = p.kinds
     coeff: Optional[RadicalScalar] = None
     rest: list[Factor] = []
     while True:
         item = factor(p)
-        if isinstance(item, RadicalScalar):
+        if type(item) is RadicalScalar:
             coeff = item if coeff is None else coeff * item
         else:
             rest.append(item)
-            if isinstance(item, BasisLabel):
+            if type(item) is BasisLabel:
                 return coeff, rest
-        if p.peek()[0] == "DOT":
-            p.next()
-        elif not juxtaposed(p):
+        kind = kinds[p.i]
+        if kind == "DOT":
+            p.i += 1
+        elif kind not in juxtaposed:
             return coeff, rest
 
 
 def _signed(negated: bool, coeff: Optional[RadicalScalar]) -> RadicalScalar:
     if coeff is None:
-        return _MINUS_ONE if negated else ONE
+        return MINUS_ONE if negated else ONE
     return -coeff if negated else coeff
 
 
@@ -268,84 +292,88 @@ def _signed(negated: bool, coeff: Optional[RadicalScalar]) -> RadicalScalar:
 # Operator expressions
 # ---------------------------------------------------------------------------
 
-def _index(num: Token) -> int:
-    n = int(num[1])
+
+def _index(n: int, column: int) -> int:
     if n > _MAX_INDEX:
-        raise ParseError(f"index must be at most {_MAX_INDEX}", num[2])
+        raise ParseError(f"index must be at most {_MAX_INDEX}", column)
     return n
 
 
-def _parse_indexed(p: _Parser, name: str) -> OperatorExpr:
-    p.expect("LP", "'('")
-    num = p.expect("NUM", "an index")
-    p.expect("RP", "')'")
-    n = _index(num)
+def _indexed(name: str, n: int, column: int) -> OperatorExpr:
+    n = _index(n, column)
     try:
         return _INDEXED[name](n)
     except ValueError as exc:
-        raise ParseError(str(exc), num[2]) from None
+        raise ParseError(str(exc), column) from None
 
 
 def _parse_psi(p: _Parser) -> OperatorExpr:
+    """``psi(p/2)``: '(' ['-'] a rational with denominator 2 ')'."""
     p.expect("LP", "'('")
     sign = 1
-    if p.peek()[0] == "MINUS":
-        p.next()
+    if p.kinds[p.i] == "MINUS":
+        p.i += 1
         sign = -1
-    num = p.expect("NUM", "a numerator")
-    p.expect("SLASH", "'/'")
-    den = p.expect("NUM", "the denominator 2")
+    i = p.i
+    if p.kinds[i] != "RAT":
+        raise ParseError("expected a numerator", p.column(i))
+    m = p.tokens[i]
+    p.i = i + 1
+    if m.group("den") is None:
+        p.expect("SLASH", "'/'")
+        raise ParseError("expected the denominator 2", p.column(i + 2))
     p.expect("RP", "')'")
-    if den[1] != "2":
-        raise ParseError("psi index must be a half-integer p/2", den[2])
-    numer = sign * _index(num)
+    if m.group("den") != "2":
+        raise ParseError("psi index must be a half-integer p/2", m.start("den"))
+    column = m.start("num")
+    numer = sign * _index(int(m.group("num")), column)
     try:
         return psi(numer)
     except ValueError as exc:
-        raise ParseError(str(exc), num[2]) from None
+        raise ParseError(str(exc), column) from None
 
 
 def _parse_primary(p: _Parser) -> Factor:
     """One factor of an operator term: a scalar literal or a starred operator."""
-    kind, text, pos = p.peek()
-    if kind == "LP":
-        p.next()
-        e = p.group(pos, _parse_sum)
-    elif _starts_scalar(p):
-        return p.parse_scalar()
-    elif kind == "KET" or text == "vac":
-        raise ParseError("state labels are not allowed inside an operator expression", pos)
-    elif kind != "NAME":
-        raise ParseError("expected an operator or scalar", pos)
-    else:
-        p.next()
-        if text in _ATOMS:
-            e = _ATOMS[text]
-        elif text in _INDEXED:
-            e = _parse_indexed(p, text)
-        elif text == "psi":
+    i = p.i
+    kind = p.kinds[i]
+    if kind == "INDEXED":
+        p.i = i + 1
+        m = p.tokens[i]
+        e = _indexed(m.group("family"), int(m.group("index")), m.start("index"))
+    elif kind == "NAME":
+        p.i = i + 1
+        name = p.tokens[i].group(kind)
+        if name in _ATOMS:
+            e = _ATOMS[name]
+        elif name in _INDEXED:  # not of the form name(n)
+            p.expect("LP", "'('")
+            e = _indexed(name, *p.integer("an index"))
+        elif name == "psi":
             e = _parse_psi(p)
         else:
             p.expect("LP", "'('")
-            arg = p.group(pos, _parse_sum)
-            e = _TRANSFORMERS[text](arg)
-    while p.peek()[0] == "STAR":
-        p.next()
+            e = _TRANSFORMERS[name](p.group(p.column(i), _parse_sum))
+    elif kind == "LP":
+        p.i = i + 1
+        e = p.group(p.column(i), _parse_sum)
+    elif kind in _SCALAR_STARTS:
+        return _parse_scalar(p)
+    elif kind == "KET" or kind == "VAC":
+        raise ParseError("state labels are not allowed inside an operator expression", p.column(i))
+    else:
+        raise ParseError("expected an operator or scalar", p.column(i))
+    kinds = p.kinds
+    while kinds[p.i] == "STAR":
+        p.i += 1
         e = adj(e)
     return e
-
-
-def _starts_factor(p: _Parser) -> bool:
-    kind, text, _ = p.peek()
-    return _starts_scalar(p) or (kind == "NAME" and text != "vac")
 
 
 def _parse_sum(p: _Parser) -> OperatorExpr:
     parts = [
         (_signed(negated, coeff), prod(*factors))
-        for negated, (coeff, factors) in _signed_terms(
-            p, lambda p: _product(p, _parse_primary, _starts_factor)
-        )
+        for negated, coeff, factors in _signed_terms(p, _parse_primary, _FACTOR_STARTS)
     ]
     if len(parts) == 1 and parts[0][0] == ONE:
         return parts[0][1]
@@ -377,42 +405,47 @@ def parse_label(rep: RepSpec, text: str) -> BasisLabel:
 
 
 def _parse_label(p: _Parser) -> BasisLabel:
-    kind, value, pos = p.next()
+    i = p.i
+    kind = p.kinds[i]
+    p.i = i + 1
     if kind == "KET":
-        component, word, node = value
-    elif value == "vac":
+        component, word, node = p.tokens[i].group("component", "word", "node")
+        component, node = int(component or 0), int(node)
+    elif kind == "VAC":
         component, word, node = 0, "", 0
-        if p.peek()[0] == "LP":
-            p.next()
-            node = int(p.expect("NUM", "a node index")[1])
-            p.expect("RP", "')'")
+        if p.kinds[i + 1] == "LP":
+            p.i = i + 2
+            node = p.integer("a node index")[0]
     else:
-        raise ParseError("expected a label (|u;k> or vac)", pos)
+        raise ParseError("expected a label (|u;k> or vac)", p.column(i))
     try:
         return normalize_label(p.rep, component, word, node)
     except ValueError as exc:  # component or node out of range
-        raise ParseError(str(exc), pos) from None
+        raise ParseError(str(exc), p.column(i)) from None
 
 
 # ---------------------------------------------------------------------------
 # State vectors
 # ---------------------------------------------------------------------------
 
+_ANY_KIND = frozenset(kind for kind in _TOKEN_RE.groupindex if kind.isupper())
+
 
 def _parse_scalar_sum(p: _Parser) -> RadicalScalar:
-    terms = _signed_terms(p, lambda p: _product(p, _Parser.parse_scalar, _starts_scalar)[0])
-    return functools.reduce(operator.add, [-c if negated else c for negated, c in terms])
+    terms = _signed_terms(p, _parse_scalar, _SCALAR_STARTS)
+    return functools.reduce(operator.add, [-c if negated else c for negated, c, _ in terms])
 
 
 def _parse_state_factor(p: _Parser) -> Factor:
     """A coefficient factor, or the label that ends a state term."""
-    if not _starts_scalar(p):
+    i = p.i
+    kind = p.kinds[i]
+    if kind not in _SCALAR_STARTS:
         return _parse_label(p)
-    kind, _, pos = p.peek()
     if kind != "LP":
-        return p.parse_scalar()
-    p.next()
-    value = p.group(pos, _parse_scalar_sum)
+        return _parse_scalar(p)
+    p.i = i + 1
+    value = p.group(p.column(i), _parse_scalar_sum)
     p.skip_stars()
     return value
 
@@ -422,9 +455,10 @@ def parse_state(rep: RepSpec, text: str) -> StateVector:
     if text.strip() == "0":
         return StateVector.zero(rep)
     p = _Parser(text, rep)
-    terms = _signed_terms(p, lambda p: _product(p, _parse_state_factor, lambda p: True))
+    terms = _signed_terms(p, _parse_state_factor, _ANY_KIND)
     p.finish("expected '+', '-', or end of input")
-    return StateVector(rep, [(label, _signed(negated, coeff)) for negated, (coeff, [label]) in terms])
+    pairs = [(label, _signed(negated, coeff)) for negated, coeff, (label,) in terms]
+    return StateVector._trusted(rep, merge_terms(pairs))
 
 
 # ---------------------------------------------------------------------------

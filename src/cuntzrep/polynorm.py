@@ -47,7 +47,7 @@ from .operators import (
     ShiftSeries,
     Zeta,
 )
-from .scalars import RadicalScalar, ONE, signed_sum_text
+from .scalars import MINUS_ONE, ONE, RadicalScalar, signed_sum_text
 from .states import StateVector, apply_letter, apply_letter_adjoint, merge_terms
 from .basis import ALPHABET
 
@@ -68,7 +68,6 @@ FERMION_CAP = 16
 # tests and the benchmark run stay within 2^15, and a list of 2^16 takes
 # about 0.85 s to build and render in a fresh process.
 _MAX_MONOMIALS = 2**16
-_MINUS_ONE = -ONE
 
 Monomial = tuple[RadicalScalar, str, str]
 
@@ -133,11 +132,11 @@ def _compose(acc: list[Monomial], factor: list[Monomial]) -> list[Monomial]:
 
 def _zeta(inner: list[Monomial]) -> list[Monomial]:
     """zeta(t_u t_v*) = t_1u t_1v* - t_2u t_2v*: the 1-block, then the
-    2-block with the sign flipped (a unit sign stays the shared ONE or -ONE)."""
+    2-block with the sign flipped (a unit sign stays the shared ONE or MINUS_ONE)."""
     _check_size(2 * len(inner))
     out = [(c, "1" + u, "1" + v) for c, u, v in inner]
     out.extend(
-        (_MINUS_ONE if c is ONE else ONE if c is _MINUS_ONE else -c, "2" + u, "2" + v)
+        (MINUS_ONE if c is ONE else ONE if c is MINUS_ONE else -c, "2" + u, "2" + v)
         for c, u, v in inner
     )
     return out

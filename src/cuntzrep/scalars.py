@@ -35,6 +35,7 @@ __all__ = [
     "RadicalScalar",
     "ZERO",
     "ONE",
+    "MINUS_ONE",
     "sqrt_int",
     "square_free_split",
     "scalar_text",
@@ -336,14 +337,17 @@ class RadicalScalar:
 
 ZERO = RadicalScalar()
 ONE = RadicalScalar.from_rational(1)
+MINUS_ONE = -ONE
 
 
 @lru_cache(maxsize=256, typed=True)
 def sqrt_int(m: int) -> RadicalScalar:
     """:meth:`RadicalScalar.sqrt_int`, memoised: the series weights and the rho
     towers ask for a few small radicands thousands of times, and each split
-    is trial division.  ``typed`` keeps ``2.0`` a ValueError after ``2``."""
-    return RadicalScalar.sqrt_int(m)
+    is trial division.  ``typed`` keeps ``2.0`` a ValueError after ``2``.
+    sqrt(1) is the shared ``ONE``, so ``is ONE`` short cuts see unit weights."""
+    root = RadicalScalar.sqrt_int(m)
+    return ONE if root == ONE else root
 
 
 # ---------------------------------------------------------------------------

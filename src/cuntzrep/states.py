@@ -6,12 +6,11 @@ from collections.abc import Hashable, Iterable, Mapping
 from typing import Union
 
 from .basis import BasisLabel, RepSpec, apply_gen, apply_gen_adjoint, label_sort_key
-from .scalars import RadicalScalar, ZERO, ONE
+from .scalars import MINUS_ONE, ONE, ZERO, RadicalScalar
 
 __all__ = ["RepMismatchError", "StateVector", "apply_letter", "apply_letter_adjoint"]
 
 ScalarLike = Union[RadicalScalar, int]
-_MINUS_ONE = -ONE
 
 
 class RepMismatchError(ValueError):
@@ -118,7 +117,7 @@ class StateVector:
         return self.combine(ONE, other)
 
     def __sub__(self, other: "StateVector") -> "StateVector":
-        return self.combine(_MINUS_ONE, other)
+        return self.combine(MINUS_ONE, other)
 
     def scale(self, c: ScalarLike) -> "StateVector":
         c = _as_scalar(c)

@@ -76,7 +76,7 @@ from .operators import (
 )
 from .parsing import _MAX_INDEX, serialize_vector
 from .polynorm import poly_normal_form, render_monomials
-from .scalars import ONE, RadicalScalar, sqrt_int
+from .scalars import MINUS_ONE, ONE, RadicalScalar, sqrt_int
 from .states import StateVector, merge_terms
 
 __all__ = [
@@ -265,7 +265,7 @@ def _pair_relations(
     """The CAR (sign +1) or CCR (sign -1) of one family, one group per (n, m):
     x(n)x(m)* +- x(m)*x(n) = delta_nm I, and x(n)x(m) +- x(m)x(n) = 0 with
     and without stars, for 1 <= n <= n_max, 1 <= m <= m_max."""
-    op, c = ("+", ONE) if sign > 0 else ("-", -ONE)
+    op, c = ("+", ONE) if sign > 0 else ("-", MINUS_ONE)
     groups = []
     for n in range(1, n_max + 1):
         for m in range(1, m_max + 1):
@@ -401,7 +401,7 @@ def _lemma23(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: i
         rows.append((f"s({n})t2*s({n})* = t2* X({n})", prod(s, t2_adj, adj(s)), x))
     for n in range(1, n_max + 1):
         for m in range(1, m_max + 1):
-            c = ONE if m % 2 == 1 else -ONE
+            c = ONE if m % 2 == 1 else MINUS_ONE
             a, up, s = fermion(n), fermion(n + m), iso(m)
             shifted = f"(-1)^({m}-1) a({n + m})"
             rows += [
@@ -431,7 +431,7 @@ def _rho(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: int) 
         ("rho(t2*) = t2* Y", rho(t2_adj), prod(t2_adj, y)),
         ("Y = sum of X(n)", y, x_sum),
     ]
-    signs = (ONE, -ONE)
+    signs = (ONE, MINUS_ONE)
     for n in range(1, n_max + 1):
         terms = ((signs[m % 2], prod(fermion(n + m + 1), range_proj(m))) for m in range(support + 1))
         name = f"rho(a({n})) = alternating sum of a({n}+m+1)W(m)"

@@ -700,6 +700,12 @@ def _nested(n, base, step):
     return base
 
 
+def test_a_unit_tower_weight_is_the_shared_one():
+    # block 1 of |1;0> on rep 12 is "1": b(1)* weighs its image by sqrt(1)
+    [(image, c)] = operators._tower(RepSpec.parse("12"), BasisLabel(0, "1", 0), 1, 1)
+    assert image == BasisLabel(0, "21", 0) and c is ONE
+
+
 def test_towers_match_their_nested_definitions():
     # rho^(n-1)(b_1) and Y rho(F_{n-1}), unrolled to b_1 and F_1, and their
     # adjoints, through the plans' rho and Y steps

@@ -55,6 +55,7 @@ BOTH = parse_rep("1+12")
         ("t1*", adjoint(gen(1))),
         ("b(1)*", adjoint(boson(1))),
         ("a(3)", fermion(3)),
+        ("a ( 3 )", fermion(3)),
         ("s(2)", iso(2)),
         ("W(0)", range_proj(0)),
         ("X(2)", partial_shift(2)),
@@ -66,6 +67,7 @@ BOTH = parse_rep("1+12")
         ("t1 . t2", prod(gen(1), gen(2))),
         ("psi(1/2)", psi(1)),
         ("psi(-3/2)", psi(-3)),
+        ("psi ( - 3 / 2 )", psi(-3)),
         ("rho(t2*)", rho(adjoint(gen(2)))),
         ("zeta(a(1))", zeta(fermion(1))),
     ],
@@ -83,6 +85,7 @@ def test_linear_combinations_and_scalars():
     assert parse_expr("sqrt(2)*t1") == scaled(sqrt_int(2), gen(1))
     assert parse_expr("-t1") == scaled(RadicalScalar.from_rational(-1), gen(1))
     assert parse_expr("2 t1 sqrt(2)*t2 3") == scaled(sqrt_int(72), prod(gen(1), gen(2)))
+    assert parse_expr("2 / 3 sqrt ( 5 ) t1") == parse_expr("2/3 sqrt(5) t1")
     assert parse_expr("t1 - t2") == lincomb(
         (ONE, gen(1)),
         (RadicalScalar.from_rational(-1), gen(2)),
@@ -97,6 +100,16 @@ def test_linear_combinations_and_scalars():
         ("|1;>", 1),
         ("q", 1),
         ("t1 )", 4),
+        ("1/0", 3),
+        ("2/", 3),
+        ("1/2/3", 4),
+        ("a(3/2)", 4),
+        ("a()", 3),
+        ("sqrt()", 6),
+        ("sqrt ( 3 / 2 )", 10),
+        ("psi(1)", 6),
+        ("psi(1/3)", 7),
+        ("vac(", 1),
     ],
 )
 def test_parse_errors_carry_positions(source, column):
@@ -127,6 +140,17 @@ def test_state_parsing_forms():
     )
     assert parse_state(WEDGE, "-vac + |2;1>") == two - vac
     assert parse_state(WEDGE, "0") == StateVector.zero(WEDGE)
+    assert parse_state(WEDGE, "2 / 3 * sqrt ( 5 ) * |2;1> - vac ( 1 )") == parse_state(
+        WEDGE, "2/3*sqrt(5)*|2;1> - vac(1)"
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**40), st.integers(1, 10**40), st.sampled_from(["/", " / "]))
+def test_rational_literals_are_canonical(p, q, slash):
+    vac = BasisLabel(0, "", 0)
+    coeff = parse_state(FOCK, f"{p}{slash}{q}*vac").coeff(vac)
+    assert coeff._form == RadicalScalar.from_rational(Fraction(p, q))._form
 
 
 def test_state_labels_normalize_on_input():
@@ -218,6 +242,8 @@ _FUZZ_TOKENS = (
     "0", "1", "2", "3", "7", "02", "4097",
     "|1;0>", "|0:12;1>", "|;1>", "|1:;0>", "|1;", "|",
     "(", ")", "*", ".", "+", "-", "/", " ", "\t", "q", "é", ";", ">",
+    "a ( 3 )", "sqrt ( 5 )", "2 / 3", "1/0", "2/", "1/2/3", "a(3/2)", "a()", "sqrt()",
+    "psi(1)", "psi(1/3)", "vac(",
 )
 _FUZZ_TEXT = st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=24).map("".join)
 _FUZZ_REP = st.sampled_from([FOCK, WEDGE, parse_rep("112"), BOTH])

@@ -56,6 +56,13 @@ def test_memoised_sqrt_int_matches_the_uncached_root():
             sqrt_int(bad)
 
 
+def test_the_unit_root_is_the_shared_one():
+    # so the kernel's `is ONE` short cuts skip the product by a unit weight
+    assert sqrt_int(1) is ONE
+    with pytest.raises(ValueError):
+        sqrt_int(1.0)
+
+
 def test_conjugate_product():
     x = ONE + sqrt_int(2)
     y = ONE - sqrt_int(2)
