@@ -33,6 +33,7 @@ __all__ = [
     "is_primitive",
     "edge_letter",
     "normalize_label",
+    "strip_edge_letters",
     "apply_gen",
     "apply_gen_adjoint",
     "enumerate_basis",
@@ -128,19 +129,27 @@ def edge_letter(rep: RepSpec, component: int, node: int) -> str:
 
 def normalize_label(rep: RepSpec, component: int, word: str, node: int) -> BasisLabel:
     """Strip trailing edge letters, stepping the node back around the cycle."""
-    if not 0 <= component < len(rep):
-        raise ValueError(f"component {component} out of range for {rep}")
-    length = len(rep[component])
-    if not 0 <= node < length:
-        raise ValueError(f"node {node} out of range for cycle {rep[component]!r}")
-    # the parser's and the oracles' letter steps land here (the kernel's
-    # word-slice steps do not); str.count scans in C without hashing letters
+    label = strip_edge_letters(rep, component, word, node)
+    # the oracles' letter steps land here (the kernel's word-slice steps and
+    # the parser's kets do not); str.count scans in C without hashing letters
     if word.count("1") + word.count("2") != len(word):
         raise ValueError(f"word {word!r} uses letters outside {{1,2}}")
-    while word and word[-1] == edge_letter(rep, component, node):
-        word = word[:-1]
-        node = (node - 1) % length
-    return BasisLabel(component, word, node)
+    return label
+
+
+def strip_edge_letters(rep: RepSpec, component: int, word: str, node: int) -> BasisLabel:
+    """``normalize_label`` for a word already known to be over {1, 2}:
+    the same range checks and stripping, without the scan of its letters."""
+    if not 0 <= component < len(rep):
+        raise ValueError(f"component {component} out of range for {rep}")
+    cycle = rep[component]
+    if not 0 <= node < len(cycle):
+        raise ValueError(f"node {node} out of range for cycle {cycle!r}")
+    end = len(word)
+    while end and word[end - 1] == cycle[node - 1]:  # edge_letter(rep, component, node)
+        end -= 1
+        node = (node - 1) % len(cycle)
+    return BasisLabel(component, word[:end], node)
 
 
 def _word_bound_error() -> ValueError:

@@ -3,8 +3,12 @@
 Subcommands: apply (evaluate an operator expression on a state), expand
 (polynomial normal form), check (run a verification suite), list-basis
 (enumerate basis labels).  Exit codes: 0 success, 1 check failure, 2 usage
-or parse error.  All output is deterministic; JSON is emitted with a stable
-key order and no timestamps.
+or parse error, 141 stdout closed by its reader.  All output is
+deterministic; JSON is emitted with a stable key order and no timestamps.
+
+The command-line grammar is one table, _GRAMMAR.  A well-formed command
+line is read straight from it; argparse, built from the same table, reads
+every other line, so help, usage and error text are argparse's own.
 """
 
 from __future__ import annotations
@@ -12,8 +16,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .basis import enumerate_basis
 from .operators import apply as apply_operator, kernel_cache_clear
@@ -40,47 +45,93 @@ from .suites import (
 _FAILURE_PRINT_CAP = 10
 
 
+_FORMATS = ("text", "json")
+
+
+class _Option(NamedTuple):
+    """One flag of a subcommand, as argparse and the reader both take it."""
+
+    flag: str
+    kind: str = "text"  # "text", "int", "format" (one of _FORMATS) or "switch" (store_true)
+    default: object = None
+    required: bool = False
+    help: Optional[str] = None
+
+
+_REP = _Option("--rep", required=True, help="cycle word, e.g. 1, 12, or 1+12")
+_FORMAT = _Option("--format", "format", "text")
+_UNICODE = _Option("--unicode", "switch", False, help="render vacuum and radical glyphs")
+
+# The command-line grammar: each subcommand's help and its options, in the
+# order argparse lists them.  Each flag is only where it is read, so
+# argparse refuses it elsewhere.
+_GRAMMAR: dict[str, tuple[str, tuple[_Option, ...]]] = {
+    "apply": ("apply an operator expression to a state", (
+        _REP, _FORMAT, _UNICODE,
+        _Option("--expr", required=True, help="operator expression"),
+        _Option("--state", required=True, help="state vector, e.g. vac or |2;0>"),
+    )),
+    "expand": ("polynomial normal form of an expression", (
+        _FORMAT, _UNICODE,
+        _Option("--expr", required=True, help="polynomial operator expression"),
+        _Option("--depth", "int", help="refinement depth"),
+    )),
+    "check": ("run a verification suite", (
+        _REP, _FORMAT,
+        _Option("--suite", required=True, help=f"one of {', '.join(SUITE_NAMES)}, or all"),
+        _Option("--n-max", "int", DEFAULT_N_MAX),
+        _Option("--m-max", "int", DEFAULT_M_MAX),
+        _Option("--depth", "int", DEFAULT_DEPTH),
+    )),
+    "list-basis": ("enumerate basis labels up to a depth", (
+        _REP, _FORMAT, _UNICODE, _Option("--depth", "int", DEFAULT_DEPTH),
+    )),
+}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+# the reader's view of the grammar, by subcommand: each flag's Namespace key
+# and kind, the keys argparse fills (in its order, with their defaults), and
+# the required keys
+_READER = {
+    name: (
+        {o.flag: (_dest(o.flag), o.kind) for o in options},
+        {"subcommand": name, **{_dest(o.flag): o.default for o in options}},
+        [_dest(o.flag) for o in options if o.required],
+    )
+    for name, (_, options) in _GRAMMAR.items()
+}
+
+
 @functools.cache
 def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and each subcommand's own parser, by name."""
-    # Built on the first main() call and reused: parse_args keeps no state
-    # between calls, and building costs about 1 ms, most of a short query.
+    # Built only for help and usage errors, and then reused: parse_args keeps
+    # no state between calls, and the first build in a fresh interpreter
+    # takes about 3.5 ms, longer than a short query.
     parser = argparse.ArgumentParser(
         prog="cuntzrep",
         description="Exact engine for recursive boson and fermion systems "
         "on permutative representations of the two-generator Cuntz algebra.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def subcommand(name: str, help: str, rep: bool = True, unicode: bool = True):
-        # each flag only where it is read: argparse refuses it elsewhere
+    for name, (help, options) in _GRAMMAR.items():
         p = sub.add_parser(name, help=help)
-        if rep:
-            p.add_argument("--rep", required=True, help="cycle word, e.g. 1, 12, or 1+12")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        if unicode:
-            p.add_argument("--unicode", action="store_true", help="render vacuum and radical glyphs")
-        return p
-
-    p_apply = subcommand("apply", "apply an operator expression to a state")
-    p_apply.add_argument("--expr", required=True, help="operator expression")
-    p_apply.add_argument("--state", required=True, help="state vector, e.g. vac or |2;0>")
-
-    p_expand = subcommand("expand", "polynomial normal form of an expression", rep=False)
-    p_expand.add_argument("--expr", required=True, help="polynomial operator expression")
-    p_expand.add_argument("--depth", type=int, default=None, help="refinement depth")
-
-    p_check = subcommand("check", "run a verification suite", unicode=False)
-    p_check.add_argument(
-        "--suite", required=True, help=f"one of {', '.join(SUITE_NAMES)}, or all"
-    )
-    p_check.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
-    p_check.add_argument("--m-max", type=int, default=DEFAULT_M_MAX)
-    p_check.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-
-    p_list = subcommand("list-basis", "enumerate basis labels up to a depth")
-    p_list.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-
+        for o in options:
+            if o.kind == "switch":
+                p.add_argument(o.flag, action="store_true", default=o.default, help=o.help)
+            else:
+                p.add_argument(
+                    o.flag,
+                    type=int if o.kind == "int" else None,
+                    choices=_FORMATS if o.kind == "format" else None,
+                    default=o.default,
+                    required=o.required,
+                    help=o.help,
+                )
     return parser, sub.choices
 
 
@@ -88,15 +139,70 @@ def _build_parser() -> argparse.ArgumentParser:
     return _build_parsers()[0]
 
 
+def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The Namespace argparse returns for a well-formed command line, or
+    None for any line argparse might read otherwise.
+
+    Well-formed: a subcommand's name, then its exact flags, each as
+    ``--flag=value`` (value not ``--``), as ``--flag value`` (value not
+    starting with ``-``) or as a bare switch; int values convert with
+    int(), ``--format`` is one of _FORMATS, the last of a repeated flag
+    wins, and every required flag is there.
+    """
+    view = _READER.get(argv[0]) if argv else None
+    if view is None:
+        return None
+    flags, defaults, required = view
+    values = dict(defaults)
+    i, end = 1, len(argv)
+    while i < end:
+        flag, eq, value = argv[i].partition("=")
+        entry = flags.get(flag)
+        if entry is None:
+            return None
+        dest, kind = entry
+        i += 1
+        if kind == "switch":
+            if eq:
+                return None
+            values[dest] = True
+            continue
+        if not eq:
+            if i == end or argv[i].startswith("-"):
+                return None
+            value = argv[i]
+            i += 1
+        elif value == "--":
+            return None
+        if kind == "int":
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind == "format" and value not in _FORMATS:
+            return None
+        values[dest] = value
+    for dest in required:
+        if values[dest] is None:
+            return None
+    args = argparse.Namespace()
+    vars(args).update(values)  # one C call: Namespace(**values) sets each key in a Python loop
+    return args
+
+
 def _parse_argv(argv: Optional[list[str]]) -> argparse.Namespace:
-    """Parse a command line once.  When its first word names a subcommand,
-    the rest goes straight to that subcommand's parser, which is all the
-    top-level parser would do with it after a pass of its own; leftovers
-    are reported by the top-level parser, as its parse_args reports them.
-    Any other command line (none, --help, an unknown subcommand, an option
+    """Parse a command line once.  A well-formed line is read straight from
+    the grammar, without building argparse.  Any other line that starts
+    with a subcommand's name goes straight to that subcommand's parser,
+    which is all the top-level parser would do with it after a pass of its
+    own; leftovers are reported by the top-level parser, as its parse_args
+    reports them.  The rest (none, --help, an unknown subcommand, an option
     first) goes through the top-level parser."""
-    parser, subparsers = _build_parsers()
     argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv)
+    if args is not None:
+        return args
+    parser, subparsers = _build_parsers()
     sub = subparsers.get(argv[0]) if argv else None
     if sub is None:
         return parser.parse_args(argv)
@@ -184,18 +290,27 @@ _DISPATCH = {
 
 def main(argv: Optional[list[str]] = None) -> int:
     kernel_cache_clear()  # each invocation starts cold, like a fresh process
-    parser = _build_parser()
     args = _parse_argv(argv)
     for name, value in vars(args).items():
         if isinstance(value, list):  # argparse drops a lone "--" value, leaving []
-            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
+            _build_parser().error(f"argument --{name.replace('_', '-')}: expected one argument")
     if getattr(args, "unicode", False) and args.format == "json":  # JSON has no glyphs to switch
-        parser.error("argument --unicode: not allowed with --format json")
+        _build_parser().error("argument --unicode: not allowed with --format json")
     try:
-        return _DISPATCH[args.subcommand](args)
+        rc = _DISPATCH[args.subcommand](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the process reading stdout has gone (``| head``): exit as SIGPIPE
+        # would, with no traceback, and send what is left in the buffer to
+        # devnull so the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ValueError as exc:  # ParseError, RepValidationError, PolynomialError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return rc
 
 
 if __name__ == "__main__":

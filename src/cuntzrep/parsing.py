@@ -33,7 +33,9 @@ import operator
 import re
 from typing import Callable, Optional, Union
 
-from .basis import BasisLabel, RepSpec, normalize_label
+# perfbench/tracer.py patches parsing.normalize_label by name, so it stays
+# imported although kets, whose pattern admits only 1 and 2, skip its scan
+from .basis import BasisLabel, RepSpec, normalize_label, strip_edge_letters  # noqa: F401
 from .operators import (
     Boson,
     Cluster,
@@ -419,7 +421,7 @@ def _parse_label(p: _Parser) -> BasisLabel:
     else:
         raise ParseError("expected a label (|u;k> or vac)", p.column(i))
     try:
-        return normalize_label(p.rep, component, word, node)
+        return strip_edge_letters(p.rep, component, word, node)
     except ValueError as exc:  # component or node out of range
         raise ParseError(str(exc), p.column(i)) from None
 

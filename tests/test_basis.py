@@ -20,6 +20,7 @@ from cuntzrep.basis import (
     is_primitive,
     label_sort_key,
     normalize_label,
+    strip_edge_letters,
 )
 
 FOCK = RepSpec.parse("1")
@@ -125,6 +126,43 @@ def test_normalize_validates_input():
         normalize_label(FOCK, 0, "1", 1)
     with pytest.raises(ValueError):
         normalize_label(FOCK, 1, "1", 0)
+
+
+def _stripped_by_edge_letter(rep, component, word, node):
+    """The stripping loop as the normal form states it, through edge_letter."""
+    while word and word[-1] == edge_letter(rep, component, node):
+        word, node = word[:-1], (node - 1) % len(rep[component])
+    return BasisLabel(component, word, node)
+
+
+@pytest.mark.parametrize("reptext", ["1", "2", "12", "112", "1+12", "1112122"])
+def test_strip_edge_letters_matches_normalize_label(reptext):
+    rep = RepSpec.parse(reptext)
+    for component, cycle in enumerate(rep):
+        for node in range(len(cycle)):
+            for length in range(8):
+                for letters in itertools.product("12", repeat=length):
+                    word = "".join(letters)
+                    want = _stripped_by_edge_letter(rep, component, word, node)
+                    assert strip_edge_letters(rep, component, word, node) == want
+                    assert normalize_label(rep, component, word, node) == want
+
+
+@pytest.mark.parametrize(
+    "component, word, node, message",
+    [
+        (1, "1", 0, "component 1 out of range for 1"),
+        (1, "13", 0, "component 1 out of range for 1"),
+        (0, "13", 1, "node 1 out of range for cycle '1'"),
+        (0, "13", 0, "word '13' uses letters outside {1,2}"),
+    ],
+)
+def test_normalize_checks_ranges_before_letters(component, word, node, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        normalize_label(FOCK, component, word, node)
+    if "letters" not in message:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            strip_edge_letters(FOCK, component, word, node)
 
 
 def test_apply_gen_wedge_anchors():

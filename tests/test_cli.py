@@ -1,6 +1,8 @@
 """Command line behavior, exit codes, and output stability."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -8,12 +10,14 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cuntzrep
 from cuntzrep.basis import RepSpec
-from cuntzrep.cli import _build_parser, _parse_argv, main
+from cuntzrep.cli import _build_parser, _build_parsers, _parse_argv, main
 from cuntzrep.parsing import parse_state, vector_from_json
 from cuntzrep.suites import SUITE_NAMES
 
@@ -181,8 +185,9 @@ def test_option_the_subcommand_does_not_read_is_a_usage_error(capsys, monkeypatc
 
 _APPLY = ["apply", "--rep", "1", "--expr", "t1", "--state", "vac"]
 
-# command lines whose first word names a subcommand take the direct path;
-# the rest show that every other command line still takes the top-level one
+# well-formed command lines are read without argparse; the rest show that
+# every other command line still reads as argparse reads it, whether it
+# goes to a subcommand's parser or to the top-level one
 _ARGV_BATTERY = [
     ["apply", "--rep", "12", "--expr", "b(1)*", "--state", "vac", "--format", "json"],
     ["apply", "--rep=12", "--expr=b(1)*", "--state=vac", "--format=text", "--unicode"],
@@ -223,25 +228,124 @@ _ARGV_BATTERY = [
     ["--", "expand", "--expr", "t1"],
     [*_APPLY, "--unicode", "--format", "json"],
     ["expand", "--expr", "t1", "--format=json", "--unicode"],
+    # values argparse reads its own way: a leading "-", a space, int()'s spellings
+    ["check", "--rep", "1", "--suite", "main", "--n-max", "-1"],
+    ["check", "--rep", "1", "--suite", "main", "--n-max=-1"],
+    ["apply", "--rep", "1", "--expr", "-h", "--state", "vac"],
+    ["apply", "--rep", "1", "--expr", "t1", "--state", "-|1;0> + |2;0>"],
+    ["apply", "--rep", "1", "--expr", "t1", "--state", "-vac"],
+    ["expand", "--expr", "t1", "--depth", " 3"],
+    ["expand", "--expr", "t1", "--depth=+3"],
+    ["expand", "--expr", "t1", "--depth", "3_0"],
+    ["expand", "--expr", "t1", "--depth", "٣"],
+    [*_APPLY, "--format", "JSON"],
+    ["apply", "--rep", "", "--expr=", "--state", "vac"],
+    ["apply", "--rep=1=2", "--expr", "t1", "--state", "vac"],
+    # repeated flags (the last wins), switches, order and leftover words
+    ["apply", "--rep", "1", "--expr", "t1", "--expr=t2", "--state", "vac", "--rep", "12"],
+    [*_APPLY, "--unicode", "--unicode"],
+    [*_APPLY, "--unicode=1"],
+    [*_APPLY, "--unicode="],
+    ["list-basis", "--depth", "2", "--rep", "1"],
+    ["list-basis", "--rep", "1", "extra", "--depth", "2"],
+    ["list-basis", "--rep", "1", "--depth"],
+    ["check", "--rep", "1", "--suite"],
 ]
 
 
-def _parse_outcome(capsys, parse, *args):
+def _parse_outcome(parse, argv):
     """The Namespace a parse returns, or its exit code, stdout and stderr."""
-    try:
-        return parse(*args)
-    except SystemExit as exc:
-        captured = capsys.readouterr()
-        return exc.code, captured.out, captured.err
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parse(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("argv", _ARGV_BATTERY, ids=lambda argv: " ".join(argv) or "(none)")
-def test_direct_subcommand_parse_matches_the_top_level_parser(capsys, monkeypatch, argv):
+def test_direct_subcommand_parse_matches_the_top_level_parser(monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")  # help and usage text wrap to the terminal width
-    expected = _parse_outcome(capsys, _build_parser().parse_args, list(argv))
-    assert _parse_outcome(capsys, _parse_argv, list(argv)) == expected
+    expected = _parse_outcome(_build_parser().parse_args, list(argv))
+    assert _parse_outcome(_parse_argv, list(argv)) == expected
     monkeypatch.setattr(sys, "argv", ["cuntzrep", *argv])  # the console script's path
-    assert _parse_outcome(capsys, _parse_argv, None) == expected
+    assert _parse_outcome(_parse_argv, None) == expected
+
+
+_REQUIRED = {
+    "apply": ["--rep", "--expr", "--state"],
+    "expand": ["--expr"],
+    "check": ["--rep", "--suite"],
+    "list-basis": ["--rep"],
+}
+_FLAGS = ["--rep", "--expr", "--state", "--format", "--unicode", "--depth", "--suite", "--n-max", "--m-max"]
+_ODD_FLAGS = ["--re", "--st", "--f", "--uni", "--n", "--de", "-h", "--help", "--", "--nope"]
+_VALUES = ["1", "12", "vac", "t1", "main", "3", "text", "json"]
+_ODD_VALUES = ["-1", "--", "-h", "-|1;0> + |2;0>", " 3", "+3", "3_0", "٣", "JSON", "", "a=b"]
+
+
+@st.composite
+def _command_lines(draw):
+    """A subcommand, usually with every required option, then drawn options
+    in drawn spellings.  One option in four takes an odd value or spelling:
+    a bare flag, or leftover words after it."""
+    name = draw(st.sampled_from([*_REQUIRED, "nope", "-h"]))
+    flags = _REQUIRED.get(name, []) if draw(st.integers(0, 9)) else []
+    flags = flags + draw(st.lists(st.sampled_from(_FLAGS) | st.sampled_from(_ODD_FLAGS), max_size=4))
+    words = []
+    for flag in draw(st.permutations(flags)):
+        odd = draw(st.integers(0, 3)) == 0
+        value = draw(st.sampled_from(_ODD_VALUES if odd else _VALUES))
+        spellings = ["pair", "equals", "bare", "leftover"] if odd else ["pair", "equals"]
+        spelling = draw(st.sampled_from(["bare"] * (flag == "--unicode") + spellings))
+        if spelling == "pair":
+            words += [flag, value]
+        elif spelling == "equals":
+            words.append(f"{flag}={value}")
+        elif spelling == "bare":
+            words.append(flag)
+        else:
+            words += [flag, value, draw(st.sampled_from(["extra", "--unicode=1", *_ODD_VALUES]))]
+    return [name, *words]
+
+
+@settings(max_examples=600, deadline=None)
+@given(_command_lines())
+def test_reader_matches_argparse_on_drawn_command_lines(argv):
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        expected = _parse_outcome(_build_parser().parse_args, list(argv))
+        assert _parse_outcome(_parse_argv, list(argv)) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply", "--rep=12", "--expr=b(1)*", "--state=vac"],
+        ["expand", "--expr", "a(2)", "--depth", "3", "--unicode"],
+        ["check", "--rep", "1", "--suite", "cuntz", "--n-max=1", "--m-max", "1", "--depth", "1"],
+        ["list-basis", "--rep", "12", "--depth", "1", "--format", "json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_well_formed_command_line_runs_without_building_argparse(capsys, argv):
+    _build_parsers.cache_clear()
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert _build_parsers.cache_info().currsize == 0
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # 295 KB of labels: the writer meets the closed pipe long before the end
+    env = dict(os.environ, PYTHONPATH=str(Path(cuntzrep.__file__).parents[1]))
+    cmd = [sys.executable, "-m", "cuntzrep", "list-basis", "--rep", "1", "--depth", "14"]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.read(10) == b"vac\n|2;0>\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=10)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (141, b"")
 
 
 @pytest.mark.parametrize(
