@@ -31,8 +31,9 @@ and a label that a shared factor annihilates prunes every chain below it;
 drop a zero.  Each edge holds its factor's entry, resolved when the plan is
 built: a word-slice step for t_i, t_i* and s_n, the LRU cache
 (``KERNEL_CACHE_SIZE`` entries, keyed on the label) for every other named
-node, its own plan for a sum inside a product and the argument of rho or
-zeta.  ``apply(e, v)`` is the one-side case: it builds its plan on each
+node, as each ``_ENTRIES`` row flags it, its own plan for a sum inside a
+product and the argument of rho or zeta.  ``apply(e, v)`` is the one-side
+case: it builds its plan on each
 call, so a loop that applies the same expressions many times builds their
 plan once itself, as a suite table does, its sides the table's expressions.
 ``kernel_cache_clear``, called by ``cli.main`` on entry, empties the cache,
@@ -49,10 +50,13 @@ each (``_tower``), with no state.  a_n flips letter n in place when it lies
 in the word short of its last letter, and a tower rewrites its blocks in
 place when block n ends in the word, each by one slice-and-join on the same
 node; otherwise ``_prepend`` puts the letters back on and strips those that
-walk the cycle back.  The oracles use only the vector-level letter steps
-``states.apply_letter*``, which no kernel entry takes, never a plan, the
-cache or a word-slice step, and the series oracle takes its weights from
-``RadicalScalar.sqrt_int``, not from the memoised ``scalars.sqrt_int``.
+walk the cycle back.  When letter n lies past the word, a_n reads that one
+letter from the cycle first, and a label that it annihilates is rejected
+there, before the other n - 1 letters are peeled.  The oracles use only the
+vector-level letter steps ``states.apply_letter*``, which no kernel entry
+takes, never a plan, the cache or a word-slice step, and the series oracle
+takes its weights from ``RadicalScalar.sqrt_int``, not from the memoised
+``scalars.sqrt_int``.
 """
 
 from __future__ import annotations
@@ -503,9 +507,14 @@ def _fermion(e: Fermion, rep: RepSpec, x: BasisLabel, flip: str = "1") -> Terms:
     t2 t1*) reads n letters.  The last must not be ``flip`` and becomes it,
     and each 2 among the others flips the sign.  Letter n inside the word,
     short of its last letter, is flipped in place; else the n letters are
-    peeled and go back on at once."""
-    n = e.n
-    letters, rest = (x.word, None) if n < len(x.word) else _peel(rep, x, n)
+    peeled and go back on at once, unless letter n lies past the word and
+    is already ``flip``: that one cycle letter is all the step reads."""
+    n, k = e.n, e.n - len(x.word)
+    if k > 0:  # letter n lies on the cycle: read it alone, and peel only if it passes
+        cycle = rep[x.component]
+        if cycle[(x.node + k - 1) % len(cycle)] == flip:
+            return ()
+    letters, rest = (x.word, None) if k < 0 else _peel(rep, x, n)
     if letters[n - 1] == flip:
         return ()
     sign = MINUS_ONE if letters.count("2", 0, n - 1) % 2 else ONE
@@ -564,20 +573,23 @@ def _zeta(plan: list, rep: RepSpec, x: BasisLabel) -> Terms:
     return tuple((_prepend(rep, z, letter), -c if letter == "2" else c) for z, c in images)
 
 
-# Node type -> (forward entry, adjoint entry); an entry maps (node, rep,
-# label) to the image terms of the node, or of its adjoint.  The rho towers
-# move at most two s-blocks (see ``_tower``): b_n takes a 2 off block n, b_n*
-# puts one on, F_n moves one from block n to block 1, F_n* from block 1 to
-# block n, and F_1, self-adjoint, moves one from block 1 to itself.
-_ENTRIES: dict[type, tuple[Callable[..., Terms], Callable[..., Terms]]] = {
-    Gen: (lambda e, rep, x: ((_prepend(rep, x, str(e.letter)), ONE),), _gen_adj),
-    Iso: (lambda e, rep, x: ((_up(rep, x, e.n), ONE),), _iso_adj),
-    Fermion: (_fermion, lambda e, rep, x: _fermion(e, rep, x, "2")),
-    Boson: (lambda e, rep, x: _tower(rep, x, e.n, -1), lambda e, rep, x: _tower(rep, x, e.n, 1)),
-    ShiftSeries: (lambda e, rep, x: _one(_y(rep, x)), lambda e, rep, x: _one(_y_adj(rep, x))),
+# Node type -> (forward entry, adjoint entry, cached); an entry maps (node,
+# rep, label) to the image terms of the node, or of its adjoint, and
+# cached[star] says whether that entry goes through the per-label cache: t_i,
+# t_i* and s_n cost less than a lookup.  The rho towers move at most two
+# s-blocks (see ``_tower``): b_n takes a 2 off block n, b_n* puts one on, F_n
+# moves one from block n to block 1, F_n* from block 1 to block n, and F_1,
+# self-adjoint, moves one from block 1 to itself.
+_ENTRIES: dict[type, tuple[Callable[..., Terms], Callable[..., Terms], tuple[bool, bool]]] = {
+    Gen: (lambda e, rep, x: ((_prepend(rep, x, str(e.letter)), ONE),), _gen_adj, (False, False)),
+    Iso: (lambda e, rep, x: ((_up(rep, x, e.n), ONE),), _iso_adj, (False, True)),
+    Fermion: (_fermion, lambda e, rep, x: _fermion(e, rep, x, "2"), (True, True)),
+    Boson: (lambda e, rep, x: _tower(rep, x, e.n, -1), lambda e, rep, x: _tower(rep, x, e.n, 1), (True, True)),
+    ShiftSeries: (lambda e, rep, x: _one(_y(rep, x)), lambda e, rep, x: _one(_y_adj(rep, x)), (True, True)),
     Cluster: (
         lambda e, rep, x: _tower(rep, x, e.n, -1, 1),
         lambda e, rep, x: _tower(rep, x, e.n, 1, -1) if e.n > 1 else _tower(rep, x, 1, -1, 1),
+        (True, True),
     ),
 }
 
@@ -589,18 +601,15 @@ def _act_cached(entry: Callable[..., Terms], e: OperatorExpr, rep: RepSpec, x: B
 
 def _step(e: OperatorExpr) -> Callable[[RepSpec, BasisLabel], Terms]:
     """The entry of one factor, resolved once, as a function of (rep, label):
-    a table entry, through the per-label cache but for t_i, t_i* and s_n;
+    a table entry, through the per-label cache where its row says so;
     rho and zeta around their argument's plan; a sum, a product or a star
     that adjoint() rewrites inside a product as its own plan."""
     star = type(e) is Adj
     node = e.arg if star else e
     kind = type(node)
     if kind in _ENTRIES:
-        entry = _ENTRIES[kind][star]
-        # t_i, t_i* and s_n cost less than a lookup
-        if kind is Gen or kind is Iso and not star:
-            return partial(entry, node)
-        return partial(_act_cached, entry, node)
+        entry, cached = _ENTRIES[kind][star], _ENTRIES[kind][2][star]
+        return partial(_act_cached, entry, node) if cached else partial(entry, node)
     if kind is Rho or kind is Zeta:
         arg = adjoint(node.arg) if star else node.arg
         return partial(_rho if kind is Rho else _zeta, _build((arg,)))

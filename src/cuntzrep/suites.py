@@ -5,15 +5,17 @@ All comparisons are exact scalar equality.  A suite never raises on a failed
 identity; it records the input vector and both sides so the case can be
 replayed through the CLI `apply` command.
 
-Tables.  A suite is a table of ``(identity, left, right)`` rows, built
-once per run.  A side is an operator expression: sums are written with
-``lincomb`` and compositions with ``prod``.  ``CheckReport.run`` takes the
-table as groups of rows, lowers all its expression sides into one plan, and
-runs each sample through that plan once; the groups fix the case order:
-group, then sample, then row.  A side may also be a literal
-``StateVector``, the expected ket itself.  Each side is resolved once per
-table to a reader, an index into a sample's side values, so a case is two
-list reads and one compare.
+Tables.  A suite is a table of ``(identity, left, right)`` rows, built once
+per run; the ``closedforms`` series and the pair relations build each
+factor node once per run too, shared by the rows and terms that use it.  A
+side is an operator expression: sums are written with ``lincomb`` and
+compositions with ``prod``.  ``CheckReport.run`` takes the table as groups
+of rows, lowers all its expression sides into one plan, and runs each
+sample through that plan once; the groups fix the case order: group, then
+sample, then row.  A side may also be a literal ``StateVector``, the
+expected ket itself.  Each side is resolved once per table to a reader, an
+index into a sample's side values, so a case is two list reads and one
+compare.
 
 Bounds.  The infinite sums are cut off at two bounds fixed by the
 representation and the depth alone (``_bounds``), with L the longest
@@ -52,7 +54,6 @@ from .operators import (
     OperatorExpr,
     _build,
     _iso_letters,
-    _occupied,
     _walk,
     adj,
     apply,
@@ -267,15 +268,17 @@ def _pair_relations(
     and without stars, for 1 <= n <= n_max, 1 <= m <= m_max."""
     op, c = ("+", ONE) if sign > 0 else ("-", MINUS_ONE)
     groups = []
+    # each member and its adjoint once, shared by every pair
+    x = {k: family(k) for k in range(1, max(n_max, m_max) + 1)}
+    star = {k: adj(xk) for k, xk in x.items()}
     for n in range(1, n_max + 1):
         for m in range(1, m_max + 1):
-            xn, xm = family(n), family(m)
             a, b = f"{name}({n})", f"{name}({m})"
             word, want = _delta(n == m)
             groups.append((
-                (f"{a}{b}* {op} {b}*{a} = {word}", _anti(xn, adj(xm), c), want),
-                (f"{a}{b} {op} {b}{a} = 0", _anti(xn, xm, c), _ZERO),
-                (f"{a}*{b}* {op} {b}*{a}* = 0", _anti(adj(xn), adj(xm), c), _ZERO),
+                (f"{a}{b}* {op} {b}*{a} = {word}", _anti(x[n], star[m], c), want),
+                (f"{a}{b} {op} {b}{a} = 0", _anti(x[n], x[m], c), _ZERO),
+                (f"{a}*{b}* {op} {b}*{a}* = 0", _anti(star[n], star[m], c), _ZERO),
             ))
     return groups
 
@@ -483,34 +486,29 @@ def _main(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: int)
 def _closedforms(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: int) -> None:
     support, words = _bounds(rep, depth)
     span = range(1, words + 1)
-    first = (
-        (sqrt_int(n), prod(*_occupied(range(1, n + 1)), fermion(n + 1), adj(fermion(n + 1))))
-        for n in span
-    )
+    # Every factor is built once per run and shared by the terms: occ[2j - 2]
+    # is a(j)* and occ[2j - 1] is a(j), so occ[2i - 2 : 2j - 2] is the pairs
+    # a(i)* a(i) ... a(j-1)* a(j-1); w[l] is W(l).
+    occ = [f for a in map(fermion, range(1, 2 * words + 2)) for f in (adj(a), a)]
+    w = [range_proj(l) for l in range(support + 1)]
+    # pairs 1..n, then a(n+1) a(n+1)*
+    first = ((sqrt_int(n), prod(*occ[: 2 * n], occ[2 * n + 1], occ[2 * n])) for n in span)
+    # k = n + m: pairs 1..n-1, a(n)* a(n+1), pairs n+2..k, then a(k+1) a(k+1)*
     second = (
-        (
-            sqrt_int(m),
-            prod(
-                *_occupied(range(1, n)),
-                adj(fermion(n)),
-                fermion(n + 1),
-                *_occupied(range(n + 2, n + m + 1)),
-                fermion(n + m + 1),
-                adj(fermion(n + m + 1)),
-            ),
-        )
+        (sqrt_int(k - n), prod(*occ[: 2 * n - 1], occ[2 * n + 1], *occ[2 * n + 2 : 2 * k], occ[2 * k + 1], occ[2 * k]))
         for n in span
-        for m in span
+        for k in range(n + 1, n + words + 1)
     )
     rows: list[Row] = [
         ("F(1) = weighted occupation series", cluster(1), lincomb(*first)),
         ("F(2) = weighted double occupation series", cluster(2), lincomb(*second)),
     ]
     for m in range(1, min(3, n_max) + 1):
-        terms = []
-        for l in range(support + 1):
-            top, occupied = fermion(m + l + 2), _occupied(range(l + 2, l + m + 2))
-            terms.append((ONE, prod(top, adj(top), *occupied, range_proj(l))))
+        # a(m+l+2) a(m+l+2)*, pairs l+2..l+m+1, then W(l)
+        terms = [
+            (ONE, prod(occ[2 * (m + l) + 3], occ[2 * (m + l) + 2], *occ[2 * l + 2 : 2 * (l + m) + 2], w[l]))
+            for l in range(support + 1)
+        ]
         rows.append((f"rho(W({m})) = occupation expansion", rho(range_proj(m)), lincomb(*terms)))
     report.run(_samples(rep, depth), [rows])
 

@@ -989,6 +989,35 @@ def test_fermion_entries_near_the_word_bound_match_letter_steps(label, n):
         assert got == _outcome(_stepwise_fermion, rep, x, n, flip), (rep, x, n, flip)
 
 
+@pytest.mark.parametrize("text, component", [("2", 0), ("21", 0), ("1+12", 1), ("1122", 0)])
+def test_fermion_entries_reject_on_letter_n_at_the_edges_of_the_word(monkeypatch, text, component):
+    # letter n is the word's last letter (n = |word|), the first cycle letter
+    # (|word| + 1) or the cycle letter one period on (|word| + L); past the
+    # word, a label that letter n annihilates is rejected before any peel
+    rep = RepSpec.parse(text)
+    period = len(rep[component])
+    peels, peel = [], operators._peel
+    monkeypatch.setattr(operators, "_peel", lambda *args: peels.append(args) or peel(*args))
+    forms, rejected = {}, 0
+    for x in enumerate_basis(rep, 4):
+        if x.component != component:
+            continue
+        v = StateVector.basis(rep, x)
+        for n in sorted({len(x.word), len(x.word) + 1, len(x.word) + period} - {0}):
+            for flip, e in (("1", fermion(n)), ("2", adjoint(fermion(n)))):
+                peels.clear()
+                got = operators._fermion(fermion(n), rep, x, flip)
+                assert got == _stepwise_fermion(rep, x, n, flip), (x, n, flip)
+                if not got and n > len(x.word):
+                    assert not peels, (x, n, flip)
+                    rejected += 1
+                if e not in forms:
+                    forms[e] = poly_normal_form(e)
+                assert apply(e, v) == apply_normal_form(forms[e], v), (x, e)
+    assert rejected
+    kernel_cache_clear()
+
+
 @settings(max_examples=200, deadline=None)
 @given(_step_labels(), st.integers(1, 6))
 def test_tower_entries_match_their_references(label, n):

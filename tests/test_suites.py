@@ -6,9 +6,25 @@ import pytest
 
 from cuntzrep import operators, suites
 from cuntzrep.basis import BasisLabel, RepSpec
-from cuntzrep.operators import _support_bound, adj, apply, boson, cluster, gen, prod, s_star_support
+from cuntzrep.operators import (
+    OperatorExpr,
+    _chains,
+    _occupied,
+    _support_bound,
+    adj,
+    apply,
+    boson,
+    cluster,
+    fermion,
+    gen,
+    lincomb,
+    prod,
+    range_proj,
+    rho,
+    s_star_support,
+)
 from cuntzrep.parsing import serialize_vector
-from cuntzrep.scalars import RadicalScalar
+from cuntzrep.scalars import ONE, RadicalScalar, sqrt_int
 from cuntzrep.states import StateVector
 from cuntzrep.suites import (
     _MAX_FOCK_WORDS,
@@ -163,6 +179,87 @@ def test_closedforms_builds_its_table_once_per_run(monkeypatch):
     assert single["prod"] > 0 and single["fermion"] > 0
     assert single == double
     assert double_cases > single_cases
+
+
+def _closedforms_per_term(rep, n_max, depth):
+    """The closedforms rows as every term once spelled them, each building
+    its own factors through _occupied and fermion()."""
+    support, words = suites._bounds(rep, depth)
+    span = range(1, words + 1)
+    first = (
+        (sqrt_int(n), prod(*_occupied(range(1, n + 1)), fermion(n + 1), adj(fermion(n + 1))))
+        for n in span
+    )
+    second = (
+        (
+            sqrt_int(m),
+            prod(
+                *_occupied(range(1, n)),
+                adj(fermion(n)),
+                fermion(n + 1),
+                *_occupied(range(n + 2, n + m + 1)),
+                fermion(n + m + 1),
+                adj(fermion(n + m + 1)),
+            ),
+        )
+        for n in span
+        for m in span
+    )
+    rows = [
+        ("F(1) = weighted occupation series", cluster(1), lincomb(*first)),
+        ("F(2) = weighted double occupation series", cluster(2), lincomb(*second)),
+    ]
+    for m in range(1, min(3, n_max) + 1):
+        terms = []
+        for l in range(support + 1):
+            top, occupied = fermion(m + l + 2), _occupied(range(l + 2, l + m + 2))
+            terms.append((ONE, prod(top, adj(top), *occupied, range_proj(l))))
+        rows.append((f"rho(W({m})) = occupation expansion", rho(range_proj(m)), lincomb(*terms)))
+    return rows
+
+
+class _TableRecorder(CheckReport):
+    """Keeps the groups a suite body hands to run, and runs none of them."""
+
+    def run(self, samples, groups):
+        self.groups = [list(group) for group in groups]
+
+
+def _table(suite, rep, n_max, m_max, depth):
+    report = _TableRecorder(suite, str(rep), {})
+    getattr(suites, f"_{suite}")(report, rep, n_max, m_max, depth)
+    return report.groups
+
+
+def _factors(groups):
+    """Every factor of every chain of every expression side, as the plan sees them."""
+    for group in groups:
+        for _, *sides in group:
+            for side in sides:
+                if isinstance(side, OperatorExpr):
+                    for _, chain in _chains(side, ONE):
+                        yield from chain
+
+
+def _assert_each_factor_is_one_object(groups):
+    first = {}
+    for f in _factors(groups):
+        assert first.setdefault(f, f) is f, f
+
+
+@pytest.mark.parametrize("depth", [3, 4, 5])
+@pytest.mark.parametrize("rep", ["1", "12", "112", "1+12", "1112122"])
+def test_closedforms_shares_its_factors_and_keeps_the_per_term_table(rep, depth):
+    rep = RepSpec.parse(rep)
+    groups = _table("closedforms", rep, 4, 4, depth)
+    assert groups == [_closedforms_per_term(rep, 4, depth)]
+    _assert_each_factor_is_one_object(groups)
+
+
+def test_pair_relations_share_each_member_and_its_adjoint():
+    groups = _table("car", WEDGE, 4, 3, 2)
+    _assert_each_factor_is_one_object(groups)
+    assert len({id(f) for f in _factors(groups)}) == 8  # a(1..4) and their adjoints
 
 
 @pytest.mark.parametrize("suite", ["wfamily", "lemma23"])
