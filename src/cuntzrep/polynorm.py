@@ -10,6 +10,12 @@ brings all left words to one common length.  Two polynomial expressions are
 equal in the algebra exactly when these refined term lists coincide, so the
 refined, merged, sorted list is a normal form and equality is decidable.
 
+One call of ``monomials`` lowers each distinct subexpression once, into a
+memo that lives for that call only: a(n) is zeta of the memoised a(n-1),
+the paper's recursion read literally, and a(n) a(n)* + a(n)* a(n) lowers
+a(n) once, not four times.  The memo's lists are shared, so none is ever
+changed in place.
+
 A product is lowered factor by factor.  A pair (t_u1 t_v1*)(t_u2 t_v2*)
 survives only when one of v1 and u2 is a prefix of the other, so each
 factor's monomials are indexed by their left words and an accumulated
@@ -19,7 +25,9 @@ words have, and its exact words are probed only at the lengths the factor
 has: in a fermion product every word has one length, so one prefix per
 monomial is indexed and one lookup made.  Coefficients are multiplied only
 for pairs that survive, never by ONE, and the product lists its monomials
-in the same order a pairwise double loop would.  No monomial list,
+in the same order a pairwise double loop would.  Unit signs stay the shared
+ONE and MINUS_ONE: a product of two is picked, not multiplied, and the
+merge cancels ONE against MINUS_ONE without an addition.  No monomial list,
 unmerged or refined, grows past ``_MAX_MONOMIALS`` terms: each is sized
 before it is built, and a longer one is a PolynomialError.
 
@@ -119,10 +127,12 @@ def _compose(acc: list[Monomial], factor: list[Monomial]) -> list[Monomial]:
                     break
                 hits.extend(by_word.get(v1[:k], ()))
             hits.sort()
-        _check_size(len(out) + len(hits))
+        if len(out) + len(hits) > _MAX_MONOMIALS:
+            _check_size(len(out) + len(hits))
         for i in hits:
             c2, u2, v2 = factor[i]
-            c = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
+            # a product of unit signs is picked, not multiplied: -1 * -1 is the shared ONE
+            c = c2 if c1 is ONE else c1 if c2 is ONE else ONE if c1 is c2 is MINUS_ONE else c1 * c2
             if len(u2) >= n:
                 out.append((c, u1 + u2[n:], v2))
             else:
@@ -142,51 +152,57 @@ def _zeta(inner: list[Monomial]) -> list[Monomial]:
     return out
 
 
-def _fermion_monomials(n: int) -> list[Monomial]:
-    """a(n) by the recursion a(k+1) = zeta(a(k)) from a(1) = t1 t2*; the
-    words come out in lexicographic order."""
-    if n > FERMION_CAP:
-        raise PolynomialError(
-            f"a({n}) expands to 2^{n - 1} monomials, beyond the cap of a({FERMION_CAP})"
-        )
-    out: list[Monomial] = [(ONE, "1", "2")]
-    for _ in range(n - 1):
-        out = _zeta(out)
-    return out
-
-
 def monomials(e: OperatorExpr) -> list[Monomial]:
     """Lower a polynomial expression to reduced monomials (unmerged)."""
+    return _lower(e, {})
+
+
+def _lower(e: OperatorExpr, memo: dict[OperatorExpr, list[Monomial]]) -> list[Monomial]:
+    """``monomials(e)``, each distinct subexpression lowered once into
+    ``memo``, which lives for one call.  Its lists are shared, so none is
+    ever mutated."""
+    out = memo.get(e)
+    if out is not None:
+        return out
     if isinstance(e, Gen):
-        return [(ONE, str(e.letter), "")]
-    if isinstance(e, Adj):
-        return [(c, v, u) for c, u, v in monomials(e.arg)]
-    if isinstance(e, Prod):
+        out = [(ONE, str(e.letter), "")]
+    elif isinstance(e, Adj):
+        out = [(c, v, u) for c, u, v in _lower(e.arg, memo)]
+    elif isinstance(e, Prod):
         if not e.factors:  # the identity
-            return [(ONE, "", "")]
-        acc = monomials(e.factors[0])
-        for f in e.factors[1:]:
-            if not acc:
-                break
-            acc = _compose(acc, monomials(f))
-        return acc
-    if isinstance(e, LinComb):
-        out: list[Monomial] = []
+            out = [(ONE, "", "")]
+        else:
+            out = _lower(e.factors[0], memo)
+            for f in e.factors[1:]:
+                if not out:
+                    break
+                out = _compose(out, _lower(f, memo))
+    elif isinstance(e, LinComb):
+        out = []
         for c, x in e.parts:
-            part = monomials(x)
+            part = _lower(x, memo)
             _check_size(len(out) + len(part))
             out.extend(part if c is ONE else [(c * c2, u, v) for c2, u, v in part])
-        return out
-    if isinstance(e, Iso):
-        return [(ONE, "2" * (e.n - 1) + "1", "")]
-    if isinstance(e, Fermion):
-        return _fermion_monomials(e.n)
-    if isinstance(e, Zeta):
-        return _zeta(monomials(e.arg))
-    if isinstance(e, (Boson, Cluster, ShiftSeries, Rho)):
+    elif isinstance(e, Iso):
+        out = [(ONE, "2" * (e.n - 1) + "1", "")]
+    elif isinstance(e, Fermion):
+        # a(1) = t1 t2* and a(n) is the node zeta(a(n-1)), so an explicit
+        # zeta(a(n-1)) shares its lowering; the words come out in
+        # lexicographic order
+        if e.n > FERMION_CAP:
+            raise PolynomialError(
+                f"a({e.n}) expands to 2^{e.n - 1} monomials, beyond the cap of a({FERMION_CAP})"
+            )
+        out = [(ONE, "1", "2")] if e.n == 1 else _lower(Zeta(Fermion(e.n - 1)), memo)
+    elif isinstance(e, Zeta):
+        out = _zeta(_lower(e.arg, memo))
+    elif isinstance(e, (Boson, Cluster, ShiftSeries, Rho)):
         text = e.token + ("(...)" if isinstance(e, Rho) else f"({e.n})" if e.fields else "")
         raise PolynomialError(f"{text} is a series operator; it has no polynomial normal form")
-    raise TypeError(f"not an operator expression: {e!r}")
+    else:
+        raise TypeError(f"not an operator expression: {e!r}")
+    memo[e] = out
+    return out
 
 
 def _merge(terms: list[Monomial]) -> dict[tuple[str, str], RadicalScalar]:

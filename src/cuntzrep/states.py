@@ -29,12 +29,18 @@ def merge_terms(
     pairs: Iterable[tuple[Hashable, RadicalScalar]], acc: dict | None = None
 ) -> dict[Hashable, RadicalScalar]:
     """Add (key, scalar) pairs per key into acc, a new dict by default, and
-    drop each key whose total is zero; every exact sparse sum is this one."""
+    drop each key whose total is zero; every exact sparse sum is this one.
+    The shared ONE and MINUS_ONE cancel without an addition."""
     if acc is None:
         acc = {}
     for key, c in pairs:
         total = acc.pop(key, None)
-        total = c if total is None else total + c
+        if total is None:
+            total = c
+        elif total is ONE and c is MINUS_ONE or total is MINUS_ONE and c is ONE:
+            continue
+        else:
+            total = total + c
         if total:
             acc[key] = total
     return acc

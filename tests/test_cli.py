@@ -45,10 +45,11 @@ def test_readme_lists_command_examples():
     assert len(_readme_examples()) >= 5
 
 
-# the README's examples, and two more
+# the README's examples, and three more; a zero coefficient leaves no term
 _DOCUMENTED = _readme_examples() + [
     (["apply", "--rep", "1", "--expr", "I", "--state", "vac"], "vac\n"),
     (["expand", "--expr", "t1* t1"], "I\n"),
+    (["expand", "--expr", "0 I"], "0\n"),
 ]
 
 

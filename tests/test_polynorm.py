@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cuntzrep import polynorm
 from cuntzrep.basis import BasisLabel, RepSpec, enumerate_basis
 from cuntzrep.operators import (
     Adj,
@@ -40,7 +41,7 @@ from cuntzrep.polynorm import (
     poly_normal_form,
     render_monomials,
 )
-from cuntzrep.scalars import ONE, RadicalScalar, sqrt_int
+from cuntzrep.scalars import MINUS_ONE, ONE, RadicalScalar, sqrt_int
 from cuntzrep.states import StateVector
 
 FOCK = RepSpec.parse("1")
@@ -116,8 +117,41 @@ def test_series_operators_have_no_normal_form():
 
 def test_fermion_cap_guards_expansion():
     monomials(fermion(FERMION_CAP))  # at the cap still fine
-    with pytest.raises(PolynomialError):
+    message = f"a({FERMION_CAP + 1}) expands to 2^{FERMION_CAP} monomials, beyond the cap of a({FERMION_CAP})"
+    with pytest.raises(PolynomialError) as err:
         monomials(fermion(FERMION_CAP + 1))
+    assert str(err.value) == message
+
+
+_A9 = fermion(9)
+
+
+@pytest.mark.parametrize(
+    "e, want",
+    [
+        (lincomb((ONE, prod(_A9, adjoint(_A9))), (ONE, prod(adjoint(_A9), _A9))), [(ONE, "", "")]),
+        (lincomb((ONE, _A9), (MINUS_ONE, zeta(fermion(8)))), []),
+    ],
+)
+def test_each_fermion_is_lowered_once_per_call(monkeypatch, e, want):
+    # a(9) is zeta applied 8 times to a(1); a(9)*, the second product and
+    # an explicit zeta(a(8)) read the same lowerings back
+    steps, zeta_step = [], polynorm._zeta
+
+    def counted(inner):
+        steps.append(len(inner))
+        return zeta_step(inner)
+
+    monkeypatch.setattr(polynorm, "_zeta", counted)
+    assert collapse(poly_normal_form(e).terms) == want
+    assert steps == [2**k for k in range(8)]
+
+
+def test_unit_signs_stay_the_shared_objects():
+    terms = monomials(prod(fermion(3), adjoint(fermion(3))))
+    # -1 * -1 for the words with one 2, so every product is a unit sign
+    assert len(terms) == 4
+    assert all(c is ONE or c is MINUS_ONE for c, _, _ in terms)
 
 
 def test_apply_normal_form_matches_direct_evaluation():
@@ -207,7 +241,7 @@ _atoms = st.one_of(
     st.integers(0, 3).map(range_proj),
     st.integers(1, 3).map(partial_shift).flatmap(_starred),
 )
-_trees = st.recursive(
+_distinct_trees = st.recursive(
     _atoms,
     lambda inner: st.one_of(
         st.lists(inner, min_size=2, max_size=4).map(lambda fs: prod(*fs)),
@@ -215,6 +249,14 @@ _trees = st.recursive(
         inner.map(zeta),
     ),
     max_leaves=6,
+)
+# and trees that use one subexpression twice, so the second use reads the
+# first's lowering; once only, as a nest of them outgrows _MAX_MONOMIALS
+_trees = st.one_of(
+    _distinct_trees,
+    _distinct_trees.map(lambda x: prod(x, x)),
+    st.tuples(_COEFFS, _COEFFS, _distinct_trees).map(lambda t: lincomb((t[0], t[2]), (t[1], t[2]))),
+    _distinct_trees.map(lambda x: prod(zeta(x), x)),
 )
 
 
@@ -232,6 +274,11 @@ _trees = st.recursive(
 @example(prod(adjoint(iso(3)), iso(1), adjoint(fermion(2))))
 def test_indexed_product_matches_pairwise_reference(e):
     assert monomials(e) == _pairwise_monomials(e)
+    # every shared list of the memo still holds its own subexpression's lowering
+    memo = {}
+    polynorm._lower(e, memo)
+    for x, lowered in memo.items():
+        assert lowered == _pairwise_monomials(x), x
 
 
 @pytest.mark.parametrize("n", range(1, 13))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cuntzrep.basis import BasisLabel, RepSpec, enumerate_basis
-from cuntzrep.scalars import ONE, ZERO, RadicalScalar, sqrt_int
+from cuntzrep.scalars import MINUS_ONE, ONE, ZERO, RadicalScalar, sqrt_int
 from cuntzrep.states import RepMismatchError, StateVector, merge_terms
 from test_scalars import scalars
 
@@ -156,3 +156,17 @@ def test_merge_terms_is_the_exact_sparse_sum(drawn, split):
     assert merge_terms(permuted) == merged
     # summing on into a dict already holding a prefix's sum
     assert merge_terms(pairs[split:], merge_terms(pairs[:split])) == merged
+
+
+def test_merge_terms_cancels_the_shared_unit_signs_without_an_addition(monkeypatch):
+    def no_addition(a, b):
+        raise AssertionError(f"{a} + {b} was added")
+
+    monkeypatch.setattr(RadicalScalar, "__add__", no_addition)
+    assert merge_terms([("u", ONE), ("u", MINUS_ONE), ("v", MINUS_ONE), ("v", ONE)]) == {}
+    assert merge_terms([("u", MINUS_ONE)], {"u": ONE}) == {}
+
+
+def test_merge_terms_drops_a_lone_zero():
+    assert merge_terms([("u", ZERO), ("v", ONE)]) == {"v": ONE}
+    assert merge_terms([("u", RadicalScalar.from_rational(0))]) == {}

@@ -262,6 +262,17 @@ def test_pair_relations_share_each_member_and_its_adjoint():
     assert len({id(f) for f in _factors(groups)}) == 8  # a(1..4) and their adjoints
 
 
+@pytest.mark.parametrize("rep", ["1", "12", "1112122"])
+@pytest.mark.parametrize("suite", ["rho", "lemma23"])
+def test_rho_and_lemma23_share_each_factor(monkeypatch, suite, rep):
+    # X(n), W(n), s(n) and rho(t2*) recur across rows, and the fermions across terms
+    rep = RepSpec.parse(rep)
+    groups = _table(suite, rep, 4, 4, 3)
+    _assert_each_factor_is_one_object(groups)
+    monkeypatch.setattr(suites, "_shared", lambda rows: rows)
+    assert _table(suite, rep, 4, 4, 3) == groups
+
+
 @pytest.mark.parametrize("suite", ["wfamily", "lemma23"])
 def test_definitions_are_lowered_into_one_plan_per_run(monkeypatch, suite):
     # a plan per definition would be built again for every sample once
