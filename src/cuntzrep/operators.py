@@ -33,30 +33,31 @@ built: a word-slice step for t_i, t_i* and s_n, the LRU cache
 (``KERNEL_CACHE_SIZE`` entries, keyed on the label) for every other named
 node, as each ``_ENTRIES`` row flags it, its own plan for a sum inside a
 product and the argument of rho or zeta.  ``apply(e, v)`` is the one-side
-case: it builds its plan on each
-call, so a loop that applies the same expressions many times builds their
-plan once itself, as a suite table does, its sides the table's expressions.
-``kernel_cache_clear``, called by ``cli.main`` on entry, empties the cache,
-whose hits, misses and size ``kernel_cache_info`` reports.  ``apply`` walks
-v's terms unsorted and hands the merged dict to ``StateVector._trusted`` as
-it is.
+case: it builds its plan on each call, so a loop that applies the same
+expressions many times builds their plan once itself, as a suite table
+does, its sides the table's expressions.  ``kernel_cache_clear``, called by
+``cli.main`` on entry, empties the cache, whose hits, misses and size
+``kernel_cache_info`` reports.  ``apply`` walks v's terms unsorted and
+hands the merged dict to ``StateVector._trusted`` as it is.
 
-Exactly one of t1*, t2* survives on a label, so each family is a loop of
-word-slice steps (``_down``, ``_peel``, ``_prepend``), with forward and
-adjoint entries in one table, and each entry writes its image in one edit.
-A label's letters split into s-blocks, runs 2^(m-1) 1, and a rho tower
-moves at most two of them: b_n, F_n and their adjoints are one closed form
-each (``_tower``), with no state.  a_n flips letter n in place when it lies
-in the word short of its last letter, and a tower rewrites its blocks in
-place when block n ends in the word, each by one slice-and-join on the same
-node; otherwise ``_prepend`` puts the letters back on and strips those that
-walk the cycle back.  When letter n lies past the word, a_n reads that one
-letter from the cycle first, and a label that it annihilates is rejected
-there, before the other n - 1 letters are peeled.  The oracles use only the
-vector-level letter steps ``states.apply_letter*``, which no kernel entry
-takes, never a plan, the cache or a word-slice step, and the series oracle
-takes its weights from ``RadicalScalar.sqrt_int``, not from the memoised
-``scalars.sqrt_int``.
+Exactly one of t1*, t2* survives on a label, so a label reads as one letter
+sequence: its word, then the cycle walk from its node.  Three word-slice
+readers do all the kernel's reading past the word: ``_peel`` takes the next
+k letters, ``_through`` counts those up to the t-th 1, whole cycle periods
+at a time, and ``_prepend`` puts letters back on.  Forward and adjoint
+entries share one table, and each writes its image in one edit.  A label's
+letters split into s-blocks, runs 2^(m-1) 1, and a rho tower moves at most
+two of them: b_n, F_n and their adjoints are one closed form each
+(``_tower``), with no state.  a_n flips letter n in place when it lies in
+the word short of its last letter, and a tower rewrites its blocks in place
+when block n ends in the word, each by one slice-and-join on the same node;
+otherwise ``_prepend`` puts the letters back on.  When letter n lies past
+the word, a_n reads that one letter from the cycle first, and a label that
+it annihilates is rejected there, before the other n - 1 letters are peeled.
+The oracles use only the vector-level letter steps ``states.apply_letter*``,
+which no kernel entry takes, never a plan, the cache or a word-slice step,
+and the series oracle takes its weights from ``RadicalScalar.sqrt_int``, not
+from the memoised ``scalars.sqrt_int``.
 """
 
 from __future__ import annotations
@@ -442,7 +443,7 @@ def _peel(rep: RepSpec, x: BasisLabel, n: int = 1) -> tuple[str, BasisLabel]:
         return word[:n], _tuple_new(BasisLabel, (x.component, word[n:], x.node))
     cycle = rep[x.component]
     k = n - len(word)
-    walk = (cycle[x.node :] + cycle * (k // len(cycle) + 1))[:k]
+    walk = (cycle * (k // len(cycle) + 2))[x.node : x.node + k]
     return word + walk, _tuple_new(BasisLabel, (x.component, "", (x.node + k) % len(cycle)))
 
 
@@ -455,24 +456,32 @@ def _up(rep: RepSpec, x: BasisLabel, n: int) -> BasisLabel:
     return _prepend(rep, x, "2" * (n - 1) + "1")
 
 
+def _through(rep: RepSpec, x: BasisLabel, t: int) -> int:
+    """How many letters of x's sequence, its word and then the cycle walk
+    from its node, are read through its t-th 1, whole periods counted, not
+    walked; 0 when there is no t-th 1: the cycle has no 1, the word fewer."""
+    word = x.word
+    parts = word.split("1", t)
+    if len(parts) > t:
+        return len(word) - len(parts[t])
+    cycle = rep[x.component]
+    per = cycle.count("1")
+    if not per:
+        return 0
+    walk = cycle[x.node :] + cycle[: x.node]
+    q, r = divmod(t - len(parts), per)  # the t-th 1 is the (r + 1)-th 1 of period q
+    return len(word) + (q + 1) * len(walk) - len(walk.split("1", r + 1)[-1])
+
+
 def _down(rep: RepSpec, x: BasisLabel) -> Optional[tuple[int, BasisLabel]]:
     """The one m with s_m* x != 0, and s_m* x; None when there is none.
-
     m - 1 counts the 2s before the first 1: in the word, or, on a word of
-    2s, in the word and then the cycle walk from the node.
-    """
-    word = x.word
-    k = word.find("1")
+    2s, ``_through`` finds it in the cycle walk and ``_peel`` leaves the rest."""
+    k = x.word.find("1")
     if k >= 0:
-        return k + 1, _tuple_new(BasisLabel, (x.component, word[k + 1 :], x.node))
-    cycle = rep[x.component]
-    k = cycle.find("1", x.node)
-    if k < 0:
-        k = cycle.find("1")
-        if k < 0:
-            return None
-        k += len(cycle)
-    return len(word) + k - x.node + 1, _tuple_new(BasisLabel, (x.component, "", (k + 1) % len(cycle)))
+        return k + 1, _tuple_new(BasisLabel, (x.component, x.word[k + 1 :], x.node))
+    m = _through(rep, x, 1)
+    return (m, _peel(rep, x, m)[1]) if m else None
 
 
 def _gen_adj(e: Gen, rep: RepSpec, x: BasisLabel) -> Terms:
@@ -531,21 +540,12 @@ def _tower(rep: RepSpec, x: BasisLabel, n: int, d: int, lead: int = 0) -> Terms:
     zero when x has fewer than n blocks, its letters ending in 2s.  When
     block n ends in the word, the image is one edit of the word on the same
     node: it keeps its last letter, so it stays normal.  Past the word,
-    whole cycle periods are counted, not walked, and ``_prepend`` puts the
-    edited letters on the cycle vector after block n."""
-    word, node = x.word, x.node
-    parts = word.split("1", n)
-    if len(parts) > n:  # block n ends in the word
-        letters, stop = word, len(word) - len(parts[n])
-    else:
-        cycle = rep[x.component]
-        per = cycle.count("1")
-        if not per:
-            return ()
-        walk = cycle[node:] + cycle[:node]
-        q, t = divmod(n - len(parts), per)  # block n ends at the (t + 1)-th 1 of period q
-        end = (q + 1) * len(walk) - len(walk.split("1", t + 1)[-1])
-        letters, stop, node = word + walk * (q + 1), len(word) + end, (node + end) % len(cycle)
+    ``_peel`` reads up to block n's end, which ``_through`` finds, and
+    ``_prepend`` puts the edited letters on the cycle vector after it."""
+    word, stop = x.word, _through(rep, x, n)
+    if not stop:
+        return ()
+    letters, rest = (word, None) if stop <= len(word) else _peel(rep, x, stop)
     start = letters.rfind("1", 0, stop - 1) + 1
     m = stop - start
     if m + d < 1 or lead < 0 and letters[0] != "2":
@@ -553,11 +553,11 @@ def _tower(rep: RepSpec, x: BasisLabel, n: int, d: int, lead: int = 0) -> Terms:
     # word[stop:] is what follows block n in the word, empty past the word
     image = "".join(("2" if lead > 0 else "", letters[lead < 0 : start], "2" * (m + d - 1), "1", word[stop:]))
     c = sqrt_int(min(m, m + d))
-    if stop > len(word):
-        return ((_prepend(rep, _tuple_new(BasisLabel, (x.component, "", node)), image), c),)
+    if rest is not None:
+        return ((_prepend(rep, rest, image), c),)
     if len(image) > _MAX_WORD_LENGTH:
         raise _word_bound_error()
-    return ((_tuple_new(BasisLabel, (x.component, image, node)), c),)
+    return ((_tuple_new(BasisLabel, (x.component, image, x.node)), c),)
 
 
 def _rho(plan: list, rep: RepSpec, x: BasisLabel) -> Terms:

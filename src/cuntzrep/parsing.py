@@ -285,7 +285,8 @@ def _product(
 
 
 def _signed(negated: bool, coeff: Optional[RadicalScalar]) -> RadicalScalar:
-    if coeff is None:
+    """The term's coefficient; a unit one is the shared ONE or MINUS_ONE."""
+    if coeff is None or coeff == ONE:
         return MINUS_ONE if negated else ONE
     return -coeff if negated else coeff
 

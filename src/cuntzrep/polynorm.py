@@ -182,7 +182,9 @@ def _lower(e: OperatorExpr, memo: dict[OperatorExpr, list[Monomial]]) -> list[Mo
         for c, x in e.parts:
             part = _lower(x, memo)
             _check_size(len(out) + len(part))
-            out.extend(part if c is ONE else [(c * c2, u, v) for c2, u, v in part])
+            if c is not ONE:  # unit signs are picked, as in _compose, so they stay shared
+                part = [(c if c2 is ONE else ONE if c is c2 is MINUS_ONE else c * c2, u, v) for c2, u, v in part]
+            out.extend(part)
     elif isinstance(e, Iso):
         out = [(ONE, "2" * (e.n - 1) + "1", "")]
     elif isinstance(e, Fermion):

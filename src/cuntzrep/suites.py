@@ -51,9 +51,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 from .basis import BasisLabel, RepSpec, enumerate_basis, label_sort_key
 from .operators import (
-    LinComb,
     OperatorExpr,
-    Prod,
     _build,
     _iso_letters,
     _walk,
@@ -195,22 +193,6 @@ def _delta(same: bool) -> tuple[str, OperatorExpr]:
 def _anti(x: OperatorExpr, y: OperatorExpr, c: RadicalScalar = ONE) -> OperatorExpr:
     """x y + c y x."""
     return lincomb((ONE, prod(x, y)), (c, prod(y, x)))
-
-
-def _shared(rows: list[Row]) -> list[Row]:
-    """``rows`` with each factor of each side replaced by the first equal
-    one, so every distinct factor of the table is one object, as the plan
-    meets it; ``X(n)`` and ``W(n)`` keep their one definition each."""
-    first: dict[OperatorExpr, OperatorExpr] = {}
-
-    def share(e: Side) -> Side:
-        if type(e) is LinComb:
-            return LinComb(tuple((c, share(x)) for c, x in e.parts))
-        if type(e) is Prod:
-            return Prod(tuple(first.setdefault(f, f) for f in e.factors))
-        return first.setdefault(e, e) if isinstance(e, OperatorExpr) else e
-
-    return [(name, share(left), share(right)) for name, left, right in rows]
 
 
 def _samples(rep: RepSpec, depth: int) -> list[StateVector]:
@@ -429,7 +411,7 @@ def _lemma23(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: i
                 (f"s({m})a({n}) = {shifted}s({m})", prod(s, a), scaled(c, prod(up, s))),
                 (f"s({m})a({n})* = {shifted}*s({m})", prod(s, adj(a)), scaled(c, prod(adj(up), s))),
             ]
-    report.run(_samples(rep, depth), [_shared(rows)])
+    report.run(_samples(rep, depth), [rows])
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +459,7 @@ def _rho(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: int) 
             ),
         )
     ]
-    report.run(_samples(rep, depth), [_shared(rows)])
+    report.run(_samples(rep, depth), [rows])
 
 
 # ---------------------------------------------------------------------------

@@ -772,7 +772,8 @@ def test_oracles_never_touch_the_cache(monkeypatch):
         raise AssertionError("an oracle reached a plan or a word-slice step of the kernel")
 
     with monkeypatch.context() as patched:
-        for helper in ("_prepend", "_peel", "_up", "_down", "_fermion", "_tower", "_build", "_walk"):
+        helpers = ("_prepend", "_peel", "_through", "_up", "_down", "_fermion", "_tower", "_build", "_walk")
+        for helper in helpers:
             patched.setattr(operators, helper, off_limits)
         memo = {}
         oracles = {
@@ -825,7 +826,7 @@ def test_oracles_never_touch_the_cache(monkeypatch):
 
 # -- word-slice letter steps against the stepwise basis moves ----------------
 
-_STEP_REPS = [RepSpec.parse(text) for text in ("1", "12", "112", "1+12", "2", "1122")]
+_STEP_REPS = [RepSpec.parse(text) for text in ("1", "12", "112", "1+12", "2", "1122", "1112122")]
 
 
 @st.composite
@@ -884,6 +885,25 @@ def _stepwise_down(rep, x):
 def test_peel_matches_letter_steps(label, n):
     rep, x = label
     assert operators._peel(rep, x, n) == _stepwise_peel(rep, x, n)
+
+
+def _stepwise_through(rep, x, t):
+    """Letters peeled one at a time up to and including the t-th 1; 0 when
+    there is none by then, as a cycle with a 1 has one in every period."""
+    ones = 0
+    for read in range(1, len(x.word) + t * len(rep[x.component]) + 1):
+        letter, x = _stepwise_peel(rep, x, 1)
+        ones += letter == "1"
+        if ones == t:
+            return read
+    return 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step_labels(), st.integers(1, 20))
+def test_through_matches_letter_steps(label, t):
+    rep, x = label
+    assert operators._through(rep, x, t) == _stepwise_through(rep, x, t)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,6 +1,7 @@
 """Polynomial normal forms over the generator words."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from cuntzrep.operators import (
     shift_series,
     zeta,
 )
+from cuntzrep.parsing import parse_expr
 from cuntzrep.polynorm import (
     FERMION_CAP,
     PolynomialError,
@@ -152,6 +154,17 @@ def test_unit_signs_stay_the_shared_objects():
     # -1 * -1 for the words with one 2, so every product is a unit sign
     assert len(terms) == 4
     assert all(c is ONE or c is MINUS_ONE for c, _, _ in terms)
+
+
+@pytest.mark.parametrize("text", ["a(6) a(5)* - (-1) a(5)* a(6)", "-1 a(6) a(5)* - 1 a(5)* a(6)"])
+def test_scaled_unit_signs_merge_without_an_addition(monkeypatch, text):
+    # a scaled part of a sum picks its signs, and a literal 1 parses as the shared ONE
+    e = parse_expr(text)
+    add = RadicalScalar.__add__
+    calls = []
+    monkeypatch.setattr(RadicalScalar, "__add__", lambda a, b: calls.append(1) or add(a, b))
+    assert poly_normal_form(e).terms == ()  # the CAR pair anticommutes
+    assert not calls
 
 
 def test_apply_normal_form_matches_direct_evaluation():
@@ -286,13 +299,31 @@ def test_fermion_recursion_matches_word_definition(n):
     assert monomials(fermion(n)) == _pairwise_monomials(fermion(n))
 
 
+_TOO_MANY = f"the expansion has more than {polynorm._MAX_MONOMIALS} monomials"
+
+
 @settings(max_examples=100, deadline=None)
 @given(_trees, st.randoms(use_true_random=False))
+# a left word of 16 letters next to an empty one refines to 2^16 + 1 monomials
+@example(lincomb((ONE, prod(iso(4), iso(4), iso(4), iso(4))), (ONE, adjoint(gen(1)))), random.Random(0))
+# 2^14 + 1 monomials, whose refinement two letters deeper passes the bound
+@example(lincomb((ONE, prod(iso(4), iso(4), iso(4), iso(2))), (ONE, adjoint(gen(1)))), random.Random(0))
 def test_collapse_is_independent_of_order_and_depth(e, rnd):
-    nf = poly_normal_form(e)
+    # a draw past the monomial bound must refuse with the size error
+    try:
+        nf = poly_normal_form(e)
+    except PolynomialError as exc:
+        assert str(exc) == _TOO_MANY, e
+        return
     want = collapse(nf.terms)
     shuffled = list(nf.terms)
     rnd.shuffle(shuffled)
     assert collapse(shuffled) == want
     for k in (1, 2):
-        assert collapse(nf.at_depth(nf.depth + k).terms) == want
+        # every left word has nf.depth letters, so each term refines into 2^k
+        if len(nf.terms) << k > polynorm._MAX_MONOMIALS:
+            with pytest.raises(PolynomialError) as exc:
+                nf.at_depth(nf.depth + k)
+            assert str(exc.value) == _TOO_MANY
+        else:
+            assert collapse(nf.at_depth(nf.depth + k).terms) == want
