@@ -262,6 +262,22 @@ def test_pair_relations_share_each_member_and_its_adjoint():
     assert len({id(f) for f in _factors(groups)}) == 8  # a(1..4) and their adjoints
 
 
+@pytest.mark.parametrize("rep", ["1", "12", "1112122"])
+@pytest.mark.parametrize("suite", ["rho", "lemma23"])
+def test_rho_and_lemma23_share_each_factor(suite, rep):
+    # X(n), W(n), s(n) and rho(t2*) recur across rows, and the fermions across
+    # terms, as equal objects; the table's plan resolves each one's step once
+    groups = _table(suite, RepSpec.parse(rep), 4, 4, 3)
+    exprs = [side for group in groups for _, *sides in group for side in sides if isinstance(side, OperatorExpr)]
+    steps, stack = {}, [operators._build(exprs)]
+    while stack:
+        for f, (step, child) in stack.pop()[1].items():
+            assert steps.setdefault(f, step) is step, f
+            stack.append(child)
+    assert steps.keys() == set(_factors(groups))
+    assert len(list(_factors(groups))) > len(steps)
+
+
 @pytest.mark.parametrize("suite", ["wfamily", "lemma23"])
 def test_definitions_are_lowered_into_one_plan_per_run(monkeypatch, suite):
     # a plan per definition would be built again for every sample once
