@@ -28,36 +28,40 @@ factor chain) pairs, and the chains of every side form one trie read right
 to left, so chains that end in the same factors take them once per label,
 and a label that a shared factor annihilates prunes every chain below it;
 ``_walk`` merges each chain end in place into its side's dict: pop, add,
-drop a zero.  Each edge holds its factor's entry, resolved when the plan is
-built: a word-slice step for t_i, t_i* and s_n, the LRU cache
-(``KERNEL_CACHE_SIZE`` entries, keyed on the label) for every other named
-node, as each ``_ENTRIES`` row flags it, its own plan for a sum inside a
-product and the argument of rho or zeta.  ``apply(e, v)`` is the one-side
-case: it builds its plan on each call, so a loop that applies the same
-expressions many times builds their plan once itself, as a suite table
-does, its sides the table's expressions.  ``kernel_cache_clear``, called by
-``cli.main`` on entry, empties the cache, whose hits, misses and size
-``kernel_cache_info`` reports.  ``apply`` walks v's terms unsorted and
-hands the merged dict to ``StateVector._trusted`` as it is.
+drop a zero; an end signed by the shared MINUS_ONE, unmultiplied, comes last
+and drops a total equal to its scalar or subtracts.  Each edge holds its
+factor's entry, resolved when the plan is built: a word-slice step for t_i,
+t_i* and s_n, the LRU cache (``KERNEL_CACHE_SIZE`` entries, keyed on the
+label) for every other named node, as each ``_ENTRIES`` row flags it, its
+own plan for a sum inside a product and the argument of rho or zeta.
+``apply(e, v)`` is the one-side case: it builds its plan on each call, so a
+loop that applies the same expressions many times builds their plan once
+itself, as a suite table does, its sides the table's expressions.
+``kernel_cache_clear``, called by ``cli.main`` on entry, empties the cache,
+whose hits, misses and size ``kernel_cache_info`` reports.  ``apply`` walks
+v's terms unsorted and hands the merged dict to ``StateVector._trusted`` as
+it is.
 
 Exactly one of t1*, t2* survives on a label, so a label reads as one letter
 sequence: its word, then the cycle walk from its node.  Three word-slice
 readers do all the kernel's reading past the word: ``_peel`` takes the next
-k letters, ``_through`` counts those up to the t-th 1, whole cycle periods
-at a time, and ``_prepend`` puts letters back on.  Forward and adjoint
-entries share one table, and each writes its image in one edit.  A label's
-letters split into s-blocks, runs 2^(m-1) 1, and a rho tower moves at most
-two of them: b_n, F_n and their adjoints are one closed form each
-(``_tower``), with no state.  a_n flips letter n in place when it lies in
-the word short of its last letter, and a tower rewrites its blocks in place
-when block n ends in the word, each by one slice-and-join on the same node;
-otherwise ``_prepend`` puts the letters back on.  When letter n lies past
-the word, a_n reads that one letter from the cycle first, and a label that
-it annihilates is rejected there, before the other n - 1 letters are peeled.
-The oracles use only the vector-level letter steps ``states.apply_letter*``,
-which no kernel entry takes, never a plan, the cache or a word-slice step,
-and the series oracle takes its weights from ``RadicalScalar.sqrt_int``, not
-from the memoised ``scalars.sqrt_int``.
+k letters, ``_through`` reads through the t-th 1 in one pass, whole cycle
+periods at a time, and hands back the letters and the cycle vector after
+them, and ``_prepend`` puts letters back on.  Forward and adjoint entries
+share one table, and each writes its image in one edit.  A label's letters
+split into s-blocks, runs 2^(m-1) 1, and a rho tower moves at most two of
+them: b_n, F_n and their adjoints are one closed form each, a ``partial`` of
+``_tower`` with one ``_through`` call, with no state.  a_n flips letter n in
+place when it lies in the word short of its last letter, and a tower
+rewrites its blocks in place when block n ends in the word, each by one
+slice-and-join on the same node; otherwise ``_prepend`` puts the letters
+back on.  When letter n lies past the word, a_n reads that one letter from
+the cycle first, and a label that it annihilates is rejected there, before
+the other n - 1 letters are peeled.  The oracles use only the vector-level
+letter steps ``states.apply_letter*``, which no kernel entry takes, never a
+plan, the cache or a word-slice step, and the series oracle takes its
+weights from ``RadicalScalar.sqrt_int``, not from the memoised
+``scalars.sqrt_int``.
 """
 
 from __future__ import annotations
@@ -373,8 +377,13 @@ def _iso_letters(m: int, v: StateVector) -> StateVector:
 def eval_series_b1_raw(v: StateVector) -> StateVector:
     """b_1 v = sum_m sqrt(m) s_m s_{m+1}* v over the one walk of
     ``s_star_support``, off the kernel: a cross-check oracle."""
+    return _series_b1(v, s_star_support(v))
+
+
+def _series_b1(v: StateVector, support: dict[int, StateVector]) -> StateVector:
+    """b_1 v summed over ``support``, v's ``s_star_support`` walk."""
     out = StateVector.zero(v.rep)
-    for m, w in s_star_support(v).items():  # m ascending, as the walk fills it
+    for m, w in support.items():  # m ascending, as the walk fills it
         if m > 1:
             out = out.combine(RadicalScalar.sqrt_int(m - 1), _iso_letters(m - 1, w))
     return out
@@ -456,32 +465,35 @@ def _up(rep: RepSpec, x: BasisLabel, n: int) -> BasisLabel:
     return _prepend(rep, x, "2" * (n - 1) + "1")
 
 
-def _through(rep: RepSpec, x: BasisLabel, t: int) -> int:
-    """How many letters of x's sequence, its word and then the cycle walk
-    from its node, are read through its t-th 1, whole periods counted, not
-    walked; 0 when there is no t-th 1: the cycle has no 1, the word fewer."""
+def _through(rep: RepSpec, x: BasisLabel, t: int) -> Optional[tuple[int, str, Optional[BasisLabel]]]:
+    """x's letters, its word and then the cycle walk from its node, read
+    through its t-th 1: (stop, the word, None) when that lies in the word,
+    else (stop, the stop letters, whole periods counted, the cycle vector
+    after them); None when the word has fewer than t 1s and the cycle none."""
     word = x.word
     parts = word.split("1", t)
     if len(parts) > t:
-        return len(word) - len(parts[t])
+        return len(word) - len(parts[t]), word, None
     cycle = rep[x.component]
     per = cycle.count("1")
     if not per:
-        return 0
+        return None
     walk = cycle[x.node :] + cycle[: x.node]
     q, r = divmod(t - len(parts), per)  # the t-th 1 is the (r + 1)-th 1 of period q
-    return len(word) + (q + 1) * len(walk) - len(walk.split("1", r + 1)[-1])
+    k = len(walk) - len(walk.split("1", r + 1)[-1])
+    rest = _tuple_new(BasisLabel, (x.component, "", (x.node + k) % len(walk)))
+    return len(word) + q * len(walk) + k, word + walk * q + walk[:k], rest
 
 
 def _down(rep: RepSpec, x: BasisLabel) -> Optional[tuple[int, BasisLabel]]:
     """The one m with s_m* x != 0, and s_m* x; None when there is none.
     m - 1 counts the 2s before the first 1: in the word, or, on a word of
-    2s, ``_through`` finds it in the cycle walk and ``_peel`` leaves the rest."""
+    2s, ``_through`` finds it in the cycle walk and the rest after it."""
     k = x.word.find("1")
     if k >= 0:
         return k + 1, _tuple_new(BasisLabel, (x.component, x.word[k + 1 :], x.node))
-    m = _through(rep, x, 1)
-    return (m, _peel(rep, x, m)[1]) if m else None
+    read = _through(rep, x, 1)
+    return None if read is None else (read[0], read[2])
 
 
 def _gen_adj(e: Gen, rep: RepSpec, x: BasisLabel) -> Terms:
@@ -532,26 +544,26 @@ def _fermion(e: Fermion, rep: RepSpec, x: BasisLabel, flip: str = "1") -> Terms:
     return ((_prepend(rep, rest, letters[:-1] + flip), sign),)
 
 
-def _tower(rep: RepSpec, x: BasisLabel, n: int, d: int, lead: int = 0) -> Terms:
-    """A rho tower in closed form.  x's letters split into s-blocks, runs
-    2^(m-1) 1: block n gains (d = 1) or loses (d = -1) a 2, times the square
-    root of the smaller of its lengths before and after, and block 1 gains
-    (lead = 1) or, before block n (n >= 2), loses (lead = -1) a 2 as well;
-    zero when x has fewer than n blocks, its letters ending in 2s.  When
-    block n ends in the word, the image is one edit of the word on the same
-    node: it keeps its last letter, so it stays normal.  Past the word,
-    ``_peel`` reads up to block n's end, which ``_through`` finds, and
-    ``_prepend`` puts the edited letters on the cycle vector after it."""
-    word, stop = x.word, _through(rep, x, n)
-    if not stop:
+def _tower(d: int, lead: int, e: OperatorExpr, rep: RepSpec, x: BasisLabel) -> Terms:
+    """A rho tower in closed form, e = b_n or F_n.  x's letters split into
+    s-blocks, runs 2^(m-1) 1: block n gains (d = 1) or loses (d = -1) a 2,
+    times the square root of the smaller of its lengths before and after,
+    and block 1 gains (lead = 1) or, before block n (n >= 2), loses (lead =
+    -1) a 2 as well; zero when x has fewer than n blocks, its letters ending
+    in 2s.  ``_through`` reads through block n's end.  When that lies in the
+    word, the image is one edit of the word on the same node: it keeps its
+    last letter, so it stays normal.  Past the word, ``_prepend`` puts the
+    edited letters on the cycle vector after them."""
+    read = _through(rep, x, e.n)
+    if read is None:
         return ()
-    letters, rest = (word, None) if stop <= len(word) else _peel(rep, x, stop)
+    stop, letters, rest = read
     start = letters.rfind("1", 0, stop - 1) + 1
     m = stop - start
     if m + d < 1 or lead < 0 and letters[0] != "2":
         return ()
-    # word[stop:] is what follows block n in the word, empty past the word
-    image = "".join(("2" if lead > 0 else "", letters[lead < 0 : start], "2" * (m + d - 1), "1", word[stop:]))
+    # letters[stop:] is what follows block n in the word, empty past the word
+    image = "".join(("2" if lead > 0 else "", letters[lead < 0 : start], "2" * (m + d - 1), "1", letters[stop:]))
     c = sqrt_int(min(m, m + d))
     if rest is not None:
         return ((_prepend(rep, rest, image), c),)
@@ -584,13 +596,9 @@ _ENTRIES: dict[type, tuple[Callable[..., Terms], Callable[..., Terms], tuple[boo
     Gen: (lambda e, rep, x: ((_prepend(rep, x, str(e.letter)), ONE),), _gen_adj, (False, False)),
     Iso: (lambda e, rep, x: ((_up(rep, x, e.n), ONE),), _iso_adj, (False, True)),
     Fermion: (_fermion, lambda e, rep, x: _fermion(e, rep, x, "2"), (True, True)),
-    Boson: (lambda e, rep, x: _tower(rep, x, e.n, -1), lambda e, rep, x: _tower(rep, x, e.n, 1), (True, True)),
+    Boson: (partial(_tower, -1, 0), partial(_tower, 1, 0), (True, True)),
     ShiftSeries: (lambda e, rep, x: _one(_y(rep, x)), lambda e, rep, x: _one(_y_adj(rep, x)), (True, True)),
-    Cluster: (
-        lambda e, rep, x: _tower(rep, x, e.n, -1, 1),
-        lambda e, rep, x: _tower(rep, x, e.n, 1, -1) if e.n > 1 else _tower(rep, x, 1, -1, 1),
-        (True, True),
-    ),
+    Cluster: (partial(_tower, -1, 1), partial(_tower, 1, -1), (True, True)),
 }
 
 
@@ -608,6 +616,7 @@ def _step(e: OperatorExpr) -> Callable[[RepSpec, BasisLabel], Terms]:
     node = e.arg if star else e
     kind = type(node)
     if kind in _ENTRIES:
+        star = star and adjoint(node) != node  # F_1* is F_1, and takes its entry
         entry, cached = _ENTRIES[kind][star], _ENTRIES[kind][2][star]
         return partial(_act_cached, entry, node) if cached else partial(entry, node)
     if kind is Rho or kind is Zeta:
@@ -656,14 +665,20 @@ def _build(exprs: Sequence[OperatorExpr]) -> list:
 def _walk(plan: list, rep: RepSpec, terms, outs: Sequence[dict]) -> Sequence[dict]:
     """Merge each side's image of the (label, scalar) terms, unsorted, into
     ``outs[slot]``, and return ``outs``.  A label takes an edge's step once for
-    all chains below it, of any side; a step that annihilates it prunes them all."""
+    all chains below it, of any side; a step that annihilates it prunes them all.
+    An end whose coefficient is the shared MINUS_ONE waits, unmultiplied, for
+    the others, then drops a total equal to its scalar or subtracts from it."""
     stack = [(plan, x, c) for x, c in terms]
+    signed = []
     while stack:
         (ends, edges), x, c = stack.pop()
         if ends:
             for slot, coeff in ends.items():
-                d = c if coeff is ONE else coeff if c is ONE else c * coeff
                 out = outs[slot]
+                if coeff is MINUS_ONE:
+                    signed.append((out, x, c))
+                    continue
+                d = c if coeff is ONE else coeff if c is ONE else c * coeff
                 # pop, add, drop a zero; d, a product of nonzero scalars, is not zero
                 total = out.pop(x, None)
                 if total is None:
@@ -673,6 +688,12 @@ def _walk(plan: list, rep: RepSpec, terms, outs: Sequence[dict]) -> Sequence[dic
         for step, child in edges.values():
             for z, d in step(rep, x):
                 stack.append((child, z, c if d is ONE else d if c is ONE else c * d))
+    for out, x, c in signed:
+        total = out.pop(x, None)
+        if total is None:
+            out[x] = MINUS_ONE if c is ONE else -c
+        elif total != c:
+            out[x] = total - c
     return outs
 
 

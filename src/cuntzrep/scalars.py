@@ -221,12 +221,19 @@ class RadicalScalar:
 
     def __neg__(self) -> "RadicalScalar":
         den, pairs = self._form
-        return RadicalScalar._canonical((den, tuple([(d, -n) for d, n in pairs])))
+        out = _new(RadicalScalar)  # a sign change keeps the gcd: no _canonical
+        _set(out, "_form", (den, tuple([(d, -n) for d, n in pairs])))
+        return out
 
     def __sub__(self, other: "RadicalScalar | RationalLike") -> "RadicalScalar":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        den, a = self._form
+        den2, b = other._form
+        if den == den2 and len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
+            n = a[0][1] - b[0][1]
+            return RadicalScalar._canonical((den, ((a[0][0], n),)) if n else (1, ()))
         return self + (-other)
 
     def __rsub__(self, other: "RadicalScalar | RationalLike") -> "RadicalScalar":

@@ -50,10 +50,12 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
 from .basis import BasisLabel, RepSpec, enumerate_basis, label_sort_key
-from .operators import (
+# eval_series_b1_raw is not called here, but perfbench/tracer.py patches the name
+from .operators import (  # noqa: F401
     OperatorExpr,
     _build,
     _iso_letters,
+    _series_b1,
     _walk,
     adj,
     apply,
@@ -322,12 +324,12 @@ def _raw_boson(n: int, memo: dict[tuple, object], v: StateVector) -> StateVector
     key = (v.rep, n, frozenset(v._terms.items()))
     out = memo.get(key)
     if out is None:
+        walk = (v.rep, None, key[2])
+        if walk not in memo:
+            memo[walk] = s_star_support(v)
         if n == 1:
-            out = eval_series_b1_raw(v)
+            out = _series_b1(v, memo[walk])
         else:
-            walk = (v.rep, None, key[2])
-            if walk not in memo:
-                memo[walk] = s_star_support(v)
             out = StateVector.zero(v.rep)
             for m, w in memo[walk].items():
                 out = out + _iso_letters(m, _raw_boson(n - 1, memo, w))

@@ -49,8 +49,8 @@ from cuntzrep.operators import (
     zeta,
 )
 from cuntzrep.polynorm import apply_normal_form, poly_normal_form
-from cuntzrep.scalars import ONE, RadicalScalar, sqrt_int
-from cuntzrep.states import StateVector
+from cuntzrep.scalars import MINUS_ONE, ONE, RadicalScalar, sqrt_int
+from cuntzrep.states import StateVector, merge_terms
 
 FOCK = RepSpec.parse("1")
 WEDGE = RepSpec.parse("12")
@@ -620,7 +620,7 @@ def _ref_towers(n):
         (boson(n), partial(_ref_boson, n)),
         (adjoint(boson(n)), partial(_ref_boson_adj, n)),
         (cluster(n), partial(_ref_cluster, n)),
-        # Adj, not adjoint: F_1* stays starred and takes the adjoint entry
+        # Adj, not adjoint: F_1* stays starred, and its plan takes F_1's entry
         (operators.Adj(cluster(n)), partial(_ref_cluster_adj, n)),
     ]
 
@@ -702,7 +702,7 @@ def _nested(n, base, step):
 
 def test_a_unit_tower_weight_is_the_shared_one():
     # block 1 of |1;0> on rep 12 is "1": b(1)* weighs its image by sqrt(1)
-    [(image, c)] = operators._tower(RepSpec.parse("12"), BasisLabel(0, "1", 0), 1, 1)
+    [(image, c)] = operators._tower(1, 0, boson(1), RepSpec.parse("12"), BasisLabel(0, "1", 0))
     assert image == BasisLabel(0, "21", 0) and c is ONE
 
 
@@ -902,8 +902,16 @@ def _stepwise_through(rep, x, t):
 @settings(max_examples=300, deadline=None)
 @given(_step_labels(), st.integers(1, 20))
 def test_through_matches_letter_steps(label, t):
+    # in the word, the reader hands back the word; past it, the letters read
+    # and the cycle vector they leave
     rep, x = label
-    assert operators._through(rep, x, t) == _stepwise_through(rep, x, t)
+    stop = _stepwise_through(rep, x, t)
+    if not stop:
+        assert operators._through(rep, x, t) is None
+    elif stop <= len(x.word):
+        assert operators._through(rep, x, t) == (stop, x.word, None)
+    else:
+        assert operators._through(rep, x, t) == (stop, *_stepwise_peel(rep, x, stop))
 
 
 @settings(max_examples=300, deadline=None)
@@ -1067,4 +1075,69 @@ def test_tower_entries_near_the_word_bound_match_their_references(rep, tail, sho
     ones = word.count("1")
     for e, ref in [pair for k in (ones, ones + 1) for pair in _ref_towers(k)[1::2]]:
         assert _outcome(apply, e, v) == _outcome(ref, v), (rep, word, short, e)
+    kernel_cache_clear()
+
+
+# -- chain ends signed by the shared MINUS_ONE ----------------------------------
+
+_SIGNED_FAMILIES = [
+    boson,
+    lambda n: adjoint(boson(n)),
+    cluster,
+    lambda n: operators.Adj(cluster(n)),
+    fermion,
+    lambda n: adjoint(fermion(n)),
+]
+_SIGNED_COEFFS = [ONE, MINUS_ONE, sqrt_int(2), RadicalScalar.from_rational(Fraction(-1, 2)), ONE + sqrt_int(3)]
+
+
+@st.composite
+def _superpositions(draw):
+    """A vector on one of the step reps: up to four normal-form labels of
+    words up to 6 letters, each with a unit, rational or radical coefficient."""
+    rep = draw(st.sampled_from(_STEP_REPS))
+    v = StateVector.zero(rep)
+    for _ in range(draw(st.integers(1, 4))):
+        component = draw(st.integers(0, len(rep.components) - 1))
+        node = draw(st.integers(0, len(rep[component]) - 1))
+        x = normalize_label(rep, component, draw(st.text("12", max_size=6)), node)
+        v = v.combine(draw(st.sampled_from(_SIGNED_COEFFS)), StateVector.basis(rep, x))
+    return v
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _superpositions(),
+    st.sampled_from(_SIGNED_FAMILIES),
+    st.sampled_from(_SIGNED_FAMILIES),
+    st.integers(1, 4),
+    st.integers(1, 4),
+)
+def test_signed_chain_ends_merge_as_the_difference_in_either_order(v, fx, fy, n, m):
+    # a chain end signed by the shared MINUS_ONE waits for the other ends: it
+    # drops a total equal to its scalar, subtracts from any other, or stands alone
+    x, y = fx(n), fy(m)
+    xy, yx = apply(prod(x, y), v), apply(prod(y, x), v)
+    want = merge_terms([*xy._terms.items(), *((z, -c) for z, c in yx._terms.items())])
+    for e in (
+        lincomb((ONE, prod(x, y)), (MINUS_ONE, prod(y, x))),
+        lincomb((MINUS_ONE, prod(y, x)), (ONE, prod(x, y))),
+    ):
+        assert apply(e, v)._terms == want, (v, e)
+    kernel_cache_clear()
+
+
+def test_ccr_rows_merge_their_signed_ends_without_an_addition(monkeypatch):
+    # b(1)b(2) - b(2)b(1) = 0 and b(1)b(1)* - b(1)*b(1) = I, as the ccr suite
+    # writes them: each signed end cancels its total or subtracts from it
+    def no_addition(a, b):
+        raise AssertionError(f"{a} + {b} was added")
+
+    zero_row = suites._anti(boson(1), boson(2), MINUS_ONE)
+    unit_row = suites._anti(boson(1), adjoint(boson(1)), MINUS_ONE)
+    kernel_cache_clear()
+    monkeypatch.setattr(RadicalScalar, "__add__", no_addition)
+    for x in enumerate_basis(WEDGE, 5):
+        v = StateVector.basis(WEDGE, x)
+        assert not apply(zero_row, v) and apply(unit_row, v) == v, x
     kernel_cache_clear()

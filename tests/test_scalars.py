@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cuntzrep
-from cuntzrep.scalars import ONE, ZERO, RadicalScalar, sqrt_int, square_free_split
+from cuntzrep.scalars import MINUS_ONE, ONE, ZERO, RadicalScalar, sqrt_int, square_free_split
 
 
 def test_square_free_split_examples():
@@ -193,6 +193,18 @@ def test_float_coherence(a, b):
 def test_subtraction_is_addition_of_negation(a):
     assert a - a == ZERO
     assert ZERO - a == -a
+
+
+@given(_radicands, _coeffs, _coeffs, scalars(), st.sampled_from(["same", "radicand", "any"]))
+def test_negation_and_difference_match_the_general_paths(d, p, q, c, how):
+    # one-term scalars take the short paths of unary and binary minus; b is a
+    # itself (a zero difference), a term on a's radicand, or any scalar
+    a = RadicalScalar({d: p})
+    b = {"same": a, "radicand": RadicalScalar({d: q}), "any": c}[how]
+    for x, y in ((a, b), (b, a), (a, c), (c, b)):
+        assert (-x)._form == (MINUS_ONE * x)._form
+        assert (x - y)._form == (x + (-y))._form == (x + MINUS_ONE * y)._form
+    assert (a - a)._form == ZERO._form
 
 
 # ---------------------------------------------------------------------------
