@@ -21,7 +21,7 @@ import sys
 from typing import NamedTuple, Optional
 
 from .basis import enumerate_basis
-from .operators import apply as apply_operator, kernel_cache_clear
+from .operators import apply as apply_operator
 from .parsing import (
     ket_text,
     parse_expr,
@@ -289,7 +289,6 @@ _DISPATCH = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    kernel_cache_clear()  # each invocation starts cold, like a fresh process
     args = _parse_argv(argv)
     for name, value in vars(args).items():
         if isinstance(value, list):  # argparse drops a lone "--" value, leaving []

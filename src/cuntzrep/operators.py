@@ -29,18 +29,16 @@ to left, so chains that end in the same factors take them once per label,
 and a label that a shared factor annihilates prunes every chain below it;
 ``_walk`` merges each chain end in place into its side's dict: pop, add,
 drop a zero; an end signed by the shared MINUS_ONE, unmultiplied, comes last
-and drops a total equal to its scalar or subtracts.  Each edge holds its
-factor's entry, resolved when the plan is built: a word-slice step for t_i,
-t_i* and s_n, the LRU cache (``KERNEL_CACHE_SIZE`` entries, keyed on the
-label) for every other named node, as each ``_ENTRIES`` row flags it, its
-own plan for a sum inside a product and the argument of rho or zeta.
-``apply(e, v)`` is the one-side case: it builds its plan on each call, so a
-loop that applies the same expressions many times builds their plan once
-itself, as a suite table does, its sides the table's expressions.
-``kernel_cache_clear``, called by ``cli.main`` on entry, empties the cache,
-whose hits, misses and size ``kernel_cache_info`` reports.  ``apply`` walks
-v's terms unsorted and hands the merged dict to ``StateVector._trusted`` as
-it is.
+and drops a total equal to its scalar or subtracts.  A plan is built on one
+rep, and each edge holds its factor's entry, resolved then: a word-slice step
+for t_i, t_i* and s_n; the entry and a memo, its images by label, for every
+other named node, as each ``_ENTRIES`` row flags it; its own plan for a sum
+inside a product and the argument of rho or zeta.  The memos of a plan and
+its inner plans store the first ``KERNEL_CACHE_SIZE`` images computed and
+evict none: no kernel state outlives its plan.  ``apply(e, v)`` is the
+one-side case and builds its plan on each call; a suite table builds one
+plan for all its samples, its sides the table's expressions.  ``apply``
+walks v's terms unsorted and hands the merged dict to ``StateVector._trusted``.
 
 Exactly one of t1*, t2* survives on a label, so a label reads as one letter
 sequence: its word, then the cycle walk from its node.  Three word-slice
@@ -56,17 +54,18 @@ place when it lies in the word short of its last letter, and a tower
 rewrites its blocks in place when block n ends in the word, each by one
 slice-and-join on the same node; otherwise ``_prepend`` puts the letters
 back on.  When letter n lies past the word, a_n reads that one letter from
-the cycle first, and a label that it annihilates is rejected there, before
-the other n - 1 letters are peeled.  The oracles use only the vector-level
+the cycle first, and rejects a label that it annihilates there; else it
+flips it at the end of the word extended by the cycle letters through it,
+an image that is already normal.  The oracles use only the vector-level
 letter steps ``states.apply_letter*``, which no kernel entry takes, never a
-plan, the cache or a word-slice step, and the series oracle takes its
+plan, its memos or a word-slice step, and the series oracle takes its
 weights from ``RadicalScalar.sqrt_int``, not from the memoised
 ``scalars.sqrt_int``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -119,8 +118,6 @@ __all__ = [
     "eval_series_b1_raw",
     "range_proj_definition",
     "KERNEL_CACHE_SIZE",
-    "kernel_cache_info",
-    "kernel_cache_clear",
 ]
 
 
@@ -405,7 +402,7 @@ def range_proj_definition(n: int) -> OperatorExpr:
 # Per-label kernel
 # ---------------------------------------------------------------------------
 
-KERNEL_CACHE_SIZE = 1 << 12  # ~2 MB; closedforms on 112: 8,914 images, 1,626 hits (2,123 unbounded)
+KERNEL_CACHE_SIZE = 1 << 12  # images one plan keeps, its inner plans' included: ~2 MB
 Terms = tuple[tuple[BasisLabel, RadicalScalar], ...]
 # kernel labels skip the NamedTuple's Python-level __new__
 _tuple_new = tuple.__new__
@@ -523,25 +520,31 @@ def _y_adj(rep: RepSpec, x: BasisLabel) -> Optional[BasisLabel]:
     return _prepend(rep, hit[1], "2" * (hit[0] - 2) + "12") if hit and hit[0] >= 2 else None
 
 
-def _fermion(e: Fermion, rep: RepSpec, x: BasisLabel, flip: str = "1") -> Terms:
+def _fermion(flip: str, e: Fermion, rep: RepSpec, x: BasisLabel) -> Terms:
     """a_n x (flip "1") or a_n* x (flip "2"): zeta^(n-1) of a_1 = t1 t2* (a_1* =
     t2 t1*) reads n letters.  The last must not be ``flip`` and becomes it,
-    and each 2 among the others flips the sign.  Letter n inside the word,
-    short of its last letter, is flipped in place; else the n letters are
-    peeled and go back on at once, unless letter n lies past the word and
-    is already ``flip``: that one cycle letter is all the step reads."""
-    n, k = e.n, e.n - len(x.word)
-    if k > 0:  # letter n lies on the cycle: read it alone, and peel only if it passes
+    and each 2 among the others flips the sign.  Letter n short of the
+    word's end is flipped in place, on the same node.  Letter n past the
+    word is read alone from the cycle first; the image is the word extended
+    by the cycle letters through it, letter n flipped, on the node after it,
+    and is normal: it ends in ``flip``, which is not that node's edge letter.
+    Only the word's last letter, flipped, can become the edge letter, so
+    that case alone goes through ``_prepend``."""
+    n, k, node, letters = e.n, e.n - len(x.word), x.node, x.word
+    if k > 0:  # letter n lies on the cycle: reject on it before reading the others
         cycle = rep[x.component]
-        if cycle[(x.node + k - 1) % len(cycle)] == flip:
+        node = (node + k) % len(cycle)
+        if cycle[node - 1] == flip:
             return ()
-    letters, rest = (x.word, None) if k < 0 else _peel(rep, x, n)
-    if letters[n - 1] == flip:
+        if n > _MAX_WORD_LENGTH:
+            raise _word_bound_error()
+        letters += (cycle * (k // len(cycle) + 2))[x.node : x.node + k]
+    elif letters[n - 1] == flip:
         return ()
     sign = MINUS_ONE if letters.count("2", 0, n - 1) % 2 else ONE
-    if rest is None:
-        return ((_tuple_new(BasisLabel, (x.component, letters[: n - 1] + flip + letters[n:], x.node)), sign),)
-    return ((_prepend(rep, rest, letters[:-1] + flip), sign),)
+    if k:
+        return ((_tuple_new(BasisLabel, (x.component, letters[: n - 1] + flip + letters[n:], node)), sign),)
+    return ((_prepend(rep, _tuple_new(BasisLabel, (x.component, "", node)), letters[:-1] + flip), sign),)
 
 
 def _tower(d: int, lead: int, e: OperatorExpr, rep: RepSpec, x: BasisLabel) -> Terms:
@@ -575,19 +578,19 @@ def _tower(d: int, lead: int, e: OperatorExpr, rep: RepSpec, x: BasisLabel) -> T
 def _rho(plan: list, rep: RepSpec, x: BasisLabel) -> Terms:
     """rho(e) = sum_m s_m e s_m*, e given by its plan."""
     hit = _down(rep, x)
-    return tuple((_up(rep, z, hit[0]), c) for z, c in _act(plan, rep, hit[1])) if hit else ()
+    return tuple((_up(rep, z, hit[0]), c) for z, c in _act(plan, hit[1])) if hit else ()
 
 
 def _zeta(plan: list, rep: RepSpec, x: BasisLabel) -> Terms:
     """zeta(e) = t1 e t1* - t2 e t2*, e given by its plan."""
     letter, x = _peel(rep, x)
-    images = _act(plan, rep, x)
+    images = _act(plan, x)
     return tuple((_prepend(rep, z, letter), -c if letter == "2" else c) for z, c in images)
 
 
 # Node type -> (forward entry, adjoint entry, cached); an entry maps (node,
 # rep, label) to the image terms of the node, or of its adjoint, and
-# cached[star] says whether that entry goes through the per-label cache: t_i,
+# cached[star] says whether a plan keeps that entry's images per label: t_i,
 # t_i* and s_n cost less than a lookup.  The rho towers move at most two
 # s-blocks (see ``_tower``): b_n takes a 2 off block n, b_n* puts one on, F_n
 # moves one from block n to block 1, F_n* from block 1 to block n, and F_1,
@@ -595,36 +598,31 @@ def _zeta(plan: list, rep: RepSpec, x: BasisLabel) -> Terms:
 _ENTRIES: dict[type, tuple[Callable[..., Terms], Callable[..., Terms], tuple[bool, bool]]] = {
     Gen: (lambda e, rep, x: ((_prepend(rep, x, str(e.letter)), ONE),), _gen_adj, (False, False)),
     Iso: (lambda e, rep, x: ((_up(rep, x, e.n), ONE),), _iso_adj, (False, True)),
-    Fermion: (_fermion, lambda e, rep, x: _fermion(e, rep, x, "2"), (True, True)),
+    Fermion: (partial(_fermion, "1"), partial(_fermion, "2"), (True, True)),
     Boson: (partial(_tower, -1, 0), partial(_tower, 1, 0), (True, True)),
     ShiftSeries: (lambda e, rep, x: _one(_y(rep, x)), lambda e, rep, x: _one(_y_adj(rep, x)), (True, True)),
     Cluster: (partial(_tower, -1, 1), partial(_tower, 1, -1), (True, True)),
 }
 
 
-@lru_cache(maxsize=KERNEL_CACHE_SIZE)
-def _act_cached(entry: Callable[..., Terms], e: OperatorExpr, rep: RepSpec, x: BasisLabel) -> Terms:
-    return entry(e, rep, x)
-
-
-def _step(e: OperatorExpr) -> Callable[[RepSpec, BasisLabel], Terms]:
-    """The entry of one factor, resolved once, as a function of (rep, label):
-    a table entry, through the per-label cache where its row says so;
-    rho and zeta around their argument's plan; a sum, a product or a star
-    that adjoint() rewrites inside a product as its own plan."""
+def _step(e: OperatorExpr, rep: RepSpec, shared: tuple) -> tuple[Callable[[BasisLabel], Terms], Optional[dict]]:
+    """The entry of one factor on rep, resolved once, as a function of the
+    label, and its memo: a table entry, with an empty memo where its row says
+    so; rho and zeta around their argument's plan; a sum, a product or a star
+    that adjoint() rewrites inside a product as its own plan, which shares
+    the outer plan's steps and budget, ``shared``."""
     star = type(e) is Adj
     node = e.arg if star else e
     kind = type(node)
     if kind in _ENTRIES:
         star = star and adjoint(node) != node  # F_1* is F_1, and takes its entry
-        entry, cached = _ENTRIES[kind][star], _ENTRIES[kind][2][star]
-        return partial(_act_cached, entry, node) if cached else partial(entry, node)
+        return partial(_ENTRIES[kind][star], node, rep), ({} if _ENTRIES[kind][2][star] else None)
     if kind is Rho or kind is Zeta:
         arg = adjoint(node.arg) if star else node.arg
-        return partial(_rho if kind is Rho else _zeta, _build((arg,)))
+        return partial(_rho if kind is Rho else _zeta, _build((arg,), rep, shared), rep), None
     if kind not in (Adj, Prod, LinComb):
         raise TypeError(f"not an operator expression: {e!r}")
-    return partial(_act, _build((adjoint(node) if star else node,)))
+    return partial(_act, _build((adjoint(node) if star else node,), rep, shared)), None
 
 
 def _chains(e: OperatorExpr, c: RadicalScalar) -> Iterator[tuple[RadicalScalar, tuple]]:
@@ -638,15 +636,17 @@ def _chains(e: OperatorExpr, c: RadicalScalar) -> Iterator[tuple[RadicalScalar, 
         yield c, e.factors if type(e) is Prod else (e,)
 
 
-def _build(exprs: Sequence[OperatorExpr]) -> list:
-    """The plan of the sides ``exprs``, in one pass: a trie of their factor
-    chains read right to left, so chains that end in the same factors share
-    those edges, within a side and across sides.  A node is ``[ends,
-    {factor: (step, child)}]``, ``ends`` mapping a side's slot, its index in
-    ``exprs``, to the sum of the coefficients of its chains that end there;
-    each distinct factor's step is resolved once."""
-    root: list = [{}, {}]
-    steps: dict[OperatorExpr, Callable] = {}
+def _build(exprs: Sequence[OperatorExpr], rep: RepSpec, shared: Optional[tuple] = None) -> list:
+    """The plan of the sides ``exprs`` on rep, in one pass: a trie of their
+    factor chains read right to left, so chains that end in the same factors
+    share those edges, within a side and across sides.  A node is ``[ends,
+    {factor: (step, memo, child)}, budget]``, ``ends`` mapping a side's slot,
+    its index in ``exprs``, to the sum of the coefficients of its chains that
+    end there.  ``shared``, (steps, budget), holds each distinct factor's
+    step and memo, resolved once for the plan and the plans built inside it,
+    and the count of images they may still store; ``({}, budget)`` shares that alone."""
+    steps, budget = shared = shared or ({}, [KERNEL_CACHE_SIZE])
+    root: list = [{}, {}, budget]
     for slot, e in enumerate(exprs):
         for c, factors in _chains(e, ONE):
             node = root
@@ -655,23 +655,25 @@ def _build(exprs: Sequence[OperatorExpr]) -> list:
                 if edge is None:
                     step = steps.get(f)
                     if step is None:
-                        step = steps[f] = _step(f)
-                    edge = node[1][f] = (step, [{}, {}])
-                node = edge[1]
+                        step = steps[f] = _step(f, rep, shared)
+                    edge = node[1][f] = (*step, [{}, {}, budget])
+                node = edge[2]
             merge_terms(((slot, c),), node[0])
     return root
 
 
-def _walk(plan: list, rep: RepSpec, terms, outs: Sequence[dict]) -> Sequence[dict]:
+def _walk(plan: list, terms, outs: Sequence[dict]) -> Sequence[dict]:
     """Merge each side's image of the (label, scalar) terms, unsorted, into
     ``outs[slot]``, and return ``outs``.  A label takes an edge's step once for
-    all chains below it, of any side; a step that annihilates it prunes them all.
+    all chains below it, of any side, or finds its image in the step's memo,
+    which stores each image it misses while the budget lasts: fill, then
+    freeze.  A step that annihilates the label prunes every chain below it.
     An end whose coefficient is the shared MINUS_ONE waits, unmultiplied, for
     the others, then drops a total equal to its scalar or subtracts from it."""
     stack = [(plan, x, c) for x, c in terms]
     signed = []
     while stack:
-        (ends, edges), x, c = stack.pop()
+        (ends, edges, budget), x, c = stack.pop()
         if ends:
             for slot, coeff in ends.items():
                 out = outs[slot]
@@ -685,8 +687,15 @@ def _walk(plan: list, rep: RepSpec, terms, outs: Sequence[dict]) -> Sequence[dic
                     out[x] = d
                 elif total := total + d:
                     out[x] = total
-        for step, child in edges.values():
-            for z, d in step(rep, x):
+        for step, memo, child in edges.values():
+            if memo is None:
+                images = step(x)
+            elif (images := memo.get(x)) is None:
+                images = step(x)
+                if budget[0]:
+                    budget[0] -= 1
+                    memo[x] = images
+            for z, d in images:
                 stack.append((child, z, c if d is ONE else d if c is ONE else c * d))
     for out, x, c in signed:
         total = out.pop(x, None)
@@ -697,20 +706,10 @@ def _walk(plan: list, rep: RepSpec, terms, outs: Sequence[dict]) -> Sequence[dic
     return outs
 
 
-def _act(plan: list, rep: RepSpec, x: BasisLabel) -> Terms:
+def _act(plan: list, x: BasisLabel) -> Terms:
     """Image of the basis label x under a one-side plan, as merged (label,
     scalar) terms: empty when x is annihilated, one term at most without a sum."""
-    return tuple(_walk(plan, rep, ((x, ONE),), ({},))[0].items())
-
-
-def kernel_cache_info():
-    """The hits, misses, bound and size of the per-label cache."""
-    return _act_cached.cache_info()
-
-
-def kernel_cache_clear() -> None:
-    """Empty the per-label cache."""
-    _act_cached.cache_clear()
+    return tuple(_walk(plan, ((x, ONE),), ({},))[0].items())
 
 
 def apply(e: OperatorExpr, v: StateVector) -> StateVector:
@@ -718,4 +717,4 @@ def apply(e: OperatorExpr, v: StateVector) -> StateVector:
     if not v:
         return v
     # unsorted: the sums are exact, and terms() orders the output
-    return StateVector._trusted(v.rep, _walk(_build((e,)), v.rep, v._terms.items(), ({},))[0])
+    return StateVector._trusted(v.rep, _walk(_build((e,), v.rep), v._terms.items(), ({},))[0])

@@ -33,7 +33,7 @@ vector in this module, looked up when the side is evaluated; it works on
 vectors through the letter steps, off the kernel.  ``memo`` is a dict that
 ``_ccr`` makes for its run alone, so the b(n-1) values the recursion needs,
 and each vector's ``s_star_support`` walk, are computed once per vector per
-run; it is not the kernel's cache.  The ``range_proj_definition(n)`` products
+run; it is not a kernel memo.  The ``range_proj_definition(n)`` products
 are the sides ``("apply", range_proj_definition(n))``: ``run`` lowers a
 table's ``apply`` sides into a plan of their own, never the table's.
 
@@ -140,7 +140,8 @@ class CheckReport:
         ``apply`` oracle sides another, and each sample runs through each once.
         Each side is resolved once per table to its reader, an index into a
         sample's side values: the plan's slots, then the oracle plan's, the
-        expected vectors and the oracle calls."""
+        expected vectors and the oracle calls.  The plans are built on the
+        samples' one rep, with one budget of stored images between them."""
         groups = list(groups)
         sides = list({id(side): side for group in groups for row in group for side in row[1:]}.values())
         exprs = [side for side in sides if isinstance(side, OperatorExpr)]
@@ -150,13 +151,14 @@ class CheckReport:
         reader = {id(side): k for k, side in enumerate(exprs + applies + vectors + oracles)}
         tables = [[(name, reader[id(left)], reader[id(right)]) for name, left, right in group] for group in groups]
         fixed = [side._terms for side in vectors]
-        # the oracle sides never share the table's trie, and a table with none walks no second plan
-        plan, oracle_plan = _build(exprs), applies and _build([side[1] for side in applies])
+        # the oracle sides take the table's budget, never its trie or memos; a table with none walks no second plan
+        plan = _build(exprs, samples[0].rep)
+        oracle_plan = applies and _build([side[1] for side in applies], samples[0].rep, ({}, plan[2]))
         failures: list[list[dict[str, str]]] = [[] for _ in groups]
         for v in samples:
-            values = _walk(plan, v.rep, v._terms.items(), [{} for _ in exprs])
+            values = _walk(plan, v._terms.items(), [{} for _ in exprs])
             if oracle_plan:
-                values += _walk(oracle_plan, v.rep, v._terms.items(), [{} for _ in applies])
+                values += _walk(oracle_plan, v._terms.items(), [{} for _ in applies])
             values += fixed
             # module globals, read at call time: a patched oracle takes effect
             values += [globals()[oracle](*args, v)._terms for oracle, *args in oracles]
@@ -367,10 +369,10 @@ def _wfamily(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: i
     report.run(_samples(rep, depth), [rows])
     basis_vecs = [StateVector.basis(rep, lab) for lab in enumerate_basis(rep, depth)]
     # each basis vector walks one plan of W(0..n_max) once and keeps its nonzero images
-    plan, zero = _build(w[: n_max + 1]), StateVector.zero(rep)
+    plan, zero = _build(w[: n_max + 1], rep), StateVector.zero(rep)
     walked = []
     for x in basis_vecs:
-        outs = _walk(plan, rep, x._terms.items(), [{} for _ in range(n_max + 1)])
+        outs = _walk(plan, x._terms.items(), [{} for _ in range(n_max + 1)])
         walked.append((x, {n: StateVector._trusted(rep, t) for n, t in enumerate(outs) if t}))
     pairs = list(zip(walked, walked[1:]))
     if len(walked) > 2:
@@ -589,7 +591,7 @@ def _fock(report: CheckReport, rep: RepSpec, n_max: int, m_max: int, depth: int)
     # span growth of boson monomials on the vacuum, recorded not asserted:
     # every word is one side of one plan, walked once from the vacuum
     monomials = [prod(*(raising[idx] for idx in parts)) for parts in words]
-    outs = _walk(_build(monomials), rep, vac._terms.items(), [{} for _ in monomials])
+    outs = _walk(_build(monomials, rep), vac._terms.items(), [{} for _ in monomials])
     vectors = [StateVector._trusted(rep, terms) for terms in outs]
     ranks = _exact_rank(vectors)
     report.cases += len(vectors)

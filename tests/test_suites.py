@@ -266,13 +266,15 @@ def test_pair_relations_share_each_member_and_its_adjoint():
 @pytest.mark.parametrize("suite", ["rho", "lemma23"])
 def test_rho_and_lemma23_share_each_factor(suite, rep):
     # X(n), W(n), s(n) and rho(t2*) recur across rows, and the fermions across
-    # terms, as equal objects; the table's plan resolves each one's step once
-    groups = _table(suite, RepSpec.parse(rep), 4, 4, 3)
+    # terms, as equal objects; the table's plan resolves each one's step and memo once
+    rep = RepSpec.parse(rep)
+    groups = _table(suite, rep, 4, 4, 3)
     exprs = [side for group in groups for _, *sides in group for side in sides if isinstance(side, OperatorExpr)]
-    steps, stack = {}, [operators._build(exprs)]
+    steps, stack = {}, [operators._build(exprs, rep)]
     while stack:
-        for f, (step, child) in stack.pop()[1].items():
-            assert steps.setdefault(f, step) is step, f
+        for f, (step, memo, child) in stack.pop()[1].items():
+            known = steps.setdefault(f, (step, memo))
+            assert known[0] is step and known[1] is memo, f
             stack.append(child)
     assert steps.keys() == set(_factors(groups))
     assert len(list(_factors(groups))) > len(steps)
@@ -289,9 +291,9 @@ def test_definitions_are_lowered_into_one_plan_per_run(monkeypatch, suite):
         definitions.append(definition(n))
         return definitions[-1]
 
-    def recording_build(exprs):
+    def recording_build(exprs, rep, *shared):
         plans.append(exprs)
-        return build(exprs)
+        return build(exprs, rep, *shared)
 
     monkeypatch.setattr(suites, "range_proj_definition", recording_definition)
     for owner in (operators, suites):
@@ -310,9 +312,9 @@ def test_suite_plans_grow_neither_with_samples_nor_with_n(monkeypatch, suite):
     builds = []
     build = suites._build
 
-    def counted(exprs):
+    def counted(exprs, rep, *shared):
         builds.append(len(exprs))
-        return build(exprs)
+        return build(exprs, rep, *shared)
 
     monkeypatch.setattr(suites, "_build", counted)
     counts = []
