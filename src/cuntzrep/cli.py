@@ -9,16 +9,20 @@ deterministic; JSON is emitted with a stable key order and no timestamps.
 The command-line grammar is one table, _GRAMMAR.  A well-formed command
 line is read straight from it; argparse, built from the same table, reads
 every other line, so help, usage and error text are argparse's own.
+argparse is imported and built only for help and usage errors, and json
+only for JSON output and measured values: neither is loaded by a
+well-formed command line with text output.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import os
 import sys
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
+
+if TYPE_CHECKING:
+    import argparse
 
 from .basis import enumerate_basis
 from .operators import apply as apply_operator
@@ -112,6 +116,8 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     # Built only for help and usage errors, and then reused: parse_args keeps
     # no state between calls, and the first build in a fresh interpreter
     # takes about 3.5 ms, longer than a short query.
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cuntzrep",
         description="Exact engine for recursive boson and fermion systems "
@@ -139,9 +145,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return _build_parsers()[0]
 
 
-def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
-    """The Namespace argparse returns for a well-formed command line, or
-    None for any line argparse might read otherwise.
+class _Args:
+    """A command line read from the grammar: one attribute per option, as in
+    the Namespace argparse returns, and equal to any namespace with the
+    same attributes."""
+
+    def __init__(self, values: dict[str, object]) -> None:
+        vars(self).update(values)  # one C call, where setattr per key is a Python loop
+
+    def __eq__(self, other: object) -> bool:
+        if not hasattr(other, "__dict__"):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"_Args({vars(self)!r})"
+
+
+def _read_argv(argv: list[str]) -> Optional[_Args]:
+    """An _Args equal to the Namespace argparse returns for a well-formed
+    command line, or None for any line argparse might read otherwise.
 
     Well-formed: a subcommand's name, then its exact flags, each as
     ``--flag=value`` (value not ``--``), as ``--flag value`` (value not
@@ -185,12 +208,10 @@ def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
     for dest in required:
         if values[dest] is None:
             return None
-    args = argparse.Namespace()
-    vars(args).update(values)  # one C call: Namespace(**values) sets each key in a Python loop
-    return args
+    return _Args(values)
 
 
-def _parse_argv(argv: Optional[list[str]]) -> argparse.Namespace:
+def _parse_argv(argv: Optional[list[str]]) -> _Args | argparse.Namespace:
     """Parse a command line once.  A well-formed line is read straight from
     the grammar, without building argparse.  Any other line that starts
     with a subcommand's name goes straight to that subcommand's parser,
@@ -202,6 +223,8 @@ def _parse_argv(argv: Optional[list[str]]) -> argparse.Namespace:
     args = _read_argv(argv)
     if args is not None:
         return args
+    import argparse
+
     parser, subparsers = _build_parsers()
     sub = subparsers.get(argv[0]) if argv else None
     if sub is None:
@@ -212,23 +235,30 @@ def _parse_argv(argv: Optional[list[str]]) -> argparse.Namespace:
     return args
 
 
-def _run_apply(args: argparse.Namespace) -> int:
+def _json_text(value: object, indent: Optional[int] = None) -> str:
+    """json.dumps, with json imported on first use: a run that prints no JSON never loads it."""
+    import json
+
+    return json.dumps(value, indent=indent)
+
+
+def _run_apply(args: _Args) -> int:
     rep = parse_rep(args.rep)
     expr = parse_expr(args.expr)
     state = parse_state(rep, args.state)
     result = apply_operator(expr, state)
     if args.format == "json":
-        print(json.dumps(vector_to_json(result), indent=2))
+        print(_json_text(vector_to_json(result), indent=2))
     else:
         print(serialize_vector(result, unicode=args.unicode))
     return 0
 
 
-def _run_expand(args: argparse.Namespace) -> int:
+def _run_expand(args: _Args) -> int:
     expr = parse_expr(args.expr)
     nf = poly_normal_form(expr, depth=args.depth)
     if args.format == "json":
-        print(json.dumps(nf.to_json(), indent=2))
+        print(_json_text(nf.to_json(), indent=2))
     else:
         print(render_monomials(collapse(nf.terms), unicode=args.unicode))
     return 0
@@ -243,7 +273,7 @@ def _print_report_text(report: CheckReport) -> None:
         f"failures={len(report.failures)}"
     )
     for key, value in report.measured.items():
-        print(f"  measured {key}: {json.dumps(value)}")
+        print(f"  measured {key}: {_json_text(value)}")
     for failure in report.failures[:_FAILURE_PRINT_CAP]:
         print(f"  failed: {failure['identity']}")
         print(f"    input: {failure['input']}")
@@ -254,7 +284,7 @@ def _print_report_text(report: CheckReport) -> None:
         print(f"  ... and {hidden} more failures")
 
 
-def _run_check(args: argparse.Namespace) -> int:
+def _run_check(args: _Args) -> int:
     rep = parse_rep(args.rep)
     if args.suite == "all":
         reports = check_all(rep, args.n_max, args.m_max, args.depth)
@@ -262,18 +292,18 @@ def _run_check(args: argparse.Namespace) -> int:
         reports = [run_suite(args.suite, rep, args.n_max, args.m_max, args.depth)]
     if args.format == "json":
         payload = [r.to_json() for r in reports] if args.suite == "all" else reports[0].to_json()
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload, indent=2))
     else:
         for report in reports:
             _print_report_text(report)
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _run_list_basis(args: argparse.Namespace) -> int:
+def _run_list_basis(args: _Args) -> int:
     rep = parse_rep(args.rep)
     labels = enumerate_basis(rep, args.depth)
     if args.format == "json":
-        print(json.dumps([ket_text(rep, lab) for lab in labels], indent=2))
+        print(_json_text([ket_text(rep, lab) for lab in labels], indent=2))
     else:
         for lab in labels:
             print(serialize_label(rep, lab, unicode=args.unicode))

@@ -10,12 +10,15 @@ square-free integers are linearly independent over the rationals, so this
 form is unique: ``==`` is a tuple compare, and no floating point is
 involved anywhere.
 
-Sums and products work on Python ints only.  ``fractions.Fraction`` still
-appears at the edges: ``terms`` returns them, ``from_rational`` accepts
-them, the public constructor and ``from_json`` (which reads ``"n/d"``
-strings) go through them, and a rational value has the hash of its
-``Fraction`` (so ``RadicalScalar.from_rational(1)`` and ``1`` are one set
-element).
+Sums and products work on Python ints only.  ``fractions.Fraction`` is
+imported only where a value crosses the public edge: ``terms`` returns
+them, ``from_rational`` accepts them, and the public constructor,
+``from_json`` (which reads ``"n/d"`` strings) and pickling go through them.
+``==`` and the ring operations take a ``Fraction`` without importing the
+module, since one can exist only once ``fractions`` is in ``sys.modules``.
+A rational value hashes by Python's numeric-hash rule, so as its
+``Fraction`` and as its int when whole (``RadicalScalar.from_rational(1)``
+and ``1`` are one set element).
 
 Radicands stay small in practice (products of sqrt(m) for the series
 weights), so square-free splitting by trial division is enough; a literal
@@ -26,10 +29,13 @@ weights), so square-free splitting by trial division is enough; a literal
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import sys
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "RadicalScalar",
@@ -42,7 +48,7 @@ __all__ = [
     "signed_sum_text",
 ]
 
-RationalLike = Union[int, Fraction]
+RationalLike = Union[int, "Fraction"]
 
 # Square-free splitting is trial division, about 0.07 s at this radicand.
 _MAX_RADICAND = 10**12
@@ -108,6 +114,17 @@ def _reduced(form: Form) -> Form:
     return den // g, tuple([(d, n // g) for d, n in pairs])
 
 
+def _is_fraction(value: object) -> bool:
+    """Whether ``value`` is a ``Fraction``, which it can be only once
+    ``fractions`` is loaded: no import here."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(value, fractions.Fraction)
+
+
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
+
+
 def _nonzero_sorted(acc: dict[int, int]) -> tuple[tuple[int, int], ...]:
     return tuple([t for t in sorted(acc.items()) if t[1]])
 
@@ -125,6 +142,8 @@ class RadicalScalar:
         self,
         terms: Mapping[int, RationalLike] | Iterable[tuple[int, RationalLike]] = (),
     ) -> None:
+        from fractions import Fraction
+
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[int, Fraction] = {}
         for d, c in items:
@@ -155,7 +174,9 @@ class RadicalScalar:
 
     @classmethod
     def from_rational(cls, value: RationalLike) -> "RadicalScalar":
-        if not isinstance(value, (int, Fraction)):
+        if not isinstance(value, int):
+            from fractions import Fraction
+
             value = Fraction(value)
         num = value.numerator
         return cls._canonical((value.denominator, ((1, num),)) if num else (1, ()))
@@ -177,6 +198,8 @@ class RadicalScalar:
 
     @property
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
+        from fractions import Fraction
+
         return tuple((d, Fraction(p, q)) for d, p, q in self._fractions())
 
     def is_rational(self) -> bool:
@@ -192,7 +215,7 @@ class RadicalScalar:
     def _coerce(value: "RadicalScalar | RationalLike") -> "RadicalScalar":
         if isinstance(value, RadicalScalar):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, int) or _is_fraction(value):
             return RadicalScalar.from_rational(value)
         return NotImplemented  # type: ignore[return-value]
 
@@ -302,7 +325,7 @@ class RadicalScalar:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RadicalScalar):
             return self._form == other._form
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or _is_fraction(other):
             num = other.numerator
             return self._form == ((other.denominator, ((1, num),)) if num else (1, ()))
         return NotImplemented
@@ -312,9 +335,17 @@ class RadicalScalar:
         if not pairs:
             return 0  # hash(0)
         if len(pairs) == 1 and pairs[0][0] == 1:
-            # a rational value hashes as its Fraction, so as its int when whole
+            # Python's numeric-hash rule for n/den in lowest terms: the hash
+            # of its Fraction, and of its int when whole (hash() itself turns
+            # a -1 into -2)
             n = pairs[0][1]
-            return hash(n) if den == 1 else hash(Fraction(n, den))
+            if den == 1:
+                return hash(n)
+            if den % _HASH_MODULUS:
+                h = hash(hash(abs(n)) * pow(den, -1, _HASH_MODULUS))
+            else:
+                h = _HASH_INF
+            return h if n > 0 else -h
         return hash(self._form)
 
     # -- conversion -----------------------------------------------------
@@ -336,13 +367,15 @@ class RadicalScalar:
 
     @classmethod
     def from_json(cls, data: Iterable[Mapping[str, object]]) -> "RadicalScalar":
+        from fractions import Fraction
+
         return cls(
             (_bounded_radicand(int(item["radicand"])), Fraction(str(item["coeff"])))
             for item in data
         )
 
 
-ZERO = RadicalScalar()
+ZERO = RadicalScalar.from_rational(0)
 ONE = RadicalScalar.from_rational(1)
 MINUS_ONE = -ONE
 

@@ -46,7 +46,6 @@ pass condition is internal consistency of the commutation relations only.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
 from .basis import BasisLabel, RepSpec, enumerate_basis, label_sort_key
@@ -202,7 +201,7 @@ def _anti(x: OperatorExpr, y: OperatorExpr, c: RadicalScalar = ONE) -> OperatorE
 def _samples(rep: RepSpec, depth: int) -> list[StateVector]:
     """Every basis label up to depth, plus one fixed mixed superposition."""
     vecs = [StateVector.basis(rep, lab) for lab in enumerate_basis(rep, depth)]
-    coeffs = [ONE, sqrt_int(2), RadicalScalar.from_rational(Fraction(-1, 2)), sqrt_int(3)]
+    coeffs = [ONE, sqrt_int(2), MINUS_ONE / 2, sqrt_int(3)]
     mixed = StateVector.zero(rep)
     for c, b in zip(coeffs, vecs):
         mixed = mixed.combine(c, b)

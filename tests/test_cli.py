@@ -399,13 +399,56 @@ def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
         assert (rc, captured.out, captured.err) == (done.returncode, done.stdout, done.stderr)
 
 
-def test_cli_import_leaves_dataclasses_out():
-    env = dict(os.environ, PYTHONPATH=str(Path(cuntzrep.__file__).parents[1]))
-    code = "import sys, cuntzrep.cli; print('dataclasses' in sys.modules)"
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10
+# stdlib modules a well-formed command line with text output never uses;
+# together they cost several milliseconds of start-up
+_COLD_UNUSED = {"argparse", "gettext", "fractions", "decimal", "numbers", "json", "dataclasses"}
+
+
+def _isolated(code):
+    """Run ``code`` in a fresh ``-I`` interpreter, the package's source
+    directory in ``sys.argv[1]`` and the modules the bare interpreter
+    loaded itself (a site hook's among them) in ``bare``."""
+    prelude = "import sys\nbare = set(sys.modules)\nsys.path.insert(0, sys.argv[1])\n"
+    src = str(Path(cuntzrep.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-I", "-c", prelude + code, src],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, COLUMNS="80"),
+        timeout=30,
     )
-    assert (done.returncode, done.stdout) == (0, "False\n")
+
+
+def test_cli_import_leaves_dataclasses_out(capsys, monkeypatch):
+    argvs = [
+        ["apply", "--rep=12", "--expr=b(1)*", "--state=vac"],
+        ["expand", "--expr", "a(1) a(1)* + a(1)* a(1)", "--depth", "2"],
+        ["check", "--rep", "12", "--suite", "main"],
+    ]
+    code = (
+        "import cuntzrep.cli\n"
+        f"unused = {sorted(_COLD_UNUSED)!r}\n"
+        "loaded = lambda: sorted(set(unused) & (set(sys.modules) - bare))\n"
+        "print('import', loaded(), file=sys.stderr)\n"
+        f"for argv in {argvs!r}:\n"
+        "    print(argv[0], cuntzrep.cli.main(argv), loaded(), file=sys.stderr)\n"
+    )
+    done = _isolated(code)
+    assert done.stderr == "import []\napply 0 []\nexpand 0 []\ncheck 0 []\n"
+    assert done.stdout == "".join(run(capsys, argv)[1] for argv in argvs)
+    # a usage error still goes through argparse, with its own text
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = _parse_outcome(_build_parser().parse_args, ["nope"])
+    code = (
+        "import cuntzrep.cli\n"
+        "try:\n"
+        "    cuntzrep.cli.main(['nope'])\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, 'argparse' in set(sys.modules) - bare)\n"
+    )
+    done = _isolated(code)
+    assert expected[0] == 2
+    assert (done.stdout, done.stderr) == ("2 True\n", expected[2])
 
 
 @pytest.mark.parametrize("expr", ["a(3000)", "F(400)", "b(4096)", "F(4096)*"])

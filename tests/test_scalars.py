@@ -2,13 +2,14 @@
 
 import math
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import cuntzrep
@@ -118,6 +119,61 @@ def test_rational_hash_agrees_with_equality(value):
         assert hash(x) == hash(value) == hash(Fraction(value))
         assert len({x, value}) == 1
     assert len({ONE, 1}) == 1 and len({ZERO, 0, sqrt_int(3) - sqrt_int(3)}) == 1
+
+
+_M = sys.hash_info.modulus
+
+
+@given(st.fractions())
+@example(Fraction(1, _M))  # no inverse modulo M: the hash is sys.hash_info.inf
+@example(Fraction(-3, _M))
+@example(Fraction(5, 2 * _M))
+@example(Fraction(-(_M + 2), 2))  # n/d = 1 mod M, negated: -1, which hashes as -2
+@example(Fraction(_M + 2, 2))
+@example(Fraction(-7, 3))
+@example(Fraction(-(10**39 + 7), 10**39 + 9))  # 40 digits above and below
+@example(Fraction(10**40 - 1, 3 * 10**39 + 1))
+def test_rational_hash_is_the_fraction_hash(q):
+    x = RadicalScalar.from_rational(q)
+    assert hash(x) == hash(q)
+    assert len({x, q}) == 1
+
+
+# Fraction arithmetic, equality, terms, JSON and pickling on RadicalScalar;
+# run where fractions was loaded before cuntzrep and where it was loaded after
+_FRACTION_EDGE = """\
+from fractions import Fraction
+half = RadicalScalar.from_rational(Fraction(1, 2))
+x = sqrt_int(2) + half
+results = (
+    half == Fraction(1, 2), Fraction(1, 2) == half, ONE == Fraction(1), sqrt_int(2) == Fraction(2),
+    hash(half) == hash(Fraction(1, 2)), len({half, Fraction(1, 2)}),
+    (ONE + Fraction(1, 2))._form, (Fraction(1, 2) + ONE)._form, (ONE - Fraction(1, 2))._form,
+    (Fraction(1, 2) - ONE)._form, (x * Fraction(2, 3))._form, (x / Fraction(1, 3))._form,
+    RadicalScalar.from_rational(Fraction(-3, 7))._form, x.terms,
+    RadicalScalar.from_json(x.to_json())._form,
+    [pickle.dumps(x, protocol) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)],
+    pickle.loads(pickle.dumps(x))._form,
+)
+"""
+
+
+def test_fraction_imported_after_cuntzrep_behaves_as_before():
+    scope = {"pickle": pickle, "ONE": ONE, "RadicalScalar": RadicalScalar, "sqrt_int": sqrt_int}
+    exec(_FRACTION_EDGE, scope)
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from cuntzrep.scalars import ONE, RadicalScalar, sqrt_int\n"
+        "print('fractions' in sys.modules)\n"
+        "import pickle\n" + _FRACTION_EDGE + "print(repr(results))\n"
+    )
+    src = str(Path(cuntzrep.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, timeout=10
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"False\n{scope['results']!r}\n"
 
 
 def test_json_radicand_over_the_bound_is_refused_before_splitting():
