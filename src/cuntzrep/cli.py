@@ -7,10 +7,10 @@ or parse error, 141 stdout closed by its reader.  All output is
 deterministic; JSON is emitted with a stable key order and no timestamps.
 
 The command-line grammar is one table, _GRAMMAR.  A well-formed command
-line is read straight from it; argparse, built from the same table, reads
-every other line, so help, usage and error text are argparse's own.
-argparse is imported and built only for help and usage errors, and json
-only for JSON output and measured values: neither is loaded by a
+line is read straight from it; argparse's own parse_args, its parser built
+from the same table, reads every other line, so help, usage and error text
+are argparse's own.  argparse is imported and built only for those lines,
+and json only for JSON output and measured values: neither is loaded by a
 well-formed command line with text output.
 """
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import os
 import sys
+import types
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 if TYPE_CHECKING:
@@ -111,11 +112,10 @@ _READER = {
 
 
 @functools.cache
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each subcommand's own parser, by name."""
-    # Built only for help and usage errors, and then reused: parse_args keeps
-    # no state between calls, and the first build in a fresh interpreter
-    # takes about 3.5 ms, longer than a short query.
+def _build_parser() -> argparse.ArgumentParser:
+    # Built only for lines the reader refuses, and then reused: parse_args
+    # keeps no state between calls, and the first build in a fresh
+    # interpreter takes about 3.5 ms, longer than a short query.
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -138,33 +138,13 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
                     required=o.required,
                     help=o.help,
                 )
-    return parser, sub.choices
+    return parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
-
-
-class _Args:
-    """A command line read from the grammar: one attribute per option, as in
-    the Namespace argparse returns, and equal to any namespace with the
-    same attributes."""
-
-    def __init__(self, values: dict[str, object]) -> None:
-        vars(self).update(values)  # one C call, where setattr per key is a Python loop
-
-    def __eq__(self, other: object) -> bool:
-        if not hasattr(other, "__dict__"):
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        return f"_Args({vars(self)!r})"
-
-
-def _read_argv(argv: list[str]) -> Optional[_Args]:
-    """An _Args equal to the Namespace argparse returns for a well-formed
-    command line, or None for any line argparse might read otherwise.
+def _read_argv(argv: list[str]) -> Optional[types.SimpleNamespace]:
+    """A namespace with the attributes of the one argparse returns for a
+    well-formed command line, or None for any line argparse might read
+    otherwise.
 
     Well-formed: a subcommand's name, then its exact flags, each as
     ``--flag=value`` (value not ``--``), as ``--flag value`` (value not
@@ -208,31 +188,16 @@ def _read_argv(argv: list[str]) -> Optional[_Args]:
     for dest in required:
         if values[dest] is None:
             return None
-    return _Args(values)
+    return types.SimpleNamespace(**values)
 
 
-def _parse_argv(argv: Optional[list[str]]) -> _Args | argparse.Namespace:
-    """Parse a command line once.  A well-formed line is read straight from
-    the grammar, without building argparse.  Any other line that starts
-    with a subcommand's name goes straight to that subcommand's parser,
-    which is all the top-level parser would do with it after a pass of its
-    own; leftovers are reported by the top-level parser, as its parse_args
-    reports them.  The rest (none, --help, an unknown subcommand, an option
-    first) goes through the top-level parser."""
+def _parse_argv(argv: Optional[list[str]]) -> types.SimpleNamespace | argparse.Namespace:
+    """Parse a command line once: read straight from the grammar when it
+    is well formed, without building argparse, else by argparse's own
+    parse_args."""
     argv = sys.argv[1:] if argv is None else argv
     args = _read_argv(argv)
-    if args is not None:
-        return args
-    import argparse
-
-    parser, subparsers = _build_parsers()
-    sub = subparsers.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    return _build_parser().parse_args(argv) if args is None else args
 
 
 def _json_text(value: object, indent: Optional[int] = None) -> str:
@@ -242,7 +207,7 @@ def _json_text(value: object, indent: Optional[int] = None) -> str:
     return json.dumps(value, indent=indent)
 
 
-def _run_apply(args: _Args) -> int:
+def _run_apply(args: argparse.Namespace) -> int:
     rep = parse_rep(args.rep)
     expr = parse_expr(args.expr)
     state = parse_state(rep, args.state)
@@ -254,7 +219,7 @@ def _run_apply(args: _Args) -> int:
     return 0
 
 
-def _run_expand(args: _Args) -> int:
+def _run_expand(args: argparse.Namespace) -> int:
     expr = parse_expr(args.expr)
     nf = poly_normal_form(expr, depth=args.depth)
     if args.format == "json":
@@ -284,7 +249,7 @@ def _print_report_text(report: CheckReport) -> None:
         print(f"  ... and {hidden} more failures")
 
 
-def _run_check(args: _Args) -> int:
+def _run_check(args: argparse.Namespace) -> int:
     rep = parse_rep(args.rep)
     if args.suite == "all":
         reports = check_all(rep, args.n_max, args.m_max, args.depth)
@@ -299,7 +264,7 @@ def _run_check(args: _Args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _run_list_basis(args: _Args) -> int:
+def _run_list_basis(args: argparse.Namespace) -> int:
     rep = parse_rep(args.rep)
     labels = enumerate_basis(rep, args.depth)
     if args.format == "json":

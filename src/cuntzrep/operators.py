@@ -43,7 +43,7 @@ walks v's terms unsorted and hands the merged dict to ``StateVector._trusted``.
 Exactly one of t1*, t2* survives on a label, so a label reads as one letter
 sequence: its word, then the cycle walk from its node.  Three word-slice
 readers do all the kernel's reading past the word: ``_peel`` takes the next
-k letters, ``_through`` reads through the t-th 1 in one pass, whole cycle
+letter, ``_through`` reads through the t-th 1 in one pass, whole cycle
 periods at a time, and hands back the letters and the cycle vector after
 them, and ``_prepend`` puts letters back on.  Forward and adjoint entries
 share one table, and each writes its image in one edit.  A label's letters
@@ -408,10 +408,6 @@ Terms = tuple[tuple[BasisLabel, RadicalScalar], ...]
 _tuple_new = tuple.__new__
 
 
-def _one(label: Optional[BasisLabel]) -> Terms:
-    return () if label is None else ((label, ONE),)
-
-
 def _mul(c: RadicalScalar, d: RadicalScalar) -> RadicalScalar:
     return c if d is ONE else d if c is ONE else c * d
 
@@ -441,16 +437,15 @@ def _prepend(rep: RepSpec, x: BasisLabel, letters: str) -> BasisLabel:
     return _tuple_new(BasisLabel, (x.component, word, node))
 
 
-def _peel(rep: RepSpec, x: BasisLabel, n: int = 1) -> tuple[str, BasisLabel]:
-    """The n letters whose adjoints, first letter first, survive on x, and
-    what they leave: the word's first n letters, then the cycle walk."""
+def _peel(rep: RepSpec, x: BasisLabel) -> tuple[str, BasisLabel]:
+    """The one letter whose adjoint survives on x, and what it leaves: the
+    word's first letter, or on a cycle vector its node's letter and the
+    next node."""
     word = x.word
-    if len(word) >= n:
-        return word[:n], _tuple_new(BasisLabel, (x.component, word[n:], x.node))
+    if word:
+        return word[0], _tuple_new(BasisLabel, (x.component, word[1:], x.node))
     cycle = rep[x.component]
-    k = n - len(word)
-    walk = (cycle * (k // len(cycle) + 2))[x.node : x.node + k]
-    return word + walk, _tuple_new(BasisLabel, (x.component, "", (x.node + k) % len(cycle)))
+    return cycle[x.node], _tuple_new(BasisLabel, (x.component, "", (x.node + 1) % len(cycle)))
 
 
 def _up(rep: RepSpec, x: BasisLabel, n: int) -> BasisLabel:
@@ -505,19 +500,19 @@ def _iso_adj(e: Iso, rep: RepSpec, x: BasisLabel) -> Terms:
     return ((hit[1], ONE),) if hit and hit[0] == e.n else ()
 
 
-def _y(rep: RepSpec, x: BasisLabel) -> Optional[BasisLabel]:
+def _y(e: ShiftSeries, rep: RepSpec, x: BasisLabel) -> Terms:
     """Y = sum_n s_{n+1} t2* s_n*."""
     hit = _down(rep, x)
     if hit is None:
-        return None
+        return ()
     letter, y = _peel(rep, hit[1])
-    return _up(rep, y, hit[0] + 1) if letter == "2" else None
+    return ((_up(rep, y, hit[0] + 1), ONE),) if letter == "2" else ()
 
 
-def _y_adj(rep: RepSpec, x: BasisLabel) -> Optional[BasisLabel]:
+def _y_adj(e: ShiftSeries, rep: RepSpec, x: BasisLabel) -> Terms:
     """Y* = sum_n s_n t2 s_{n+1}*."""
     hit = _down(rep, x)
-    return _prepend(rep, hit[1], "2" * (hit[0] - 2) + "12") if hit and hit[0] >= 2 else None
+    return ((_prepend(rep, hit[1], "2" * (hit[0] - 2) + "12"), ONE),) if hit and hit[0] >= 2 else ()
 
 
 def _fermion(flip: str, e: Fermion, rep: RepSpec, x: BasisLabel) -> Terms:
@@ -600,7 +595,7 @@ _ENTRIES: dict[type, tuple[Callable[..., Terms], Callable[..., Terms], tuple[boo
     Iso: (lambda e, rep, x: ((_up(rep, x, e.n), ONE),), _iso_adj, (False, True)),
     Fermion: (partial(_fermion, "1"), partial(_fermion, "2"), (True, True)),
     Boson: (partial(_tower, -1, 0), partial(_tower, 1, 0), (True, True)),
-    ShiftSeries: (lambda e, rep, x: _one(_y(rep, x)), lambda e, rep, x: _one(_y_adj(rep, x)), (True, True)),
+    ShiftSeries: (_y, _y_adj, (True, True)),
     Cluster: (partial(_tower, -1, 1), partial(_tower, 1, -1), (True, True)),
 }
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import cuntzrep
 from cuntzrep.basis import RepSpec
-from cuntzrep.cli import _build_parser, _build_parsers, _parse_argv, main
+from cuntzrep.cli import _build_parser, _parse_argv, main
 from cuntzrep.parsing import parse_state, vector_from_json
 from cuntzrep.suites import SUITE_NAMES
 
@@ -255,17 +255,18 @@ _ARGV_BATTERY = [
 
 
 def _parse_outcome(parse, argv):
-    """The Namespace a parse returns, or its exit code, stdout and stderr."""
+    """The attributes of the namespace a parse returns, or its exit code,
+    stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return parse(argv)
+            return vars(parse(argv))
         except SystemExit as exc:
             return exc.code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("argv", _ARGV_BATTERY, ids=lambda argv: " ".join(argv) or "(none)")
-def test_direct_subcommand_parse_matches_the_top_level_parser(monkeypatch, argv):
+def test_parse_matches_argparse_on_the_battery(monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")  # help and usage text wrap to the terminal width
     expected = _parse_outcome(_build_parser().parse_args, list(argv))
     assert _parse_outcome(_parse_argv, list(argv)) == expected
@@ -329,10 +330,10 @@ def test_reader_matches_argparse_on_drawn_command_lines(argv):
     ids=lambda argv: argv[0],
 )
 def test_well_formed_command_line_runs_without_building_argparse(capsys, argv):
-    _build_parsers.cache_clear()
+    _build_parser.cache_clear()
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
-    assert _build_parsers.cache_info().currsize == 0
+    assert _build_parser.cache_info().currsize == 0
 
 
 def test_closed_stdout_exits_141_without_traceback():
